@@ -1,10 +1,11 @@
 // Measurement utilities.
 //
 // The paper's evaluation reports steady-state rates (updates/cycle,
-// accesses/cycle) and fairness (per-core min/max spread). WindowedCounter
-// supports warmup-then-measure: events before the window opens are counted
-// separately and excluded from the reported rate. Summary computes the
-// descriptive statistics the figures need.
+// accesses/cycle), fairness (per-core min/max spread) and latency
+// distributions. WindowedCounter supports warmup-then-measure: events
+// before the window opens are counted separately and excluded from the
+// reported rate. CycleHistogram holds latency samples in bounded memory,
+// and Summary computes the descriptive statistics the figures need.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/check.hpp"
 #include "sim/types.hpp"
 
 namespace colibri::sim {
@@ -58,20 +60,55 @@ class WindowedCounter {
   std::uint64_t inWindow_ = 0;
 };
 
+/// Exact multiset of non-negative integer cycle counts (per-op latencies).
+/// Values below kDenseLimit are counted in a dense array grown lazily to
+/// the largest value seen; values at or above it are stored raw. Memory is
+/// the dense range plus one word per tail sample, so samples in the dense
+/// range cost nothing however long the measurement window is.
+class CycleHistogram {
+ public:
+  static constexpr std::uint64_t kDenseLimit = 256;
+
+  void add(std::uint64_t v) {
+    if (v < kDenseLimit) {
+      if (v >= dense_.size()) {
+        dense_.resize(v + 1, 0);
+      }
+      const std::uint32_t n = ++dense_[v];
+      COLIBRI_CHECK_MSG(n != 0, "CycleHistogram count overflow");
+    } else {
+      tail_.push_back(v);
+    }
+  }
+
+  /// Add every sample of `other`; the result is independent of merge order.
+  void merge(const CycleHistogram& other);
+
+  [[nodiscard]] std::uint64_t count() const;
+
+ private:
+  friend struct Summary;
+  std::vector<std::uint32_t> dense_;  ///< dense_[v] = samples equal to v
+  std::vector<std::uint64_t> tail_;   ///< samples >= kDenseLimit, unsorted
+};
+
 /// Descriptive statistics over a sample (per-core op counts, latencies...).
 struct Summary {
   double min = 0.0;
   double max = 0.0;
   double mean = 0.0;
   double stddev = 0.0;
-  double median = 0.0;
-  double p50 = 0.0;  ///< == median (both kept: median predates percentiles)
+  double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
   std::size_t count = 0;
 
   static Summary of(std::span<const double> xs);
   static Summary ofCounts(std::span<const std::uint64_t> xs);
+  /// Equal to `of` over the same samples as doubles for count, min, max,
+  /// mean and percentiles (all exact below 2^53); stddev agrees to rounding.
+  /// Walks the dense counts and sorts only the tail.
+  static Summary ofHistogram(const CycleHistogram& h);
 
   /// Linearly interpolated quantile over an *ascending-sorted* sample;
   /// q in [0, 1]. Empty samples yield 0.
@@ -79,31 +116,6 @@ struct Summary {
 
   /// Jain's fairness index: 1.0 = perfectly fair, 1/n = maximally unfair.
   static double jainIndex(std::span<const std::uint64_t> xs);
-};
-
-/// Online accumulator for streaming samples (latency distributions).
-class Accumulator {
- public:
-  void add(double x) {
-    ++n_;
-    sum_ += x;
-    sumSq_ += x * x;
-    min_ = n_ == 1 ? x : std::min(min_, x);
-    max_ = n_ == 1 ? x : std::max(max_, x);
-  }
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  [[nodiscard]] double stddev() const;
-
- private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double sumSq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace colibri::sim

@@ -28,7 +28,7 @@ struct WgenCtx {
   std::vector<std::uint64_t> perCoreTotal;       // by participant index
   std::vector<std::uint64_t> perCoreWindow;
   std::vector<std::uint64_t> perCoreIncrements;
-  std::vector<std::vector<double>> perCoreLatency;
+  std::vector<sim::CycleHistogram> perCoreLatency;
 };
 
 std::uint32_t pickIndex(const Region& def, const ResolvedRegion& region,
@@ -136,8 +136,7 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
         const auto now = sys.now();
         if (now >= ctx.windowStart && now < ctx.windowEnd) {
           ++ctx.perCoreWindow[pidx];
-          ctx.perCoreLatency[pidx].push_back(
-              static_cast<double>(now - start));
+          ctx.perCoreLatency[pidx].add(now - start);
         }
       }
     }
@@ -241,7 +240,7 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
   ctx.perCoreTotal.assign(participants, 0);
   ctx.perCoreWindow.assign(participants, 0);
   ctx.perCoreIncrements.assign(participants, 0);
-  ctx.perCoreLatency.assign(participants, {});
+  ctx.perCoreLatency.resize(participants);
 
   const auto assignment = assignRoles(p.kernel, participants);
   for (std::uint32_t i = 0; i < participants; ++i) {
@@ -288,16 +287,11 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
   res.rate = workloads::summarizeRates(ctx.perCoreWindow, p.window.measure,
                                        counters);
 
-  std::size_t samples = 0;
-  for (const auto& v : ctx.perCoreLatency) {
-    samples += v.size();
+  sim::CycleHistogram latency;
+  for (const auto& h : ctx.perCoreLatency) {
+    latency.merge(h);
   }
-  std::vector<double> latencies;
-  latencies.reserve(samples);
-  for (const auto& v : ctx.perCoreLatency) {
-    latencies.insert(latencies.end(), v.begin(), v.end());
-  }
-  res.opLatency = sim::Summary::of(latencies);
+  res.opLatency = sim::Summary::ofHistogram(latency);
   return res;
 }
 

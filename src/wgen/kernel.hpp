@@ -50,7 +50,9 @@ struct ResolvedRegion {
 struct WgenResult {
   workloads::RateResult rate;
   /// Latency (cycles, think time excluded) of every op that completed
-  /// inside the measurement window; count == rate.opsInWindow.
+  /// inside the measurement window; count == rate.opsInWindow. Exact: built
+  /// from per-core CycleHistograms, so only samples of kDenseLimit cycles
+  /// or more take memory per sample.
   sim::Summary opLatency;
   std::uint64_t totalOps = 0;         ///< performed ops incl. outside window
   std::uint64_t totalIncrements = 0;  ///< modifying ops (verification basis)

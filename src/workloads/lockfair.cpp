@@ -20,7 +20,7 @@ struct LockCtx {
   sim::Cycle windowStart = 0;
   sim::Cycle windowEnd = 0;
   std::vector<std::uint64_t> perCoreWindow;
-  std::vector<std::vector<double>> perCoreWait;
+  std::vector<sim::CycleHistogram> perCoreWait;
   std::uint64_t acquisitions = 0;
   std::uint64_t exclusionViolations = 0;
 };
@@ -50,7 +50,7 @@ sim::Task lockWorker(arch::System& sys, arch::Core& core, LockCtx& ctx,
     ++ctx.acquisitions;
     if (held >= ctx.windowStart && held < ctx.windowEnd) {
       ++ctx.perCoreWindow[idx];
-      ctx.perCoreWait[idx].push_back(static_cast<double>(held - waitFrom));
+      ctx.perCoreWait[idx].add(held - waitFrom);
     }
     co_await core.delay(1 + ctx.params->thinkCycles + rng.below(8));
   }
@@ -107,16 +107,11 @@ LockFairResult runLockFair(arch::System& sys, const LockFairParams& p) {
 
   res.rate = summarizeRates(ctx.perCoreWindow, p.window.measure, counters);
   res.acqSpread = sim::Summary::ofCounts(ctx.perCoreWindow);
-  std::size_t samples = 0;
-  for (const auto& v : ctx.perCoreWait) {
-    samples += v.size();
+  sim::CycleHistogram waits;
+  for (const auto& h : ctx.perCoreWait) {
+    waits.merge(h);
   }
-  std::vector<double> waits;
-  waits.reserve(samples);
-  for (const auto& v : ctx.perCoreWait) {
-    waits.insert(waits.end(), v.begin(), v.end());
-  }
-  res.handoff = sim::Summary::of(waits);
+  res.handoff = sim::Summary::ofHistogram(waits);
   return res;
 }
 

@@ -86,13 +86,13 @@ TEST(Summary, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 5.0);
   EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
+  EXPECT_DOUBLE_EQ(s.p50, 3.0);
   EXPECT_NEAR(s.stddev, 1.4142, 1e-3);
 }
 
 TEST(Summary, EvenCountMedianAverages) {
   const std::vector<double> xs{1, 2, 3, 10};
-  EXPECT_DOUBLE_EQ(Summary::of(xs).median, 2.5);
+  EXPECT_DOUBLE_EQ(Summary::of(xs).p50, 2.5);
 }
 
 TEST(Summary, EmptyIsZeros) {
@@ -111,13 +111,11 @@ TEST(Summary, PercentilesInterpolateLinearly) {
   EXPECT_DOUBLE_EQ(s.p50, 50.0);
   EXPECT_DOUBLE_EQ(s.p95, 95.0);
   EXPECT_DOUBLE_EQ(s.p99, 99.0);
-  EXPECT_DOUBLE_EQ(s.p50, s.median);  // p50 and median agree by definition
 
   // Interpolation between ranks: p50 of {1, 2, 3, 10} sits halfway.
   const std::vector<double> four{1, 2, 3, 10};
   const auto f = Summary::of(four);
   EXPECT_DOUBLE_EQ(f.p50, 2.5);
-  EXPECT_DOUBLE_EQ(f.p50, f.median);
   // q = 0.95 over 4 samples: pos = 2.85 → 3 + 0.85 * (10 - 3).
   EXPECT_DOUBLE_EQ(f.p95, 3.0 + 0.85 * 7.0);
 }
@@ -143,16 +141,99 @@ TEST(Summary, JainIndexFairVsUnfair) {
   EXPECT_DOUBLE_EQ(Summary::jainIndex(unfair), 0.25);
 }
 
-TEST(Accumulator, TracksMoments) {
-  Accumulator a;
-  for (double x : {2.0, 4.0, 6.0}) {
-    a.add(x);
+// --- CycleHistogram: exact against Summary::of ---------------------------
+
+constexpr std::uint64_t kLimit = CycleHistogram::kDenseLimit;
+
+CycleHistogram histogramOf(const std::vector<std::uint64_t>& xs) {
+  CycleHistogram h;
+  for (const auto x : xs) {
+    h.add(x);
   }
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 6.0);
-  EXPECT_NEAR(a.stddev(), 1.633, 1e-3);
+  return h;
+}
+
+/// Summary::ofHistogram must match Summary::of bit for bit on everything
+/// the reports print.
+void expectExact(const CycleHistogram& h,
+                 const std::vector<std::uint64_t>& xs, const char* what) {
+  const std::vector<double> ds(xs.begin(), xs.end());
+  const auto want = Summary::of(ds);
+  const auto got = Summary::ofHistogram(h);
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.min, want.min) << what;
+  EXPECT_EQ(got.max, want.max) << what;
+  EXPECT_EQ(got.mean, want.mean) << what;
+  EXPECT_EQ(got.p50, want.p50) << what;
+  EXPECT_EQ(got.p95, want.p95) << what;
+  EXPECT_EQ(got.p99, want.p99) << what;
+  EXPECT_NEAR(got.stddev, want.stddev, 1e-9 * (1.0 + want.stddev)) << what;
+}
+
+void expectExact(const std::vector<std::uint64_t>& xs, const char* what) {
+  expectExact(histogramOf(xs), xs, what);
+}
+
+TEST(CycleHistogram, EmptyMatchesSummary) {
+  expectExact({}, "empty");
+  EXPECT_EQ(CycleHistogram{}.count(), 0u);
+}
+
+TEST(CycleHistogram, OneSampleMatchesSummary) {
+  expectExact({0}, "zero");
+  expectExact({7}, "dense");
+  expectExact({kLimit + 100}, "tail");
+}
+
+TEST(CycleHistogram, AllDenseMatchesSummary) {
+  expectExact({1, 2, 3, 10}, "even n");
+  expectExact({5, 5, 5, 1, 1, 200, 0, 3}, "repeats");
+  std::vector<std::uint64_t> ramp(kLimit);
+  for (std::uint64_t i = 0; i < kLimit; ++i) {
+    ramp[i] = kLimit - 1 - i;
+  }
+  expectExact(ramp, "full dense range");
+}
+
+TEST(CycleHistogram, AllTailMatchesSummary) {
+  expectExact({kLimit, kLimit * 4, kLimit + 1, 1u << 20, kLimit}, "tail");
+}
+
+TEST(CycleHistogram, DenseLimitBoundary) {
+  expectExact({kLimit - 1}, "limit - 1");
+  expectExact({kLimit}, "limit");
+  expectExact({kLimit - 1, kLimit}, "straddle pair");
+  expectExact({kLimit, kLimit - 1, kLimit - 1, kLimit, kLimit + 1, 0},
+              "straddle");
+}
+
+TEST(CycleHistogram, RandomSamplesMatchSummary) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 0x5A17EDu, 0xC011B21u}) {
+    Xoshiro256 rng(seed);
+    std::vector<std::uint64_t> xs(1 + rng.below(5000));
+    for (auto& x : xs) {
+      // Mostly dense with a long tail, like op latencies under contention.
+      x = rng.below(8) == 0 ? rng.below(kLimit * 64) : rng.below(kLimit);
+    }
+    expectExact(xs, "random");
+  }
+}
+
+TEST(CycleHistogram, MergeIsOrderIndependent) {
+  const std::vector<std::vector<std::uint64_t>> parts{
+      {3, 3, kLimit + 9}, {}, {kLimit - 1, 0, 40}, {kLimit, 2 * kLimit, 1}};
+  std::vector<std::uint64_t> all;
+  CycleHistogram forward;
+  for (const auto& p : parts) {
+    forward.merge(histogramOf(p));
+    all.insert(all.end(), p.begin(), p.end());
+  }
+  CycleHistogram backward;
+  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+    backward.merge(histogramOf(*it));
+  }
+  expectExact(forward, all, "forward");
+  expectExact(backward, all, "backward");
 }
 
 }  // namespace
