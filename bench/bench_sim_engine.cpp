@@ -210,90 +210,6 @@ BENCHMARK(BM_EndToEndObsRecorder)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_Parallel1kZipfHot(benchmark::State& state) {
-  // The acceptance-scale run: 1024 cores (16 topology groups) on the
-  // Zipf-hot wgen kernel, swept over --engine-threads. items/s counts
-  // completed window ops, which are bit-identical across thread counts —
-  // so the ratio between the engine_threads series IS the parallel-engine
-  // speedup on this host. Interpret it against context.num_cpus in the
-  // JSON: with a single hardware thread the parallel rows measure pure
-  // dispatcher overhead, not speedup.
-  const auto* preset = wgen::findPreset("zipf_hot");
-  if (preset == nullptr) {
-    state.SkipWithError("zipf_hot preset missing");
-    return;
-  }
-  exp::RunSpec spec;
-  spec.label = "zipf_hot_1k";
-  spec.config = arch::SystemConfig{};  // paper geometry, scaled up
-  spec.config.numCores = 1024;
-  spec.config.adapter = arch::AdapterKind::kColibri;
-  spec.config.engineThreads = static_cast<std::uint32_t>(state.range(0));
-  wgen::WgenParams params;
-  params.kernel = preset->spec;
-  spec.params = params;
-  spec.window = workloads::MeasureWindow{2000, 20000};
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    const auto result = exp::runOne(spec);
-    ops = result.rate.opsInWindow;
-    benchmark::DoNotOptimize(ops);
-  }
-  if (ops == 0) {
-    state.SkipWithError("no ops completed in the window");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_Parallel1kZipfHot)
-    ->ArgName("engine_threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Parallel4kZipfHot(benchmark::State& state) {
-  // The widened-horizon scale point: 4096 cores in 16 groups (64
-  // tiles/group) on the Zipf-hot kernel. This geometry only runs at all
-  // because the network's delivery clamps are per-endpoint (O(cores +
-  // banks)); the dense per-(core, bank) matrices they replaced would need
-  // over 1 GiB here. A shorter window than the 1k bench keeps one
-  // iteration in single-digit seconds.
-  const auto* preset = wgen::findPreset("zipf_hot");
-  if (preset == nullptr) {
-    state.SkipWithError("zipf_hot preset missing");
-    return;
-  }
-  exp::RunSpec spec;
-  spec.label = "zipf_hot_4k";
-  spec.config = arch::SystemConfig{};
-  spec.config.numCores = 4096;
-  spec.config.tilesPerGroup = 64;  // 1024 tiles -> 16 groups
-  spec.config.adapter = arch::AdapterKind::kColibri;
-  spec.config.engineThreads = static_cast<std::uint32_t>(state.range(0));
-  wgen::WgenParams params;
-  params.kernel = preset->spec;
-  spec.params = params;
-  spec.window = workloads::MeasureWindow{1000, 5000};
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    const auto result = exp::runOne(spec);
-    ops = result.rate.opsInWindow;
-    benchmark::DoNotOptimize(ops);
-  }
-  if (ops == 0) {
-    state.SkipWithError("no ops completed in the window");
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_Parallel4kZipfHot)
-    ->ArgName("engine_threads")
-    ->Arg(1)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

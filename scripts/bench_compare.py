@@ -93,24 +93,14 @@ def gbench_series(report, normalize):
 DIRECTION = {"opsPerCycle": 1, "rate": 1, "p99": -1}
 
 
-def compare(base, cur, threshold, presence_only=False):
-    """Return (regressions, rows) comparing metric dicts keyed by series.
-
-    With presence_only, magnitudes are not gated: only a series missing
-    from the current run is a regression. Used when the baseline was
-    recorded on a single-CPU host (context.num_cpus == 1), where the
-    parallel-engine series measure dispatcher overhead rather than
-    speedup and their relative shape is not portable.
-    """
+def compare(base, cur, threshold):
+    """Return (regressions, rows) comparing metric dicts keyed by series."""
     regressions = []
     rows = []
     for name in sorted(base):
         if name not in cur:
             rows.append((name, "-", "-", "-", "MISSING"))
             regressions.append(f"{name}: series missing from current run")
-            continue
-        if presence_only:
-            rows.append((name, "-", "-", "-", "present"))
             continue
         for metric, b in sorted(base[name].items()):
             c = cur[name].get(metric)
@@ -172,51 +162,40 @@ def self_test(threshold):
         print("bench_compare: self-test FAILED (missing series not flagged)")
         return 1
 
-    # Engine-threads sweep labels: each engine_threads:N series is its own
-    # gated series, parsed out of a real google-benchmark document shape.
+    # Series names come from a real google-benchmark document shape:
+    # every argument label is its own gated series.
     def gbench_doc(rates):
         return {
             "benchmarks": [
                 {
-                    "name": f"BM_Parallel1kZipfHot/engine_threads:{t}",
+                    "name": f"BM_EndToEndObsRecorder/observed:{k}",
                     "run_type": "iteration",
                     "items_per_second": r,
                 }
-                for t, r in rates.items()
+                for k, r in rates.items()
             ]
         }
 
-    sweep_base = gbench_series(gbench_doc({1: 1.0e6, 2: 1.8e6, 8: 5.2e6}), False)
-    if sorted(sweep_base) != [
-        "BM_Parallel1kZipfHot/engine_threads:1",
-        "BM_Parallel1kZipfHot/engine_threads:2",
-        "BM_Parallel1kZipfHot/engine_threads:8",
+    gbase = gbench_series(gbench_doc({0: 1.0e6, 1: 0.8e6}), False)
+    if sorted(gbase) != [
+        "BM_EndToEndObsRecorder/observed:0",
+        "BM_EndToEndObsRecorder/observed:1",
     ]:
-        print("bench_compare: self-test FAILED (engine_threads labels lost)")
+        print("bench_compare: self-test FAILED (gbench labels lost)")
         return 1
-    collapsed = gbench_series(gbench_doc({1: 1.0e6, 2: 1.8e6, 8: 1.0e6}), False)
-    hit, _ = compare(sweep_base, collapsed, threshold)
-    if not hit:
-        print("bench_compare: self-test FAILED (speedup collapse not flagged)")
-        return 1
-    dropped = gbench_series(gbench_doc({1: 1.0e6, 2: 1.8e6}), False)
-    hit, _ = compare(sweep_base, dropped, threshold)
-    if not hit:
-        print("bench_compare: self-test FAILED (dropped thread series not "
-              "flagged)")
-        return 1
-
-    # Presence-only mode (single-CPU baseline): magnitude collapses pass,
-    # missing series still fail.
-    ok, _ = compare(sweep_base, collapsed, threshold, presence_only=True)
+    # Normalized mode cancels a uniform machine-speed factor but still
+    # catches one series falling off a cliff.
+    uniform = gbench_series(gbench_doc({0: 2.0e6, 1: 1.6e6}), True)
+    ok, _ = compare(gbench_series(gbench_doc({0: 1.0e6, 1: 0.8e6}), True),
+                    uniform, threshold)
     if ok:
-        print("bench_compare: self-test FAILED (presence-only gated on "
-              "magnitude)")
+        print("bench_compare: self-test FAILED (uniform speed change "
+              "flagged under --normalize)")
         return 1
-    hit, _ = compare(sweep_base, dropped, threshold, presence_only=True)
+    cliff = gbench_series(gbench_doc({0: 1.0e6, 1: 0.2e6}), False)
+    hit, _ = compare(gbase, cliff, threshold)
     if not hit:
-        print("bench_compare: self-test FAILED (presence-only missed a "
-              "dropped series)")
+        print("bench_compare: self-test FAILED (gbench collapse not flagged)")
         return 1
     print("bench_compare: self-test passed")
     return 0
@@ -263,31 +242,19 @@ def main() -> int:
     if base_doc is None or cur_doc is None:
         return 1
 
-    presence_only = False
     if args.mode == "exp":
         base = exp_series(base_doc)
         cur = exp_series(cur_doc)
     else:
         base = gbench_series(base_doc, args.normalize)
         cur = gbench_series(cur_doc, args.normalize)
-        # A baseline recorded on a one-CPU host has no meaningful shape for
-        # the engine-threads sweeps (every parallel series is pure
-        # dispatcher overhead there), so gate on presence only.
-        presence_only = (
-            base_doc.get("context", {}).get("num_cpus") == 1
-        )
     if base is None or cur is None:
         return 1
     if not base:
         print("bench_compare: baseline has no comparable series", file=sys.stderr)
         return 1
 
-    if presence_only:
-        print(
-            "bench_compare: baseline context.num_cpus == 1 — gating on "
-            "series presence only"
-        )
-    regressions, rows = compare(base, cur, args.threshold, presence_only)
+    regressions, rows = compare(base, cur, args.threshold)
     width = max(len(name) for name, *_ in rows)
     print(f"bench_compare: {args.baseline} vs {args.current} "
           f"(threshold {args.threshold:.0%}"

@@ -27,18 +27,6 @@ import subprocess
 import sys
 
 
-def engine_threads_of(name: str):
-    """Parse the engine_threads label dimension out of a benchmark name
-    (e.g. 'BM_Parallel1kZipfHot/engine_threads:8' -> 8)."""
-    for part in name.split("/")[1:]:
-        if part.startswith("engine_threads:"):
-            try:
-                return int(part.split(":", 1)[1])
-            except ValueError:
-                return None
-    return None
-
-
 def summarize_gbench(report) -> list:
     rows = []
     for b in report.get("benchmarks", []):
@@ -49,9 +37,6 @@ def summarize_gbench(report) -> list:
             if b.get("items_per_second")
             else ""
         )
-        threads = engine_threads_of(b["name"])
-        if threads is not None:
-            rate += f"  [engine-threads {threads}]"
         rows.append((b["name"], b.get("real_time"), b.get("time_unit", "ns"), rate))
     return rows
 
@@ -144,24 +129,6 @@ def main() -> int:
     for name, value, unit, rate in rows:
         value_text = f"{value:12.4f}" if value is not None else " " * 12
         print(f"  {name:<{width}}  {value_text} {unit}  {rate}")
-
-    # Engine-threads sweeps get a speedup line against their own
-    # engine_threads:1 row — the number the parallel engine exists for.
-    # (< 1.0 means the dispatcher cost more than its workers bought back,
-    # e.g. on a single-CPU host.)
-    sweeps = {}
-    for name, value, _, _ in rows:
-        threads = engine_threads_of(name)
-        if threads is not None and value:
-            sweeps.setdefault(name.split("/")[0], {})[threads] = value
-    for family, series in sorted(sweeps.items()):
-        base = series.get(1)
-        if base is None or len(series) < 2:
-            continue
-        speedups = ", ".join(
-            f"{t}T: {base / v:.2f}x" for t, v in sorted(series.items()) if t != 1
-        )
-        print(f"  {family} parallel speedup vs engine_threads:1 — {speedups}")
     return 0
 
 

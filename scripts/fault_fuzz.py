@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Bounded random fault-injection sweep over the colibri-sim CLI.
 
-Each trial draws an adapter, a workload, a fault profile, a 64-bit fault
-seed, and an engine-thread count from a seeded RNG, runs colibri-sim with
+Each trial draws an adapter, a workload, a simulation seed, a fault
+profile and a 64-bit fault seed from a seeded RNG, runs colibri-sim with
 --json --json-fault, and checks three things:
 
   1. the run exits 0 (no invariant violation, no watchdog trip),
@@ -34,11 +34,10 @@ import sys
 ADAPTERS = ["amo", "lrsc_single", "lrsc_table", "lrscwait", "colibri"]
 WORKLOADS = ["histogram", "msqueue", "uniform_fa", "zipf_hot"]
 PROFILES = ["net_jitter", "sc_storm", "evict_churn", "chaos"]
-ENGINE_THREADS = ["1", "2", "8"]
 
 # Small fixed geometry: 16 cores in 2 groups — big enough for real
-# contention and for the parallel engine to activate, small enough that a
-# 50-trial sweep finishes in seconds.
+# contention and remote-group traffic, small enough that a 50-trial sweep
+# finishes in seconds.
 GEOMETRY = [
     "--cores", "16", "--cores-per-tile", "4", "--tiles-per-group", "2",
     "--banks-per-tile", "4", "--warmup", "500", "--measure", "2000",
@@ -53,7 +52,6 @@ def make_trial(rng):
         "--seed", str(rng.getrandbits(32) | 1),
         "--fault", rng.choice(PROFILES),
         "--fault-seed", str(rng.getrandbits(64) | 1),
-        "--engine-threads", rng.choice(ENGINE_THREADS),
         "--json", "--json-fault",
     ]
 
@@ -127,10 +125,7 @@ def fuzz(binary, trials, seed, timeout):
 
 def describe(args):
     d = dict(zip(args, args[1:]))
-    return (
-        f"{d.get('--adapter')} x {d.get('--workload')} x {d.get('--fault')} "
-        f"threads={d.get('--engine-threads')}"
-    )
+    return f"{d.get('--adapter')} x {d.get('--workload')} x {d.get('--fault')}"
 
 
 def self_test():

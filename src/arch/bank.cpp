@@ -31,27 +31,14 @@ std::uint64_t Bank::offsetOf(Addr a) const {
 
 void Bank::receive(const MemRequest& req) {
   const sim::Cycle at = engine_.now();
-  if (shadow_ != nullptr) {
-    // Inside a worker window: log this acquire so the barrier merge can
-    // replay the port's grant sequence when it resolves deferred sends
-    // that interleave with it. The first uncommitted acquire snapshots the
-    // live pre-acquire state as the replay starting point.
-    if (auto* log = sim::ParallelDispatch::currentPortLog()) {
-      if (shadow_->pending++ == 0) {
-        shadow_->cursor = port_.cursor();
-        shadow_->used = port_.slotUsed();
-      }
-      log->push_back({id_, at});
-    }
-  }
   const sim::Cycle grant = port_.acquire(at);
   sim::Cycle serveAt = grant;
   if (fault_ != nullptr) {
     // Transient service stall: extra cycles between the port grant and the
-    // adapter. The port itself is untouched (its grant sequence — and the
-    // parallel engine's shadow replay of it — stays exactly as without
-    // faults); the clamp keeps service in order, so a stalled request
-    // delays everything granted behind it, like a refresh-busy bank.
+    // adapter. The port itself is untouched (its grant sequence stays
+    // exactly as without faults); the clamp keeps service in order, so a
+    // stalled request delays everything granted behind it, like a
+    // refresh-busy bank.
     serveAt += fault_->stall(id_, req.core, grant);
     if (serveAt < lastServe_) {
       serveAt = lastServe_;
@@ -71,28 +58,13 @@ void Bank::receive(const MemRequest& req) {
   engine_.scheduleAt(serveAt, std::move(serve));
 }
 
-sim::Cycle Bank::backlogAt(sim::Cycle at) const {
-  // All acquires on this port come from the bank's own shard, in order, so
-  // inside a window the live state is already sequential. A merge-time
-  // probe (outside any window, with uncommitted acquires pending) must use
-  // the shadow instead: it holds the state as of the committed prefix.
-  const bool useShadow = shadow_ != nullptr && shadow_->pending > 0 &&
-                         !sim::ParallelDispatch::inWindowContext();
-  const sim::Cycle free =
-      useShadow ? sim::ThroughputResource::peekFrom(
-                      shadow_->cursor, shadow_->used, cfg_.bankPortsPerCycle, at)
-                : port_.peek(at);
-  return free - at;
-}
-
 Word Bank::read(Addr a) const { return words_[offsetOf(a)]; }
 
 void Bank::writeRaw(Addr a, Word v) { words_[offsetOf(a)] = v; }
 
 void Bank::respond(CoreId c, const MemResponse& r) {
   // Responses ride dedicated return paths (no shared stages), so the
-  // arrival cycle is fully determined at send time; the sink routes the
-  // event to the core's execution domain.
+  // arrival cycle is fully determined at send time.
   const sim::Cycle arriveAt = net_.routeResponse(id_, c, engine_.now());
   if (hooks_ != nullptr && hooks_->tracer != nullptr) {
     hooks_->tracer->onRespond(c, engine_.now());
@@ -100,7 +72,7 @@ void Bank::respond(CoreId c, const MemResponse& r) {
   auto arrive = [this, c, r] { sink_.deliverResponse(c, r); };
   static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
                 "response closure must fit the inline event buffer");
-  sink_.scheduleAtCore(c, arriveAt, std::move(arrive));
+  engine_.scheduleAt(arriveAt, std::move(arrive));
 }
 
 void Bank::sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
@@ -111,7 +83,7 @@ void Bank::sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
   };
   static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
                 "successor-update closure must fit the inline event buffer");
-  sink_.scheduleAtCore(target, arriveAt, std::move(arrive));
+  engine_.scheduleAt(arriveAt, std::move(arrive));
 }
 
 void Bank::resetStats() {

@@ -17,7 +17,6 @@
 #include "arch/network.hpp"
 #include "atomics/adapter.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 #include "sim/resource.hpp"
 
 namespace colibri::obs {
@@ -33,11 +32,6 @@ class CoreSink {
   virtual void deliverResponse(CoreId c, const MemResponse& r) = 0;
   virtual void deliverSuccessorUpdate(CoreId c, CoreId successor, Addr a,
                                       bool successorIsMwait) = 0;
-  /// Schedule `ev` to run at `when` in core `c`'s execution domain. In
-  /// sequential mode this is a plain engine schedule; the parallel engine
-  /// routes it to the core's shard (deferring across shard boundaries).
-  virtual void scheduleAtCore(CoreId c, sim::Cycle when,
-                              sim::InlineEvent ev) = 0;
 };
 
 struct BankStats {
@@ -65,23 +59,11 @@ class Bank final : public atomics::BankContext {
     return cfg_.numCores;
   }
 
-  /// Cycles a request arriving at `at` would wait for the bank port — the
-  /// congestion signal the network's backpressure proxy uses. During a
-  /// parallel barrier merge (uncommitted inline acquires outstanding) the
-  /// probe reads the replayed shadow state, which is exactly the port
-  /// state the sequential engine would have had at that point.
-  [[nodiscard]] sim::Cycle backlogAt(sim::Cycle at) const;
-
+  /// Cycles a request arriving now would wait for the bank port — the
+  /// congestion signal the network's backpressure proxy uses.
   [[nodiscard]] sim::Cycle backlog() const {
     const auto now = engine_.now();
-    return backlogAt(now);
-  }
-
-  /// Attach the parallel engine's shadow grant state for this bank's port
-  /// (nullptr detaches). receive() then records inline acquires for the
-  /// barrier merge to replay.
-  void setPortShadow(sim::ParallelDispatch::PortShadow* shadow) {
-    shadow_ = shadow;
+    return port_.peek(now) - now;
   }
 
   /// Attach the observability hook bundle (nullptr = off).
@@ -113,7 +95,6 @@ class Bank final : public atomics::BankContext {
   sim::ThroughputResource port_;
   sim::Cycle lastServe_ = 0;  ///< stall clamp: service stays in-order
   fault::FaultPlan* fault_ = nullptr;
-  sim::ParallelDispatch::PortShadow* shadow_ = nullptr;
   const obs::SimHooks* hooks_ = nullptr;
   std::vector<Word> words_;
   std::unique_ptr<atomics::AtomicAdapter> adapter_;

@@ -77,14 +77,6 @@ struct SystemConfig {
   /// ("addresses" in Table I).
   std::uint32_t colibriQueuesPerController = 4;
 
-  // --- Engine ---------------------------------------------------------------
-  /// Worker threads for the deterministic parallel engine. 1 (default)
-  /// runs the classic sequential engine; N > 1 partitions the topology
-  /// groups across min(N, numGroups) threads with conservative-lookahead
-  /// windows. Results are bit-identical for every value (see
-  /// docs/ARCHITECTURE.md), so this only trades wall-clock time.
-  std::uint32_t engineThreads = 1;
-
   // --- Misc ----------------------------------------------------------------
   std::uint64_t seed = 0xC011B21;
 
@@ -92,7 +84,7 @@ struct SystemConfig {
   /// Deterministic fault-injection plan (disabled by default: every
   /// probability zero). When enabled the System builds a FaultPlan whose
   /// decisions are pure hashes of (fault seed, site, entities, cycle) —
-  /// bit-identical across reruns and engine-thread counts. A zero
+  /// bit-identical across reruns and sweep-thread counts. A zero
   /// `fault.seed` derives one from `seed`, so sweep reps explore distinct
   /// fault schedules unless the seed is pinned explicitly.
   fault::FaultConfig fault;
@@ -126,20 +118,6 @@ struct SystemConfig {
     return static_cast<std::uint64_t>(numBanks()) * wordsPerBank;
   }
 
-  /// Conservative window length for the deterministic parallel engine: the
-  /// minimum latency of any message class that crosses a topology-group
-  /// shard boundary. Shards are groups, and the only traffic between two
-  /// groups is remote-group traffic (requests and responses alike pay
-  /// latRemoteGroup before touching the other shard; the injection stages a
-  /// request holds on the way out add delay but never subtract). Intra-
-  /// shard classes — local-tile and same-group — execute inline within a
-  /// window and therefore never bound it, even in the asymmetric case
-  /// latSameGroup > latRemoteGroup. System::injectRequest asserts the
-  /// premise: every deferred (cross-shard) send is kRemoteGroup distance.
-  [[nodiscard]] std::uint32_t crossShardLookahead() const {
-    return latRemoteGroup;
-  }
-
   void validate() const {
     COLIBRI_CHECK(numCores >= 1 && coresPerTile >= 1);
     COLIBRI_CHECK(numCores % coresPerTile == 0);
@@ -151,7 +129,6 @@ struct SystemConfig {
     COLIBRI_CHECK(tileIngressBandwidth >= 1);
     COLIBRI_CHECK(lrscWaitQueueCapacity >= 1);
     COLIBRI_CHECK(colibriQueuesPerController >= 1);
-    COLIBRI_CHECK(engineThreads >= 1);
     fault.validate();
   }
 

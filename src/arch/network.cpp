@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "fault/fault.hpp"
-#include "sim/parallel.hpp"
 
 namespace colibri::arch {
 
@@ -76,14 +75,9 @@ Cycle Network::baseLatency(Distance d) const {
   return cfg_.latRemoteGroup;
 }
 
-NetworkStats& Network::currentStats() {
-  const int shard = sim::ParallelDispatch::currentWindowShard();
-  return shard >= 0 ? shardStats_[static_cast<std::size_t>(shard)] : stats_;
-}
-
 Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
                                   TileId dstTile, Distance d, Cycle at,
-                                  std::uint32_t holdSlots, NetworkStats& st) {
+                                  std::uint32_t holdSlots) {
   // A message with holdSlots > 1 occupies each shared stage for several
   // consecutive slots: the backpressure proxy for requests heading into a
   // backlogged bank (their flits sit in switch buffers, blocking others).
@@ -94,7 +88,7 @@ Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
       // The group's local (inter-tile) crossbar — the only shared stage on
       // the intra-group path, touched by no other group's traffic.
       const Cycle granted = localRouters_[srcGroup].acquire(at, holdSlots);
-      st.totalQueueingDelay += granted - at;
+      stats_.totalQueueingDelay += granted - at;
       return granted;
     }
     case Distance::kRemoteGroup: {
@@ -106,7 +100,7 @@ Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
       const Cycle linkCleared = groupLinks_[link].acquire(egress, holdSlots);
       const Cycle granted =
           tileIngress_[dstTile].acquire(linkCleared, holdSlots);
-      st.totalQueueingDelay += granted - at;
+      stats_.totalQueueingDelay += granted - at;
       return granted;
     }
   }
@@ -121,13 +115,12 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
   const TileId srcTile = topo_.tileOfCore(c);
   const TileId dstTile = topo_.tileOfBank(b);
   const Distance d = topo_.distance(srcTile, dstTile);
-  NetworkStats& st = currentStats();
-  st.messagesByDistance[static_cast<std::size_t>(d)]++;
-  st.totalMessages++;
+  stats_.messagesByDistance[static_cast<std::size_t>(d)]++;
+  stats_.totalMessages++;
 
   const Cycle cleared = acquireRequestPath(
       topo_.groupOfTile(srcTile), topo_.groupOfTile(dstTile), dstTile, d, at,
-      holdSlots == 0 ? 1 : holdSlots, st);
+      holdSlots == 0 ? 1 : holdSlots);
   // FIFO clamp: no message of a class may be delivered into this bank
   // earlier than its predecessor of the same class. Per-pair FIFO follows
   // (a pair is a subsequence of its (bank, class) stream), and the clamp
@@ -140,10 +133,9 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
                                        kDistanceClasses +
                                    static_cast<std::size_t>(d)];
   if (fault_ != nullptr && fault_->netDelayActive()) {
-    // Injected delivery delay: only ever adds cycles (the parallel
-    // engine's cross-shard lookahead stays valid), and the FIFO invariant
-    // becomes a binding clamp — an artificially delayed message holds up
-    // the stream behind it.
+    // Injected delivery delay: only ever adds cycles, and the FIFO
+    // invariant becomes a binding clamp — an artificially delayed message
+    // holds up the stream behind it.
     arrive += fault_->netDelay(c, b, /*response=*/false, at);
     if (arrive < last) {
       arrive = last;
@@ -178,9 +170,8 @@ Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
   const TileId srcTile = topo_.tileOfBank(b);
   const TileId dstTile = topo_.tileOfCore(c);
   const Distance d = topo_.distance(srcTile, dstTile);
-  NetworkStats& st = currentStats();
-  st.messagesByDistance[static_cast<std::size_t>(d)]++;
-  st.totalMessages++;
+  stats_.messagesByDistance[static_cast<std::size_t>(d)]++;
+  stats_.totalMessages++;
 
   // Responses are pure latency, so per-(bank, class) arrivals are monotone
   // in send order and the clamp never binds (same argument as requests,
@@ -225,27 +216,8 @@ void Network::bankToCore(BankId b, CoreId c, sim::InlineEvent onArrive) {
   engine_.scheduleAt(routeResponse(b, c, engine_.now()), std::move(onArrive));
 }
 
-NetworkStats Network::stats() const {
-  NetworkStats total = stats_;
-  for (const NetworkStats& s : shardStats_) {
-    for (std::size_t d = 0; d < total.messagesByDistance.size(); ++d) {
-      total.messagesByDistance[d] += s.messagesByDistance[d];
-    }
-    total.totalMessages += s.totalMessages;
-    total.totalQueueingDelay += s.totalQueueingDelay;
-  }
-  return total;
-}
-
-void Network::enableShardStats(std::uint32_t numShards) {
-  shardStats_.assign(numShards, NetworkStats{});
-}
-
 void Network::resetStats() {
   stats_.reset();
-  for (NetworkStats& s : shardStats_) {
-    s.reset();
-  }
   for (auto& r : localRouters_) {
     r.resetStats();
   }

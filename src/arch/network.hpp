@@ -10,13 +10,9 @@
 //   - remote group: the source group's egress port, the directed
 //                   group-to-group link, and the destination tile's remote
 //                   ingress port (shared by all of that tile's banks).
-// The disjointness is deliberate: it gives every stage a single ordering
-// domain — intra-group stages are touched only by their own group's
-// traffic (one shard of the parallel engine, executed inline), remote
-// stages only by deferred cross-shard traffic (resolved serially at the
-// barrier merge) — which is what lets the parallel engine widen its
-// window to the cross-shard minimum latency while staying bit-identical
-// to the sequential engine (docs/ARCHITECTURE.md).
+// The disjointness is deliberate: intra-group stages are touched only by
+// their own group's traffic and remote stages only by remote traffic, so
+// local and remote requests never queue behind each other.
 //
 // Delivery is FIFO per (source endpoint, destination endpoint) pair. This
 // is guaranteed structurally — fixed latency per class plus FIFO stages
@@ -78,8 +74,8 @@ class Network {
   /// Route a request departing core `c` at cycle `at` towards bank `b`:
   /// acquires the shared stages (link queueing), applies the per-pair FIFO
   /// clamp, and counts stats. Returns the delivery cycle — the caller
-  /// schedules the arrival event itself (the parallel engine may defer it
-  /// to another shard). Calls per (c,b) pair must be in send order.
+  /// schedules the arrival event itself. Calls per (c,b) pair must be in
+  /// send order.
   /// `holdSlots` >= 1 is the number of consecutive slots the message holds
   /// on each shared stage: >1 models backpressure from a backlogged
   /// destination (finite switch buffers, head-of-line blocking).
@@ -92,7 +88,7 @@ class Network {
 
   /// Convenience wrappers over route*: schedule `onArrive` on the engine
   /// at the computed delivery cycle. (Unit tests drive the network this
-  /// way; System schedules through the parallel dispatcher instead.)
+  /// way; System and Bank build their closures in place instead.)
   void coreToBank(CoreId c, BankId b, sim::InlineEvent onArrive,
                   std::uint32_t holdSlots = 1);
   void bankToCore(BankId b, CoreId c, sim::InlineEvent onArrive);
@@ -100,16 +96,9 @@ class Network {
   /// One-way latency (without queueing) for a distance class.
   [[nodiscard]] Cycle baseLatency(Distance d) const;
 
-  /// Aggregated traffic counters. In parallel mode the counts land in
-  /// per-shard buckets (worker windows) plus a main bucket (serial phases
-  /// and merges); the sum is exactly the sequential engine's counters
-  /// because every message increments exactly one bucket.
-  [[nodiscard]] NetworkStats stats() const;
+  /// Aggregated traffic counters.
+  [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   void resetStats();
-
-  /// Allocate per-shard stats buckets (parallel mode). Worker-window
-  /// traffic then counts into the executing shard's bucket.
-  void enableShardStats(std::uint32_t numShards);
 
   /// Attach the fault plan (null = injection off). With net-delay faults
   /// active the per-(bank, class) FIFO invariant is enforced as a true
@@ -136,14 +125,9 @@ class Network {
  private:
   /// Claim the request path's shared stages for a message departing at
   /// `at`; returns the cycle it clears the last contended stage. Queueing
-  /// delay counts into `st`.
+  /// delay counts into the stats.
   Cycle acquireRequestPath(GroupId srcGroup, GroupId dstGroup, TileId dstTile,
-                           Distance d, Cycle at, std::uint32_t holdSlots,
-                           NetworkStats& st);
-
-  /// The stats bucket for the calling thread: the executing shard's bucket
-  /// inside a worker window, the main bucket otherwise.
-  [[nodiscard]] NetworkStats& currentStats();
+                           Distance d, Cycle at, std::uint32_t holdSlots);
 
   Engine& engine_;
   Topology topo_;
@@ -169,8 +153,7 @@ class Network {
   std::vector<Cycle> denseBankToCore_;  // [b * numCores + c]
 #endif
   NetworkStats stats_;
-  std::vector<NetworkStats> shardStats_;  // parallel mode, one per shard
-  fault::FaultPlan* fault_ = nullptr;     // null = injection off
+  fault::FaultPlan* fault_ = nullptr;  // null = injection off
 };
 
 }  // namespace colibri::arch

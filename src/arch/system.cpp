@@ -84,10 +84,6 @@ System::System(const SystemConfig& cfg)
   if (cfg_.recorder != nullptr) {
     attachObservability();
   }
-
-  if (cfg_.engineThreads > 1) {
-    enableParallelEngine();
-  }
 }
 
 void System::attachObservability() {
@@ -98,7 +94,7 @@ void System::attachObservability() {
   obsHooks_->registry = &reg;
 
   // Hot-path counters; everything else is a gauge probe read only at
-  // serial sample points, so it costs nothing between samples.
+  // sample points, so it costs nothing between samples.
   obsHooks_->casRetries = reg.counter("sync.casRetries");
   obsHooks_->rmwRetries = reg.counter("sync.rmwRetries");
   obsHooks_->wgenVisits = reg.counter("wgen.phaseVisits");
@@ -207,34 +203,14 @@ void System::attachObservability() {
     }
     return static_cast<double>(n);
   });
-  // Coroutine-frame residency. The pooled/heap *split* depends on which OS
-  // thread allocated (workers fall back to the heap), so only the sum is
-  // deterministic across engine-thread counts.
+  // Coroutine-frame residency since the recorder attached. The raw
+  // pooled/heap counters are process-wide (concurrent sweep reps add to
+  // them), so they are registered as diagnostics below.
   reg.gauge("framepool.frames", [rec] {
     return static_cast<double>(sim::framepool::pooledFrameCount() +
                                sim::framepool::heapFrameCount()) -
            static_cast<double>(rec->frameBaseline());
   });
-  reg.gauge(
-      "engine.windows",
-      [this] { return static_cast<double>(engineCounters().windows); },
-      MC::kDiagnostic);
-  reg.gauge(
-      "engine.barriersTaken",
-      [this] { return static_cast<double>(engineCounters().barriersTaken); },
-      MC::kDiagnostic);
-  reg.gauge(
-      "engine.barriersElided",
-      [this] { return static_cast<double>(engineCounters().barriersElided); },
-      MC::kDiagnostic);
-  reg.gauge(
-      "engine.deferredIntents",
-      [this] { return static_cast<double>(engineCounters().deferredIntents); },
-      MC::kDiagnostic);
-  reg.gauge(
-      "engine.idleShardSkips",
-      [this] { return static_cast<double>(engineCounters().idleShardSkips); },
-      MC::kDiagnostic);
   reg.gauge(
       "framepool.pooledFrames",
       [] { return static_cast<double>(sim::framepool::pooledFrameCount()); },
@@ -252,7 +228,7 @@ void System::attachObservability() {
     fault::FaultPlan* fp = faultPlan_.get();
     // Deterministic class: injection decisions are pure hashes of
     // (seed, site, entities, cycle), so the counts are bit-identical
-    // across reruns and engine-thread counts and belong in goldens.
+    // across reruns and sweep-thread counts and belong in goldens.
     reg.gauge("fault.netDelays", [fp] {
       return static_cast<double>(fp->counters().at(fault::Site::kNetDelay));
     });
@@ -285,47 +261,6 @@ void System::attachObservability() {
   }
 }
 
-void System::enableParallelEngine() {
-  // Shards are topology groups: every core, bank, qnode and adapter
-  // belongs to exactly one group, and all intra-group traffic — local-tile
-  // and same-group alike — executes inline inside windows (its shared
-  // stages and clamp streams are touched by this group alone, so inline
-  // resolution is already the exact sequential computation). Only
-  // cross-group traffic is deferred, which makes the window length the
-  // true cross-shard minimum latency, latRemoteGroup: nothing sent in a
-  // window can reach another shard inside it, even when
-  // latSameGroup > latRemoteGroup (intra-shard latencies never bound the
-  // window; injectRequest checks the premise on every deferred send).
-  const std::uint32_t groups = cfg_.numGroups();
-  const sim::Cycle lookahead = cfg_.crossShardLookahead();
-  if (groups < 2 || lookahead < 1) {
-    return;  // nothing to parallelize; keep the sequential engine
-  }
-  const Topology& topo = net_.topology();
-  shardOfCore_.resize(cfg_.numCores);
-  for (CoreId c = 0; c < cfg_.numCores; ++c) {
-    shardOfCore_[c] = topo.groupOfTile(topo.tileOfCore(c));
-  }
-  shardOfBank_.resize(cfg_.numBanks());
-  portShadow_.resize(cfg_.numBanks());
-  for (BankId b = 0; b < cfg_.numBanks(); ++b) {
-    shardOfBank_[b] = topo.groupOfTile(topo.tileOfBank(b));
-    banks_[b]->setPortShadow(&portShadow_[b]);
-  }
-  net_.enableShardStats(groups);
-  if (faultPlan_ != nullptr) {
-    // One injection-counter slot per shard (plus the serial slot), so
-    // worker-thread counting never contends or races.
-    faultPlan_->setShardSlots(groups);
-  }
-  if (obsHooks_ != nullptr) {
-    // One counter slot per shard, so worker adds never contend or race.
-    cfg_.recorder->registry().setShardSlots(groups);
-  }
-  dispatch_ = std::make_unique<sim::ParallelDispatch>(
-      engine_, *this, groups, std::min(cfg_.engineThreads, groups), lookahead);
-}
-
 System::~System() {
   if (cfg_.recorder != nullptr) {
     // The gauge probes capture `this`; drop them before anything dies.
@@ -338,13 +273,6 @@ System::~System() {
 
 void System::spawn(CoreId c, sim::Task task) {
   COLIBRI_CHECK(c < cores_.size());
-  if (dispatch_ != nullptr) {
-    // Start-up runs the coroutine to its first suspension; events it
-    // schedules must land in the core's shard queue, in program order.
-    sim::ParallelDispatch::ShardScope scope(*dispatch_, shardOfCore_[c]);
-    cores_[c]->run(std::move(task));
-    return;
-  }
   cores_[c]->run(std::move(task));
 }
 
@@ -385,57 +313,16 @@ void System::injectRequest(CoreId from, const MemRequest& req) {
   static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
                 "request-injection closure must fit the inline event buffer");
 
-  if (dispatch_ != nullptr && sim::ParallelDispatch::inWindowContext() &&
-      shardOfCore_[from] != shardOfBank_[b]) {
-    // Cross-shard send: the destination bank's backlog and the remote
-    // stages (group egress, link, tile ingress) interleave with other
-    // shards' traffic, so the probe and stage acquisition happen at the
-    // barrier merge, at this send's exact sequential position
-    // (resolveRequest below). Intra-shard traffic — local-tile and
-    // same-group — resolves inline: its stages and clamp streams belong to
-    // this shard alone. The window length is latRemoteGroup, so every
-    // deferred send must be remote-group distance; check the premise.
-    COLIBRI_CHECK_MSG(topology().coreToBank(from, b) == Distance::kRemoteGroup,
-                      "cross-shard send with intra-group distance: core "
-                          << from << " -> bank " << b);
-    dispatch_->deferRequest(shardOfBank_[b], from, b, std::move(arrive));
-    return;
-  }
-
-  const sim::Cycle arriveAt = resolveRequest(from, b, engine_.now());
-  if (dispatch_ != nullptr) {
-    dispatch_->scheduleToShard(shardOfBank_[b], arriveAt, std::move(arrive));
-  } else {
-    engine_.scheduleAt(arriveAt, std::move(arrive));
-  }
-}
-
-sim::Cycle System::resolveRequest(CoreId from, BankId bank, sim::Cycle at) {
   // Backpressure proxy: a request towards a backlogged bank holds shared
   // network stages longer (finite switch buffers; see config.hpp).
   std::uint32_t hold = 1;
   if (cfg_.linkHoldMax > 0) {
-    const sim::Cycle backlog = banks_[bank]->backlogAt(at);
+    const sim::Cycle backlog = banks_[b]->backlog();
     hold += static_cast<std::uint32_t>(
         backlog > cfg_.linkHoldMax ? cfg_.linkHoldMax : backlog);
   }
-  return net_.routeRequest(from, bank, at, hold);
-}
-
-void System::commitPortAcquire(BankId bank, sim::Cycle at) {
-  sim::ParallelDispatch::PortShadow& sh = portShadow_[bank];
-  COLIBRI_CHECK_MSG(sh.pending > 0, "port-shadow commit with nothing pending");
-  --sh.pending;
-  sim::ThroughputResource::applyAcquire(sh.cursor, sh.used,
-                                        cfg_.bankPortsPerCycle, at);
-}
-
-void System::scheduleAtCore(CoreId c, sim::Cycle when, sim::InlineEvent ev) {
-  if (dispatch_ != nullptr) {
-    dispatch_->scheduleToShard(shardOfCore_[c], when, std::move(ev));
-    return;
-  }
-  engine_.scheduleAt(when, std::move(ev));
+  engine_.scheduleAt(net_.routeRequest(from, b, engine_.now(), hold),
+                     std::move(arrive));
 }
 
 void System::resetStats() {

@@ -22,7 +22,6 @@
 #include "fault/fault.hpp"
 #include "fault/watchdog.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 #include "sim/task.hpp"
 
 namespace colibri::obs {
@@ -31,7 +30,7 @@ struct SimHooks;
 
 namespace colibri::arch {
 
-class System final : public CoreSink, public sim::ParallelDispatch::Hooks {
+class System final : public CoreSink {
  public:
   explicit System(const SystemConfig& cfg);
   ~System() override;
@@ -81,16 +80,6 @@ class System final : public CoreSink, public sim::ParallelDispatch::Hooks {
   /// the end of a warmup phase. Reservation/protocol state is preserved.
   void resetStats();
 
-  /// True iff the deterministic parallel engine is active for this system
-  /// (engineThreads > 1 and the topology has at least two groups).
-  [[nodiscard]] bool parallelEngine() const { return dispatch_ != nullptr; }
-
-  /// Parallel-engine observability counters (--stats); all zero when the
-  /// sequential engine ran.
-  [[nodiscard]] sim::EngineCounters engineCounters() const {
-    return dispatch_ != nullptr ? dispatch_->counters() : sim::EngineCounters{};
-  }
-
   /// Null unless a Recorder was attached via SystemConfig::recorder.
   [[nodiscard]] const obs::SimHooks* obsHooks() const {
     return obsHooks_.get();
@@ -121,14 +110,8 @@ class System final : public CoreSink, public sim::ParallelDispatch::Hooks {
   void deliverResponse(CoreId c, const MemResponse& r) override;
   void deliverSuccessorUpdate(CoreId c, CoreId successor, sim::Addr a,
                               bool successorIsMwait) override;
-  void scheduleAtCore(CoreId c, sim::Cycle when, sim::InlineEvent ev) override;
-
-  // --- ParallelDispatch::Hooks (barrier-merge callbacks) ------------------
-  sim::Cycle resolveRequest(CoreId from, BankId bank, sim::Cycle at) override;
-  void commitPortAcquire(BankId bank, sim::Cycle at) override;
 
  private:
-  void enableParallelEngine();
   /// Register metrics/probes and distribute hook pointers (recorder set).
   void attachObservability();
 
@@ -148,14 +131,6 @@ class System final : public CoreSink, public sim::ParallelDispatch::Hooks {
   // the plan; the engine holds a raw ProgressProbe pointer to the watchdog.
   std::unique_ptr<fault::FaultPlan> faultPlan_;
   std::unique_ptr<fault::Watchdog> watchdog_;
-  // Parallel-engine state: shard (= topology group) of each endpoint, the
-  // per-bank port shadows replayed at barrier merges, and the dispatcher
-  // itself. Declared last: its destructor detaches from the engine and
-  // joins the workers while the rest of the system is still alive.
-  std::vector<std::uint32_t> shardOfCore_;
-  std::vector<std::uint32_t> shardOfBank_;
-  std::vector<sim::ParallelDispatch::PortShadow> portShadow_;
-  std::unique_ptr<sim::ParallelDispatch> dispatch_;
 };
 
 }  // namespace colibri::arch

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <numeric>
 #include <ostream>
-#include <thread>
 
 #include "exp/json.hpp"
 #include "fault/demo.hpp"
@@ -514,9 +513,9 @@ int runLitmusMode(const Options& opts, std::ostream& out, std::ostream& err) {
     err << "colibri-sim: litmus mode has no --json output (use --csv)\n";
     return 2;
   }
-  if (!opts.metricsCsv.empty() || !opts.trace.empty() || opts.jsonEngine) {
+  if (!opts.metricsCsv.empty() || !opts.trace.empty()) {
     err << "colibri-sim: litmus mode has no observability sinks "
-           "(--metrics-csv/--trace/--json-engine)\n";
+           "(--metrics-csv/--trace)\n";
     return 2;
   }
 
@@ -598,7 +597,6 @@ std::optional<std::string> buildConfig(const Options& opts,
   base.banksPerTile = opts.banksPerTile;
   base.wordsPerBank = opts.wordsPerBank;
   base.colibriQueuesPerController = opts.colibriQueues;
-  base.engineThreads = opts.engineThreads;
   base.seed = opts.seed;
   cfg = exp::configFor(adapter, opts.waitCapacity, base);
 
@@ -615,14 +613,6 @@ std::optional<std::string> buildConfig(const Options& opts,
     return "tile count (" + std::to_string(cfg.numTiles()) +
            ") must be a multiple of --tiles-per-group (" +
            std::to_string(opts.tilesPerGroup) + ")";
-  }
-  if (opts.engineThreads == 0) {
-    // Auto: one worker per topology group, capped by the machine. Resolved
-    // only after the geometry checks so numGroups() is meaningful. More
-    // workers than groups would idle (shards are groups), and results are
-    // bit-identical for any value, so this is purely a wall-clock choice.
-    const auto hw = std::max(1u, std::thread::hardware_concurrency());
-    cfg.engineThreads = std::max(1u, std::min(hw, cfg.numGroups()));
   }
   if (auto faultError = applyFaultFlags(opts, cfg)) {
     return faultError;
@@ -678,14 +668,6 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     return 2;
   }
 
-  // --engine-threads 0 resolved against this machine: surface the choice in
-  // the human-readable header only, so CSV/JSON stay machine-identical
-  // across hosts with different core counts.
-  if (opts.engineThreads == 0 && !opts.csv && !opts.json) {
-    out << "engine-threads: " << cfg.engineThreads << " (auto: min(hardware "
-        << "threads, " << cfg.numGroups() << " groups))\n";
-  }
-
   // Friendly flag errors for knobs the workloads would otherwise reject
   // with a raw invariant trace.
   if (opts.workload == "histogram" && opts.bins == 0) {
@@ -717,6 +699,15 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     err << "colibri-sim: --reps must be >= 1\n";
     return 2;
   }
+  if (opts.measure == 0 && opts.workload != "matmul" &&
+      opts.workload != "wsdeque") {
+    // Windowed workloads report rates over the measurement window; an
+    // empty window would print 0 ops/cycle as a verified result. (matmul
+    // and wsdeque run to completion and ignore the window.)
+    err << "colibri-sim: --measure must be >= 1 for workload '"
+        << opts.workload << "'\n";
+    return 2;
+  }
   if (opts.hotFraction > 1.0) {
     err << "colibri-sim: --hot-fraction must be <= 1\n";
     return 2;
@@ -736,10 +727,6 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
   }
   if (opts.traceSample == 0) {
     err << "colibri-sim: --trace-sample must be >= 1\n";
-    return 2;
-  }
-  if (opts.jsonEngine && !opts.json) {
-    err << "colibri-sim: --json-engine requires --json\n";
     return 2;
   }
   if (opts.jsonFault && !opts.json) {
@@ -779,7 +766,6 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     if (opts.json) {
       exp::JsonOptions jsonOpts;
       jsonOpts.recorder = wantSampling ? &recorder : nullptr;
-      jsonOpts.engineBlock = opts.jsonEngine;
       jsonOpts.faultBlock = opts.jsonFault;
       exp::writeJson(out, specs, results, jsonOpts);
     } else if (opts.workload == "histogram") {
@@ -820,13 +806,7 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     }
     if (opts.stats) {
       // stderr keeps stdout byte-identical with and without --stats, so
-      // the golden corpus and the 1-vs-N-thread CI byte gate stay valid.
-      const auto& ec = res.primary().engineCounters;
-      err << "engine-stats: windows=" << ec.windows
-          << " barriers-taken=" << ec.barriersTaken
-          << " barriers-elided=" << ec.barriersElided
-          << " deferred-intents=" << ec.deferredIntents
-          << " idle-shard-skips=" << ec.idleShardSkips << "\n";
+      // the golden corpus and the CI byte gates stay valid.
       err << "frame-pool: pooled=" << sim::framepool::pooledFrameCount()
           << " heap=" << sim::framepool::heapFrameCount()
           << " arena-bytes=" << sim::framepool::arenaBytes() << "\n";

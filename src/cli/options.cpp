@@ -175,13 +175,7 @@ const std::map<std::string, Flag>& flagTable() {
       {"--threads",
        numberFlag("sweep worker threads; 0 = all hardware threads",
                   &Options::threads)},
-      {"--engine-threads",
-       numberFlag("deterministic parallel-engine workers per simulated "
-                  "system; results are bit-identical for any value "
-                  "(default 1 = sequential, 0 = auto: min(hardware "
-                  "threads, topology groups))",
-                  &Options::engineThreads)},
-      {"--stats", boolFlag("print parallel-engine and frame-pool counters "
+      {"--stats", boolFlag("print frame-pool, fault and metric counters "
                            "to stderr after the run",
                            &Options::stats)},
       {"--metrics-csv",
@@ -198,10 +192,6 @@ const std::map<std::string, Flag>& flagTable() {
       {"--trace-sample",
        numberFlag("trace every K-th op per core (default 1 = all)",
                   &Options::traceSample)},
-      {"--json-engine",
-       boolFlag("add the per-rep \"engine\" block (parallel-engine "
-                "diagnostics, varies with --engine-threads) to --json",
-                &Options::jsonEngine)},
       {"--csv", boolFlag("emit CSV instead of an aligned table",
                          &Options::csv)},
       {"--json", boolFlag("emit the full result (per-rep + aggregate) as "

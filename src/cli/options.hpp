@@ -102,12 +102,6 @@ struct Options {
   std::uint32_t reps = 1;
   /// exp::SweepRunner pool size; 0 = hardware_concurrency.
   std::uint32_t threads = 0;
-  /// Deterministic parallel-engine worker threads inside each simulated
-  /// system; 1 = the classic sequential engine, 0 = auto (resolved to
-  /// min(hardware threads, topology groups) once the geometry is known).
-  /// Any value produces bit-identical results (scheduling is
-  /// order-preserving), so this only changes wall-clock time.
-  std::uint32_t engineThreads = 1;
 
   // --- Observability sinks -------------------------------------------------
   /// Write interval metric samples (deterministic metrics only) as CSV to
@@ -121,17 +115,12 @@ struct Options {
   std::string trace;
   /// Record every K-th op per core in the trace (deterministic sampling).
   std::uint32_t traceSample = 1;
-  /// Add the per-rep "engine" block (parallel-engine diagnostics) to
-  /// --json output. Off by default: the values vary with --engine-threads
-  /// while default output must not.
-  bool jsonEngine = false;
 
   // --- Output / control ---------------------------------------------------
   bool csv = false;
   bool json = false;
-  /// Print parallel-engine counters (windows, barriers taken/elided,
-  /// deferred intents, idle-shard skips) and frame-pool usage to stderr
-  /// after the run. Machine outputs (csv/json/stdout) are untouched.
+  /// Print frame-pool usage, fault counts and every registry metric to
+  /// stderr after the run. Machine outputs (csv/json/stdout) are untouched.
   bool stats = false;
   bool listScenarios = false;
   bool help = false;

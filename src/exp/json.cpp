@@ -118,16 +118,6 @@ void writeRep(report::JsonWriter& w, const RunResult& r,
         .kv("injected", r.faultCounters.total());
     w.endObject();
   }
-  if (opts.engineBlock) {
-    // Opt-in (--json-engine): these values vary with --engine-threads.
-    w.key("engine").beginObject();
-    w.kv("windows", r.engineCounters.windows)
-        .kv("barriersTaken", r.engineCounters.barriersTaken)
-        .kv("barriersElided", r.engineCounters.barriersElided)
-        .kv("deferredIntents", r.engineCounters.deferredIntents)
-        .kv("idleShardSkips", r.engineCounters.idleShardSkips);
-    w.endObject();
-  }
   w.endObject();
 }
 
@@ -145,7 +135,7 @@ void writeJson(std::ostream& os, const std::vector<RunSpec>& specs,
   report::JsonWriter w(os);
   w.beginObject();
   // v2 = v1 plus the optional per-rep "opLatency" block (wgen kernels)
-  // and the opt-in "engine" / "timeseries" extensions (JsonOptions).
+  // and the opt-in "fault" / "timeseries" extensions (JsonOptions).
   w.kv("schema", "colibri-exp-v2");
   w.key("runs").beginArray();
   for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -18,16 +18,14 @@ class Recorder;
 namespace colibri::exp {
 
 /// Opt-in extensions to the colibri-exp-v2 document. Both default to off
-/// because they change emitted bytes: the `engine` block varies with
-/// --engine-threads, and `timeseries` only exists when a recorder sampled.
+/// because they change emitted bytes: `timeseries` only exists when a
+/// recorder sampled, and `fault` only matters with injection on.
 struct JsonOptions {
   /// Emit the recorder's `timeseries` block (interval samples +
   /// histograms) after the runs array.
   const obs::Recorder* recorder = nullptr;
-  /// Emit a per-rep `engine` object (parallel-engine diagnostics).
-  bool engineBlock = false;
   /// Emit a per-rep `fault` object (injected-fault counts + resolved
-  /// seed). Deterministic across reruns and engine-thread counts, but
+  /// seed). Deterministic across reruns and sweep-thread counts, but
   /// opt-in so default documents are byte-identical with injection off.
   bool faultBlock = false;
 };

@@ -209,9 +209,8 @@ RunResult runOne(const RunSpec& spec, std::uint32_t rep) {
   arch::System sys(cfg);
   if (rec != nullptr && rec->config().sampleInterval > 0) {
     // Interval samples, scheduled up front — before any workload spawns —
-    // so their event sequence numbers are identical in sequential and
-    // parallel runs. They run as global serial cycles: every event below
-    // the sample cycle has executed, making the counter-slot sums exact.
+    // so each one runs first among its cycle's events and observes exactly
+    // the events below the sample cycle.
     const sim::Cycle step = rec->config().sampleInterval;
     const sim::Cycle horizon = spec.window.horizon();
     for (sim::Cycle t = 0;; t += step) {
@@ -222,7 +221,6 @@ RunResult runOne(const RunSpec& spec, std::uint32_t rep) {
     }
   }
   std::visit(Dispatcher{sys, out}, params);
-  out.engineCounters = sys.engineCounters();
   out.faultCounters = sys.faultCounters();
   out.faultSeed = sys.faultSeed();
   if (rec != nullptr) {

@@ -103,16 +103,9 @@ struct RunResult {
   double energyPerOpPj = 0.0;
   double averagePowerMw = 0.0;
 
-  /// Parallel-engine counters (all zero under the sequential engine).
-  /// Diagnostic only: serialized solely under the caller's explicit
-  /// opt-in (exp::JsonOptions::engineBlock / --json-engine), because the
-  /// values depend on --engine-threads and default machine outputs must
-  /// stay identical across engine-thread counts.
-  sim::EngineCounters engineCounters{};
-
   /// Per-site injected-fault counts over the window (all zero with
   /// injection off). Deterministic — identical across reruns and
-  /// engine-thread counts — but serialized only under
+  /// sweep-thread counts — but serialized only under
   /// exp::JsonOptions::faultBlock / --json-fault so default outputs and
   /// goldens are untouched by the fault subsystem's existence.
   fault::FaultCounters faultCounters{};

@@ -2,7 +2,6 @@
 
 #include "obs/trace.hpp"
 #include "sim/check.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 
 namespace colibri::fault {
@@ -130,11 +129,6 @@ FaultPlan::FaultPlan(const FaultConfig& config) : cfg_(config) {
   scThreshold_ = thresholdOf(cfg_.scFailP);
   evictThreshold_ = thresholdOf(cfg_.evictP);
   stallThreshold_ = thresholdOf(cfg_.stallP);
-  slots_.emplace_back();
-}
-
-void FaultPlan::setShardSlots(std::uint32_t numShards) {
-  slots_.assign(static_cast<std::size_t>(numShards) + 1, {});
 }
 
 std::uint64_t FaultPlan::mix(std::uint64_t salt, std::uint64_t a,
@@ -155,9 +149,7 @@ bool FaultPlan::decide(std::uint64_t salt, std::uint64_t a, std::uint64_t b,
 }
 
 void FaultPlan::count(Site s) {
-  const auto slot = static_cast<std::size_t>(
-      sim::ParallelDispatch::currentWindowShard() + 1);
-  slots_[slot][static_cast<std::size_t>(s)]++;
+  counters_.injected[static_cast<std::size_t>(s)]++;
 }
 
 sim::Cycle FaultPlan::netDelay(sim::CoreId core, sim::BankId bank,
@@ -168,9 +160,9 @@ sim::Cycle FaultPlan::netDelay(sim::CoreId core, sim::BankId bank,
   }
   count(Site::kNetDelay);
   if (tracer_ != nullptr) {
-    // Attribute the instant to the track whose execution context made the
-    // decision (request hops route on the core side, response hops on the
-    // bank side), so per-track pushes never cross parallel-engine shards.
+    // Attribute the instant to the endpoint that made the decision
+    // (request hops route on the core side, response hops on the bank
+    // side).
     if (response) {
       tracer_->onFaultBank(bank, kInstantName[0], at);
     } else {
@@ -225,22 +217,6 @@ sim::Cycle FaultPlan::stall(sim::BankId bank, sim::CoreId core,
   }
   const std::uint64_t h = mix(kSaltStallMagnitude, bank, core, at);
   return 1 + static_cast<sim::Cycle>(h % cfg_.stallMax);
-}
-
-FaultCounters FaultPlan::counters() const {
-  FaultCounters out;
-  for (const auto& slot : slots_) {
-    for (std::size_t i = 0; i < kSiteCount; ++i) {
-      out.injected[i] += slot[i];
-    }
-  }
-  return out;
-}
-
-void FaultPlan::resetCounters() {
-  for (auto& slot : slots_) {
-    slot = {};
-  }
 }
 
 }  // namespace colibri::fault

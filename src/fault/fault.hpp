@@ -13,16 +13,14 @@
 // Determinism contract: every decision is a *stateless* splitmix64 hash of
 // (fault seed, site salt, entity ids, simulated cycle) — no counters, no
 // shared RNG stream — so an injection fires at exactly the same simulated
-// point regardless of reruns, SweepRunner --threads, or --engine-threads.
-// The injected magnitudes only ever *add* latency, which keeps the
-// parallel engine's conservative cross-shard lookahead valid.
+// point regardless of reruns or SweepRunner --threads. The injected
+// magnitudes only ever *add* latency.
 //
 // Canned profiles (net_jitter, sc_storm, evict_churn, chaos) are
 // registered like wgen presets and selected with `--fault <profile>`;
 // individual `--fault-*` flags overlay single sites. Injected faults are
-// counted per site (sharded like obs::Registry counters, summed at serial
-// points) and surfaced as deterministic-class `fault.*` metrics and trace
-// instants.
+// counted per site and surfaced as deterministic-class `fault.*` metrics
+// and trace instants.
 #pragma once
 
 #include <array>
@@ -112,9 +110,6 @@ class FaultPlan {
   /// before any event runs.
   void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Size the per-shard counter slots; mirrors Registry::setShardSlots.
-  void setShardSlots(std::uint32_t numShards);
-
   // --- Decision points (called from simulation hot paths) -----------------
   /// True when the network must clamp instead of hard-check its
   /// per-(bank, class) FIFO arrival invariant.
@@ -141,9 +136,9 @@ class FaultPlan {
   [[nodiscard]] sim::Cycle stall(sim::BankId bank, sim::CoreId core,
                                  sim::Cycle at);
 
-  // --- Reads (serial points only) -----------------------------------------
-  [[nodiscard]] FaultCounters counters() const;
-  void resetCounters();
+  // --- Reads ---------------------------------------------------------------
+  [[nodiscard]] const FaultCounters& counters() const { return counters_; }
+  void resetCounters() { counters_ = {}; }
 
  private:
   [[nodiscard]] bool decide(std::uint64_t salt, std::uint64_t a,
@@ -159,9 +154,7 @@ class FaultPlan {
   std::uint64_t evictThreshold_ = 0;
   std::uint64_t stallThreshold_ = 0;
   obs::Tracer* tracer_ = nullptr;
-  /// slots_[slot][site]: per-execution-context injection counts (slot 0 =
-  /// serial, slots 1..n = parallel shards), summed by counters().
-  std::vector<std::array<std::uint64_t, kSiteCount>> slots_;
+  FaultCounters counters_;
 };
 
 }  // namespace colibri::fault

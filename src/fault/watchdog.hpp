@@ -1,14 +1,13 @@
 // Simulated-cycle watchdog: converts a hang into a diagnosed failure.
 //
 // The watchdog is a sim::ProgressProbe: the engine fires it at fixed
-// simulated-cycle boundaries (identically under the sequential and the
-// parallel engine — the parallel engine caps execution windows at probe
-// boundaries, so a probe always observes the state with exactly the events
-// before its cycle executed). If no core has retired a *productive*
-// operation for `limit` cycles while tasks are still outstanding, the
-// probe throws a WatchdogError carrying a structured blame report built by
-// the System (per stuck core: pipeline state, outstanding request and
-// target bank; per referenced bank: adapter reservation/queue state).
+// simulated-cycle boundaries, so a probe always observes the state with
+// exactly the events before its cycle executed. If no core has retired a
+// *productive* operation for `limit` cycles while tasks are still
+// outstanding, the probe throws a WatchdogError carrying a structured
+// blame report built by the System (per stuck core: pipeline state,
+// outstanding request and target bank; per referenced bank: adapter
+// reservation/queue state).
 //
 // "Productive" excludes LR/LRwait grants and failed SC/SCwait commits: a
 // livelocked retry loop keeps retiring LRs forever, so only completed
@@ -47,7 +46,7 @@ class WatchdogError : public sim::InvariantViolation {
 class Watchdog final : public sim::ProgressProbe {
  public:
   /// Callbacks into the owning System (kept as std::functions so fault/
-  /// never depends on arch/). All are invoked at serial points only.
+  /// never depends on arch/). All are invoked from onProbe only.
   struct Hooks {
     /// Max over all cores of the last productive-retirement cycle.
     std::function<sim::Cycle()> lastProgress;

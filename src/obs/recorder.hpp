@@ -3,7 +3,7 @@
 // Owns the metric registry, the interval sample rows and (optionally) the
 // span tracer. The exp layer drives it: runOne() calls beginRun(), the
 // System attaches during construction (registering its probes and hot
-// counters), sample events scheduled at serial points call sampleAt(), and
+// counters), sample events scheduled up front call sampleAt(), and
 // finalize() takes the closing row before the System is destroyed — after
 // which the gauge probes are gone but every recorded row and counter cell
 // stays readable for the writers.
@@ -55,7 +55,7 @@ class Recorder {
   void attachSystem();
   /// Called by the System destructor: drops the probes into it.
   void detachSystem();
-  /// Append one sample row (serial points only).
+  /// Append one sample row (called from the scheduled sample events).
   void sampleAt(sim::Cycle now);
   /// Take the closing row; must run before the System is destroyed.
   void finalize(sim::Cycle now);

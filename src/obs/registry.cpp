@@ -7,11 +7,8 @@
 namespace colibri::obs {
 
 std::uint32_t Registry::addRows(std::uint32_t n) {
-  const std::uint32_t first = counterRows_;
-  counterRows_ += n;
-  for (auto& slot : slots_) {
-    slot.resize(counterRows_, 0);
-  }
+  const auto first = static_cast<std::uint32_t>(cells_.size());
+  cells_.resize(cells_.size() + n, 0);
   return first;
 }
 
@@ -35,25 +32,7 @@ MetricId Registry::gauge(std::string name, std::function<double()> probe,
   return id;
 }
 
-void Registry::setShardSlots(std::uint32_t numShards) {
-  COLIBRI_CHECK_MSG(slots_.size() == 1,
-                    "shard slots already sized for this registry");
-  slots_.resize(static_cast<std::size_t>(numShards) + 1);
-  for (auto& slot : slots_) {
-    slot.resize(counterRows_, 0);
-  }
-}
-
 void Registry::clearProbes() { probes_.clear(); }
-
-std::uint64_t Registry::rowTotal(std::uint32_t row) const {
-  COLIBRI_CHECK(row < counterRows_);
-  std::uint64_t sum = 0;
-  for (const auto& slot : slots_) {
-    sum += slot[row];
-  }
-  return sum;
-}
 
 double Registry::gaugeValue(std::uint32_t probeIndex) const {
   COLIBRI_CHECK_MSG(probeIndex < probes_.size() && probes_[probeIndex],

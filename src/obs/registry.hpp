@@ -4,18 +4,14 @@
 // Determinism contract (the reason this exists instead of ad-hoc printf):
 // every metric carries a class tag. kDeterministic metrics are functions of
 // the simulated event history alone, so their sampled values are
-// bit-identical across reruns, host machines, SweepRunner thread counts and
-// --engine-threads values. kDiagnostic metrics describe the machinery that
-// *ran* the simulation (parallel windows, allocator arenas) — useful on
-// stderr, but excluded from every byte-compared sink (--metrics-csv, the
-// exp JSON `timeseries` block).
+// bit-identical across reruns, host machines and SweepRunner thread
+// counts. kDiagnostic metrics describe the machinery that *ran* the
+// simulation (allocator arenas) — useful on stderr, but excluded from
+// every byte-compared sink (--metrics-csv, the exp JSON `timeseries`
+// block).
 //
-// Parallel engine: counters are sharded. A worker executing shard s adds
-// into slot s+1; serial execution (the sequential engine, global serial
-// cycles, barrier merges) adds into slot 0. Reads sum the slots — exact at
-// every serial sample point, because by then all events before the sample
-// cycle have executed and addition commutes. Gauges are probes (callbacks
-// into live simulator state) and are only ever read at serial points.
+// Counters and histogram buckets are plain cells in one array. Gauges are
+// probes (callbacks into live simulator state) read at sample points.
 #pragma once
 
 #include <bit>
@@ -24,13 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "sim/parallel.hpp"
-
 namespace colibri::obs {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// kDeterministic: bit-identical across reruns / hosts / engine threads.
+/// kDeterministic: bit-identical across reruns / hosts / sweep threads.
 /// kDiagnostic: describes the simulation machinery; stderr only.
 enum class MetricClass : std::uint8_t { kDeterministic, kDiagnostic };
 
@@ -54,8 +48,6 @@ class Registry {
   /// bucket k holds [2^(k-1), 2^k), the last bucket absorbs the tail.
   static constexpr std::uint32_t kHistogramBuckets = 20;
 
-  Registry() { slots_.emplace_back(); }
-
   // --- Registration (serial, during System construction) -----------------
   MetricId counter(std::string name,
                    MetricClass cls = MetricClass::kDeterministic);
@@ -64,26 +56,15 @@ class Registry {
   MetricId gauge(std::string name, std::function<double()> probe,
                  MetricClass cls = MetricClass::kDeterministic);
 
-  /// Size the per-shard counter slots (slot 0 = serial, slots 1..n =
-  /// shards). Called once by System::enableParallelEngine, after all hot
-  /// counters are registered and before any event runs.
-  void setShardSlots(std::uint32_t numShards);
-
   /// Drop the gauge probes (they capture the System, which is being
   /// destroyed); counter and histogram cells stay readable.
   void clearProbes();
 
   // --- Hot path -----------------------------------------------------------
-  /// Add to a counter from any execution context. Inside a parallel worker
-  /// window the add lands in the shard's own slot; everywhere else
-  /// (sequential engine, serial cycles, merges) in slot 0.
-  void add(MetricId id, std::uint64_t n = 1) {
-    const auto slot = static_cast<std::uint32_t>(
-        sim::ParallelDispatch::currentWindowShard() + 1);
-    slots_[slot][id.cell] += n;
-  }
+  /// Add to a counter.
+  void add(MetricId id, std::uint64_t n = 1) { cells_[id.cell] += n; }
 
-  /// Record one value into a histogram (same sharding as add()).
+  /// Record one value into a histogram.
   void record(MetricId id, std::uint64_t value) {
     add(MetricId{id.cell + bucketOf(value)});
   }
@@ -93,13 +74,13 @@ class Registry {
     return w < kHistogramBuckets ? w : kHistogramBuckets - 1;
   }
 
-  // --- Reads (serial points only) ----------------------------------------
+  // --- Reads ---------------------------------------------------------------
   [[nodiscard]] std::uint64_t counterTotal(MetricId id) const {
-    return rowTotal(id.cell);
+    return cells_.at(id.cell);
   }
   [[nodiscard]] std::uint64_t bucketTotal(MetricId id,
                                           std::uint32_t bucket) const {
-    return rowTotal(id.cell + bucket);
+    return cells_.at(id.cell + bucket);
   }
   [[nodiscard]] double gaugeValue(std::uint32_t probeIndex) const;
   [[nodiscard]] bool probesLive() const { return !probes_.empty(); }
@@ -109,15 +90,10 @@ class Registry {
   }
 
  private:
-  [[nodiscard]] std::uint64_t rowTotal(std::uint32_t row) const;
   std::uint32_t addRows(std::uint32_t n);
 
   std::vector<MetricInfo> metrics_;
-  std::uint32_t counterRows_ = 0;
-  /// slots_[slot][row]: per-execution-context counter cells. Each slot is
-  /// its own allocation, so workers on different shards never share a
-  /// cache line through this table.
-  std::vector<std::vector<std::uint64_t>> slots_;
+  std::vector<std::uint64_t> cells_;  ///< counter and histogram rows
   std::vector<std::function<double()>> probes_;
 };
 

@@ -10,15 +10,14 @@
 //
 // Matching needs no request ids: the modeled pipeline is single-issue, so
 // at any simulated moment a core has at most one blocking op in flight and
-// every bank-side hook for that core refers to it. Cross-thread writes to
-// the per-core in-flight record are ordered by the parallel engine's
-// window barriers (a bank touches the record strictly between the issue
-// and the completion of the same op).
+// every bank-side hook for that core refers to it (a bank touches the
+// per-core in-flight record strictly between the issue and the completion
+// of the same op).
 //
 // Determinism: all timestamps are simulated cycles, the 1/K sampling
 // decision counts each core's ops in program order, and the writer sorts
 // events canonically — so the emitted file is bit-identical across reruns
-// and engine-thread counts.
+// and sweep-thread counts.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +48,8 @@ class Tracer {
   void onPhase(std::uint32_t core, std::string_view name, sim::Cycle begin,
                sim::Cycle end);
   /// Fault-injection instants (never sampled — injections are rare and
-  /// each one is diagnostic). The caller picks the track whose execution
-  /// context made the decision, so pushes never cross parallel shards.
+  /// each one is diagnostic). The caller picks the track of the endpoint
+  /// that made the decision.
   void onFaultCore(std::uint32_t core, std::string_view kind, sim::Cycle at);
   void onFaultBank(std::uint32_t bank, std::string_view kind, sim::Cycle at);
 

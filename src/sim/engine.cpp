@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include "sim/parallel.hpp"
-
 namespace colibri::sim {
 
 bool Engine::dispatchOne(Cycle horizon) {
@@ -20,9 +18,6 @@ bool Engine::dispatchOne(Cycle horizon) {
 }
 
 std::size_t Engine::runUntil(Cycle horizon) {
-  if (parallel_ != nullptr) {
-    return parallel_->runUntil(horizon);
-  }
   std::size_t ran = 0;
   auto dispatch = [this](Cycle when, std::uint64_t seq, Event& ev) {
     now_ = when;
@@ -36,8 +31,7 @@ std::size_t Engine::runUntil(Cycle horizon) {
     if (probe_ != nullptr) {
       // Fire every probe boundary at or below the next event's cycle
       // before that cycle's batch executes — the probe then sees exactly
-      // the events before its boundary applied, matching the parallel
-      // engine's probe point (before the window starting at that cycle).
+      // the events before its boundary applied.
       const Cycle next = queue_.minWhen();
       if (next != kCycleNever && next <= horizon) {
         for (Cycle p = probe_->nextProbeAt(); p != kCycleNever && p <= next;
@@ -59,8 +53,6 @@ std::size_t Engine::runUntil(Cycle horizon) {
 }
 
 std::size_t Engine::step(std::size_t n) {
-  COLIBRI_CHECK_MSG(parallel_ == nullptr,
-                    "step() requires the sequential engine");
   std::size_t ran = 0;
   while (ran < n && dispatchOne(kCycleNever)) {
     ++ran;
@@ -68,43 +60,13 @@ std::size_t Engine::step(std::size_t n) {
   return ran;
 }
 
-void Engine::clear() {
-  if (parallel_ != nullptr) {
-    parallel_->clearAll();
-    return;
-  }
-  queue_.clear();
-}
-
-std::size_t Engine::pendingEvents() const {
-  return parallel_ != nullptr ? parallel_->pendingEvents() : queue_.size();
-}
-
-std::uint64_t Engine::executedEvents() const {
-  return parallel_ != nullptr ? parallel_->executedEvents() : executed_;
-}
+void Engine::clear() { queue_.clear(); }
 
 void Engine::advanceTo(Cycle when) {
-  COLIBRI_CHECK_MSG(parallel_ == nullptr,
-                    "advanceTo() requires the sequential engine");
   COLIBRI_CHECK(when >= now_);
   COLIBRI_CHECK_MSG(queue_.minWhen() >= when,
                     "advanceTo would skip a pending event");
   now_ = when;
-}
-
-void Engine::setTrace(std::vector<DispatchRecord>* trace) {
-  trace_ = trace;
-  if (parallel_ != nullptr) {
-    parallel_->setTrace(trace);
-  }
-}
-
-void Engine::setParallel(ParallelDispatch* p) {
-  parallel_ = p;
-  if (p != nullptr && trace_ != nullptr) {
-    p->setTrace(trace_);
-  }
 }
 
 }  // namespace colibri::sim

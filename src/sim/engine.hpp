@@ -14,11 +14,10 @@
 // cycles at a time (EventQueue::runBatchIfAtMost), touching the queue's
 // minimum probe once per cycle instead of once per event.
 //
-// By default the engine is single-threaded and fully deterministic. A
-// ParallelDispatch backend (parallel.hpp) can be attached to execute the
-// schedule across worker threads; its conservative-lookahead windows and
-// barrier merge keep the dispatch order bit-identical to this sequential
-// engine, so attaching it changes wall-clock time and nothing else.
+// The engine is single-threaded and fully deterministic: the dispatch
+// order is a pure function of the scheduled (when, seq) keys. Host
+// parallelism lives one level up, in exp::SweepRunner, which runs
+// independent simulations side by side.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +35,8 @@ namespace colibri::sim {
 using Event = InlineEvent;
 
 /// One dispatched event's identity: cycle and global sequence number.
-/// Captured via Engine::setTrace; the parallel-engine tests compare these
-/// streams to prove order equivalence with the sequential engine.
+/// Captured via Engine::setTrace; determinism tests compare these streams
+/// across reruns (any reordering of any event fails the comparison).
 struct DispatchRecord {
   Cycle when;
   std::uint64_t seq;
@@ -45,15 +44,12 @@ struct DispatchRecord {
                          const DispatchRecord&) = default;
 };
 
-class ParallelDispatch;
-
 /// Simulated-cycle progress probe (e.g. the fault-layer watchdog). The
 /// engine fires onProbe(p) for every boundary p = nextProbeAt() before
 /// executing any event at cycle >= p, so a probe observes the state with
-/// exactly the events before p applied — identically in the sequential
-/// and the parallel engine (which caps its execution windows at probe
-/// boundaries). Probes never execute events, never consume sequence
-/// numbers and never advance now(); onProbe may throw to abort the run.
+/// exactly the events before p applied. Probes never execute events, never
+/// consume sequence numbers and never advance now(); onProbe may throw to
+/// abort the run.
 class ProgressProbe {
  public:
   virtual ~ProgressProbe() = default;
@@ -69,22 +65,14 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulated time. Advances only inside run()/runUntil(). In
-  /// parallel mode this is the calling thread's view (its shard's clock
-  /// inside shard execution, the main clock otherwise).
-  [[nodiscard]] Cycle now() const {
-    return parallel_ != nullptr ? parallelNow() : now_;
-  }
+  /// Current simulated time. Advances only inside run()/runUntil().
+  [[nodiscard]] Cycle now() const { return now_; }
 
   /// Schedule `f` to run at absolute cycle `when` (must be >= now()).
   /// Accepts any void() callable (or a prebuilt InlineEvent); the closure
   /// is constructed directly inside a pooled queue node.
   template <typename F>
   void scheduleAt(Cycle when, F&& f) {
-    if (parallel_ != nullptr) {
-      parallelSchedule(when, Event(std::forward<F>(f)));
-      return;
-    }
     COLIBRI_CHECK_MSG(when >= now_, "scheduleAt into the past: when="
                                         << when << " now=" << now_);
     queue_.schedule(when, std::forward<F>(f));
@@ -105,7 +93,7 @@ class Engine {
   std::size_t runUntil(Cycle horizon);
 
   /// Execute at most `n` further events (for incremental co-simulation and
-  /// tests). Returns how many actually ran. Sequential mode only.
+  /// tests). Returns how many actually ran.
   std::size_t step(std::size_t n = 1);
 
   /// Drop all pending events without running them. Used at teardown so that
@@ -114,28 +102,21 @@ class Engine {
   /// heap frees or heap rebalancing.
   void clear();
 
-  [[nodiscard]] bool empty() const { return pendingEvents() == 0; }
-  [[nodiscard]] std::size_t pendingEvents() const;
-  [[nodiscard]] std::uint64_t executedEvents() const;
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t pendingEvents() const { return queue_.size(); }
+  [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
 
   /// Advance now() to `when` without running anything (only legal when no
   /// earlier event is pending). Lets drivers account for idle gaps.
-  /// Sequential mode only.
   void advanceTo(Cycle when);
 
   /// Record every dispatched event's (when, seq) into `trace` (nullptr to
   /// stop). Test hook for order-equivalence checks; adds one predictable
   /// branch to dispatch when unset.
-  void setTrace(std::vector<DispatchRecord>* trace);
-
-  /// Attach (or detach, with nullptr) a parallel dispatch backend. Every
-  /// run/schedule/query entry point delegates to it while attached.
-  /// Managed by ParallelDispatch's constructor/destructor.
-  void setParallel(ParallelDispatch* p);
-  [[nodiscard]] ParallelDispatch* parallel() const { return parallel_; }
+  void setTrace(std::vector<DispatchRecord>* trace) { trace_ = trace; }
 
   /// Attach (or detach, with nullptr) a progress probe. Must be set before
-  /// the run starts; both engines honor it (see ProgressProbe).
+  /// the run starts (see ProgressProbe).
   void setProgressProbe(ProgressProbe* probe) { probe_ = probe; }
   [[nodiscard]] ProgressProbe* progressProbe() const { return probe_; }
 
@@ -144,15 +125,10 @@ class Engine {
   /// whether an event ran. The dispatch body behind step().
   bool dispatchOne(Cycle horizon);
 
-  // Defined in parallel.cpp (they need the backend's thread-local state).
-  [[nodiscard]] Cycle parallelNow() const;
-  void parallelSchedule(Cycle when, Event&& ev);
-
   EventQueue queue_;
   Cycle now_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<DispatchRecord>* trace_ = nullptr;
-  ParallelDispatch* parallel_ = nullptr;
   ProgressProbe* probe_ = nullptr;
 };
 

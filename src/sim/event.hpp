@@ -9,7 +9,7 @@
 // user callbacks routed through System::at).
 //
 // Heap fallbacks are counted in a process-wide counter (aggregated across
-// the parallel engine's worker threads) so tests can assert that a
+// SweepRunner's worker threads) so tests can assert that a
 // steady-state simulation performs zero event allocations.
 #pragma once
 
@@ -99,7 +99,7 @@ class InlineEvent {
   /// Number of heap-fallback constructions process-wide since start.
   /// Test hook: a steady-state simulation must not move this counter.
   /// A single atomic (not thread-local) so the count stays meaningful when
-  /// the parallel engine constructs events on worker threads; the fallback
+  /// concurrent sweep points construct events on worker threads; the fallback
   /// path is cold (oversized driver closures only), so the relaxed
   /// increment costs nothing on the hot path.
   [[nodiscard]] static std::uint64_t heapFallbackCount() noexcept {

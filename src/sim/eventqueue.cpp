@@ -13,75 +13,6 @@ void EventQueue::refillPool() {
   chunks_.push_back(std::move(chunk));
 }
 
-bool EventQueue::peekEarliest(Cycle& when, std::uint64_t& seq) const {
-  if (size_ == 0) {
-    return false;
-  }
-  const Node* best = nullptr;
-  if (bucketCount_ > 0) {
-    const Cycle bw = bucketMinWhen();
-    best = buckets_[bw & (kBucketCount - 1)].head;
-  }
-  if (!overflow_.empty()) {
-    const Node* top = overflow_.front();
-    if (best == nullptr || later(best, top)) {
-      best = top;
-    }
-  }
-  when = best->when;
-  seq = best->seq;
-  return true;
-}
-
-void EventQueue::insertSorted(Cycle when, std::uint64_t seq, InlineEvent ev) {
-  COLIBRI_CHECK_MSG(when >= cursor_, "insert before the dispatch cursor: when="
-                                         << when << " cursor=" << cursor_);
-  Node* n = allocNode();
-  n->when = when;
-  n->seq = seq;
-  n->next = nullptr;
-  n->ev = std::move(ev);
-  if (when - cursor_ >= kBucketCount) {
-    overflow_.push_back(n);
-    std::push_heap(overflow_.begin(), overflow_.end(), &later);
-    ++size_;
-    return;
-  }
-  const std::size_t idx = when & (kBucketCount - 1);
-  Bucket& b = buckets_[idx];
-  // Splice before the first pending node with a larger seq — each cycle's
-  // chain is seq-sorted (FIFO appends are monotone), so one walk restores
-  // the total (when, seq) order for a merged cross-shard arrival.
-  Node* prev = nullptr;
-  Node* cur = b.head;
-  while (cur != nullptr && cur->seq < seq) {
-    prev = cur;
-    cur = cur->next;
-  }
-  n->next = cur;
-  if (prev == nullptr) {
-    b.head = n;
-  } else {
-    prev->next = n;
-  }
-  if (cur == nullptr) {
-    b.tail = n;
-  }
-  if (b.head == n && prev == nullptr && n->next == nullptr) {
-    occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
-  }
-  if (bucketMinValid_) {
-    if (when < bucketMinCache_) {
-      bucketMinCache_ = when;
-    }
-  } else if (bucketCount_ == 0) {
-    bucketMinCache_ = when;
-    bucketMinValid_ = true;
-  }
-  ++bucketCount_;
-  ++size_;
-}
-
 void EventQueue::clear() noexcept {
   for (std::size_t w = 0; w < kBitmapWords; ++w) {
     std::uint64_t word = occupied_[w];

@@ -43,38 +43,11 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
   ~EventQueue() { clear(); }
 
-  /// Stable handle to a scheduled (still pending) event. The generation
-  /// detects node reuse after dispatch, so a stale handle is recognized
-  /// instead of touching an unrelated event. Used by the parallel engine
-  /// to re-key provisionally sequenced events at window barriers.
-  struct NodeRef {
-    void* node = nullptr;
-    std::uint32_t gen = 0;
-  };
-
   /// Append an event; FIFO among events with equal `when`. `when` must be
   /// >= the cycle of the most recently popped event. The callable is
   /// constructed directly inside a pooled node — no intermediate moves.
   template <typename F>
   void schedule(Cycle when, F&& f);
-
-  /// Like schedule(), but with a caller-supplied sequence number instead
-  /// of the internal counter. `seq` must be >= every seq already stored
-  /// for this `when` (the caller owns the total order). Returns a handle
-  /// for later re-keying. Parallel-engine shards schedule through this.
-  template <typename F>
-  NodeRef scheduleWithSeq(Cycle when, std::uint64_t seq, F&& f);
-
-  /// Insert an event with an arbitrary (when, seq) key, placing it in seq
-  /// order among already-pending events of the same cycle (walks the
-  /// cycle's FIFO chain). Used by the barrier merge to commit cross-shard
-  /// arrivals whose sequence numbers interleave with pending local events.
-  void insertSorted(Cycle when, std::uint64_t seq, InlineEvent ev);
-
-  /// Rewrite the seq of a still-pending event; returns false (and does
-  /// nothing) if the handle is stale. The new seq must preserve the
-  /// event's relative order among its cycle's pending events.
-  bool rekey(NodeRef ref, std::uint64_t seq) noexcept;
 
   /// Remove the earliest event (by (when, seq)) if its cycle is <= horizon;
   /// fills `when`/`ev` and returns true, else returns false.
@@ -101,11 +74,6 @@ class EventQueue {
   /// Cycle of the earliest pending event; kCycleNever when empty.
   [[nodiscard]] Cycle minWhen() const;
 
-  /// Key of the earliest pending event without removing it. Returns false
-  /// when empty. The parallel engine's serial phase uses this to pick the
-  /// lowest-seq head among several queues.
-  bool peekEarliest(Cycle& when, std::uint64_t& seq) const;
-
   /// Drop every pending event without running it: destroys the callables
   /// and splices the nodes back onto the free-list — no heap traffic, no
   /// per-item heap rebalancing.
@@ -130,7 +98,6 @@ class EventQueue {
     Cycle when = 0;
     std::uint64_t seq = 0;
     Node* next = nullptr;
-    std::uint32_t gen = 0;  ///< bumped on free; validates NodeRef handles
     InlineEvent ev;
   };
   struct Bucket {
@@ -155,14 +122,10 @@ class EventQueue {
     return n;
   }
   void freeNode(Node* n) noexcept {
-    ++n->gen;  // invalidate outstanding NodeRef handles
     n->next = freeList_;
     freeList_ = n;
   }
   void refillPool();
-
-  /// Link an already-filled node into the bucket window or overflow heap.
-  void linkNode(Node* n);
 
   /// Earliest non-empty bucket cycle; requires bucketCount_ > 0.
   [[nodiscard]] Cycle bucketMinWhen() const;
@@ -190,8 +153,19 @@ class EventQueue {
 // --- Hot-path definitions (kept in the header so the per-event schedule
 // and dispatch cost is a handful of inlined loads/stores) -----------------
 
-inline void EventQueue::linkNode(Node* n) {
-  const Cycle when = n->when;
+template <typename F>
+inline void EventQueue::schedule(Cycle when, F&& f) {
+  COLIBRI_CHECK_MSG(when >= cursor_, "schedule before the dispatch cursor: when="
+                                         << when << " cursor=" << cursor_);
+  Node* n = allocNode();
+  n->when = when;
+  n->seq = nextSeq_++;
+  n->next = nullptr;
+  if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineEvent>) {
+    n->ev = std::forward<F>(f);
+  } else {
+    n->ev.emplace(std::forward<F>(f));
+  }
   if (when - cursor_ < kBucketCount) {
     const std::size_t idx = when & (kBucketCount - 1);
     Bucket& b = buckets_[idx];
@@ -218,50 +192,6 @@ inline void EventQueue::linkNode(Node* n) {
     std::push_heap(overflow_.begin(), overflow_.end(), &later);
   }
   ++size_;
-}
-
-template <typename F>
-inline void EventQueue::schedule(Cycle when, F&& f) {
-  COLIBRI_CHECK_MSG(when >= cursor_, "schedule before the dispatch cursor: when="
-                                         << when << " cursor=" << cursor_);
-  Node* n = allocNode();
-  n->when = when;
-  n->seq = nextSeq_++;
-  n->next = nullptr;
-  if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineEvent>) {
-    n->ev = std::forward<F>(f);
-  } else {
-    n->ev.emplace(std::forward<F>(f));
-  }
-  linkNode(n);
-}
-
-template <typename F>
-inline EventQueue::NodeRef EventQueue::scheduleWithSeq(Cycle when,
-                                                       std::uint64_t seq,
-                                                       F&& f) {
-  COLIBRI_CHECK_MSG(when >= cursor_, "schedule before the dispatch cursor: when="
-                                         << when << " cursor=" << cursor_);
-  Node* n = allocNode();
-  n->when = when;
-  n->seq = seq;
-  n->next = nullptr;
-  if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineEvent>) {
-    n->ev = std::forward<F>(f);
-  } else {
-    n->ev.emplace(std::forward<F>(f));
-  }
-  linkNode(n);
-  return NodeRef{n, n->gen};
-}
-
-inline bool EventQueue::rekey(NodeRef ref, std::uint64_t seq) noexcept {
-  auto* n = static_cast<Node*>(ref.node);
-  if (n == nullptr || n->gen != ref.gen) {
-    return false;  // already dispatched (node freed or reused)
-  }
-  n->seq = seq;
-  return true;
 }
 
 inline Cycle EventQueue::bucketMinWhen() const {

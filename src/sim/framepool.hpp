@@ -5,16 +5,16 @@
 // default allocator that is one malloc/free per lock acquire per core,
 // the dominant allocator traffic of a big run. FramePool is a size-class
 // segregated-fit arena in the spirit of the calendar queue's node pool:
-// blocks come from per-thread subpools (so the parallel engine's workers
+// blocks come from per-thread subpools (so concurrent SweepRunner workers
 // never contend) refilled in chunks, and a freed block goes back onto the
 // freeing thread's list, ready for the next frame of the same class.
 //
 // Blocks carry a 16-byte header recording their size class (or that they
-// came from the system heap, for oversized frames and for threads without
-// a subpool), so release() needs no external lookup. Chunk memory is owned
-// by the process-wide arena and recycled for the life of the process —
-// a steady-state simulation allocates no frame memory from the heap, which
-// the `heapFrameCount()` test hook asserts.
+// came from the system heap, for oversized frames), so release() needs no
+// external lookup. Chunk memory is owned by the process-wide arena and
+// recycled for the life of the process — a steady-state simulation
+// allocates no frame memory from the heap, which the `heapFrameCount()`
+// test hook asserts.
 #pragma once
 
 #include <cstddef>

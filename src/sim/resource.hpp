@@ -24,44 +24,22 @@ class ThroughputResource {
     COLIBRI_CHECK(slotsPerCycle >= 1);
   }
 
-  /// The grant-state transition behind acquire(), exposed statically so the
-  /// parallel engine can replay acquires on a shadow copy of the state (its
-  /// barrier merge probes bank-port backlogs at past interleave points).
-  /// Mutates (cursor, used) exactly like one scalar acquire; returns the
-  /// granted cycle. No stats.
-  static Cycle applyAcquire(Cycle& cursor, std::uint32_t& used,
-                            std::uint32_t slotsPerCycle, Cycle at) {
-    if (at > cursor) {
-      cursor = at;
-      used = 0;
-    }
-    if (used >= slotsPerCycle) {
-      ++cursor;
-      used = 0;
-    }
-    ++used;
-    return cursor;
-  }
-
-  /// Earliest cycle >= `at` a slot would be granted given explicit state.
-  [[nodiscard]] static Cycle peekFrom(Cycle cursor, std::uint32_t used,
-                                      std::uint32_t slotsPerCycle, Cycle at) {
-    if (at > cursor) {
-      return at;
-    }
-    return used >= slotsPerCycle ? cursor + 1 : cursor;
-  }
-
   /// Claim the next free slot at or after `at`; returns the cycle in which
   /// service starts. Requests must be issued in non-decreasing time order
   /// per caller, but interleaved callers are fine (global FIFO).
   Cycle acquire(Cycle at) {
-    const Cycle granted = applyAcquire(cursor_, used_, slotsPerCycle_, at);
-    ++totalGrants_;
-    if (granted > at) {
-      totalQueueingDelay_ += granted - at;
+    if (at > cursor_) {
+      cursor_ = at;
+      used_ = 0;
     }
-    return granted;
+    if (used_ >= slotsPerCycle_) {
+      ++cursor_;
+      used_ = 0;
+    }
+    ++used_;
+    ++totalGrants_;
+    totalQueueingDelay_ += cursor_ - at;
+    return cursor_;
   }
 
   /// Claim `n` consecutive slots, the first at or after `at`, each
@@ -96,12 +74,11 @@ class ThroughputResource {
 
   /// Earliest cycle >= `at` at which a slot *would* be granted (no claim).
   [[nodiscard]] Cycle peek(Cycle at) const {
-    return peekFrom(cursor_, used_, slotsPerCycle_, at);
+    if (at > cursor_) {
+      return at;
+    }
+    return used_ >= slotsPerCycle_ ? cursor_ + 1 : cursor_;
   }
-
-  // Raw grant state, so the parallel engine can snapshot it for replay.
-  [[nodiscard]] Cycle cursor() const { return cursor_; }
-  [[nodiscard]] std::uint32_t slotUsed() const { return used_; }
 
   [[nodiscard]] std::uint32_t slotsPerCycle() const { return slotsPerCycle_; }
   [[nodiscard]] std::uint64_t totalGrants() const { return totalGrants_; }

@@ -34,16 +34,4 @@ using Addr = std::uint64_t;
 /// Simulated 32-bit memory word (RISC-V RV32 data path, as in MemPool).
 using Word = std::uint32_t;
 
-/// Parallel-engine observability counters (surfaced by --stats; all zero
-/// when the sequential engine ran). Invariant: every window boundary either
-/// merges immediately or elides the merge, so
-/// barriersTaken + barriersElided == windows.
-struct EngineCounters {
-  std::uint64_t windows = 0;         ///< conservative-lookahead windows run
-  std::uint64_t barriersTaken = 0;   ///< windows ending in a full serial merge
-  std::uint64_t barriersElided = 0;  ///< quiet windows committed shard-locally
-  std::uint64_t deferredIntents = 0; ///< cross-shard sends resolved at merges
-  std::uint64_t idleShardSkips = 0;  ///< shard-windows skipped (no due events)
-};
-
 }  // namespace colibri::sim

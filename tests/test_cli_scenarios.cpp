@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -113,48 +111,11 @@ TEST(CliOptions, MissingAndMalformedValuesFail) {
   EXPECT_NE(malformed.error->find("many"), std::string::npos);
 }
 
-TEST(CliDriver, NegativeAndMalformedEngineThreadsAreUsableErrors) {
-  // --engine-threads parses into an unsigned count; "-4" must surface as
-  // an invalid-value error, not wrap around to four billion workers.
-  for (const char* bad : {"-4", "abc", "2x"}) {
-    std::ostringstream out, err;
-    EXPECT_EQ(runMain({"--engine-threads", bad}, out, err), 2) << bad;
-    EXPECT_NE(err.str().find("invalid value"), std::string::npos)
-        << bad << ": " << err.str();
-    EXPECT_NE(err.str().find("--engine-threads"), std::string::npos)
-        << bad << ": " << err.str();
-  }
-}
-
-TEST(CliDriver, EngineThreadsAutoPrintsResolutionInTableModeOnly) {
-  const std::vector<std::string> base = {
-      "--workload", "histogram", "--cores",   "64",  "--tiles-per-group",
-      "4",          "--warmup",  "200",       "--measure", "1000",
-      "--engine-threads", "0"};
-  {
-    std::ostringstream out, err;
-    ASSERT_EQ(runMain(base, out, err), 0) << err.str();
-    EXPECT_NE(out.str().find("(auto"), std::string::npos)
-        << "table mode must surface the resolved thread count: "
-        << out.str();
-  }
-  // Machine outputs must stay host-independent: no resolved-count line.
-  for (const char* flag : {"--csv", "--json"}) {
-    auto args = base;
-    args.emplace_back(flag);
-    std::ostringstream out, err;
-    ASSERT_EQ(runMain(args, out, err), 0) << err.str();
-    EXPECT_EQ(out.str().find("auto"), std::string::npos) << flag;
-    EXPECT_EQ(out.str().find("engine"), std::string::npos) << flag;
-  }
-}
-
 TEST(CliDriver, StatsFlagPrintsCountersToStderrOnly) {
   auto run = [](bool stats, std::string& outStr, std::string& errStr) {
     std::vector<std::string> args = {
         "--workload", "histogram", "--cores",   "64",  "--tiles-per-group",
-        "4",          "--warmup",  "200",       "--measure", "1000",
-        "--engine-threads", "4"};
+        "4",          "--warmup",  "200",       "--measure", "1000"};
     if (stats) {
       args.emplace_back("--stats");
     }
@@ -170,33 +131,26 @@ TEST(CliDriver, StatsFlagPrintsCountersToStderrOnly) {
   // stdout is byte-identical with and without --stats (golden-corpus and
   // CI byte gates depend on this).
   EXPECT_EQ(statsOut, quietOut);
-  EXPECT_NE(statsErr.find("engine-stats:"), std::string::npos) << statsErr;
   EXPECT_NE(statsErr.find("frame-pool:"), std::string::npos) << statsErr;
-  // The printed counters obey the barrier invariant: every window either
-  // took its barrier merge or elided it.
-  auto grab = [&statsErr](const char* key) {
-    const auto pos = statsErr.find(key);
-    EXPECT_NE(pos, std::string::npos) << key;
-    return std::strtoull(statsErr.c_str() + pos + std::strlen(key), nullptr,
-                         10);
-  };
-  const auto windows = grab("windows=");
-  const auto taken = grab("barriers-taken=");
-  const auto elided = grab("barriers-elided=");
-  EXPECT_GT(windows, 0u);
-  EXPECT_EQ(taken + elided, windows);
   // --stats also routes the metric registry to stderr: deterministic and
   // diagnostic metrics alike, as `obs: name = value` lines.
   EXPECT_NE(statsErr.find("obs: core.issuedOps = "), std::string::npos)
       << statsErr;
-  EXPECT_NE(statsErr.find("obs: engine.windows = "), std::string::npos)
+  EXPECT_NE(statsErr.find("obs: framepool.arenaBytes = "), std::string::npos)
       << statsErr;
 }
 
 TEST(CliDriver, UnknownFlagExitsNonzeroViaMain) {
-  std::ostringstream out, err;
-  EXPECT_EQ(runMain({"--frobnicate"}, out, err), 2);
-  EXPECT_NE(err.str().find("--frobnicate"), std::string::npos);
+  // Includes the retired parallel-engine flags, which must not linger as
+  // silently accepted no-ops.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--frobnicate"},
+        std::vector<std::string>{"--engine-threads", "4"},
+        std::vector<std::string>{"--json", "--json-engine"}}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain(args, out, err), 2) << args.back();
+    EXPECT_NE(err.str().find("unknown"), std::string::npos) << err.str();
+  }
 }
 
 TEST(CliDriver, UnknownAdapterListsChoices) {
@@ -300,10 +254,31 @@ TEST(CliDriver, CsvAndJsonAreMutuallyExclusive) {
   EXPECT_NE(err.str().find("--csv"), std::string::npos) << err.str();
 }
 
-TEST(CliDriver, ZeroRepsIsAUsableError) {
-  std::ostringstream out, err;
-  EXPECT_EQ(runMain(smallRun({"--reps", "0"}), out, err), 2);
-  EXPECT_NE(err.str().find("--reps"), std::string::npos) << err.str();
+TEST(CliDriver, ZeroRepsOrEmptyWindowIsAUsableError) {
+  {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain(smallRun({"--reps", "0"}), out, err), 2);
+    EXPECT_NE(err.str().find("--reps"), std::string::npos) << err.str();
+  }
+  // Windowed workloads must not report a "verified" rate over an empty
+  // measurement window.
+  for (const char* w : {"histogram", "lockfair", "zipf_hot"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain(smallRun({"--workload", w, "--measure", "0"}), out,
+                      err),
+              2)
+        << w;
+    EXPECT_NE(err.str().find("--measure"), std::string::npos) << err.str();
+  }
+  // Run-to-completion workloads ignore the window, so 0 stays legal.
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--workload", "matmul", "--matmul-n", "8"},
+        std::vector<std::string>{"--workload", "wsdeque"}}) {
+    auto args = smallRun(extra);
+    args.insert(args.end(), {"--measure", "0"});
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain(args, out, err), 0) << extra[1] << ": " << err.str();
+  }
 }
 
 TEST(CliDriver, ThreadsFlagDoesNotChangeTheResult) {

@@ -1,8 +1,8 @@
 // Fault-injection + watchdog tests: the fault subsystem's determinism
 // contract (decisions are stateless hashes, so reruns and every
-// --engine-threads value produce bit-identical schedules and counts), the
-// graceful-degradation guarantee (faults cost retries, never correctness),
-// and the watchdog's hang diagnosis (the stranded-LR demo is caught in
+// SweepRunner --threads value produce bit-identical schedules and
+// counts), the graceful-degradation guarantee (faults cost retries, never
+// correctness), and the watchdog's hang diagnosis (the stranded-LR demo is caught in
 // bounded simulated time with a blame report naming the owning core and
 // the reservation slot).
 #include <gtest/gtest.h>
@@ -21,10 +21,9 @@
 namespace colibri::fault {
 namespace {
 
-// 16 cores in 2 groups: the smallest geometry where the parallel engine
-// activates, so determinism checks across engine-thread counts are real.
-arch::SystemConfig twoGroups(arch::AdapterKind adapter,
-                             std::uint32_t engineThreads) {
+// 16 cores in 2 groups, so remote-group traffic (and its net-delay
+// faults) is part of every run.
+arch::SystemConfig twoGroups(arch::AdapterKind adapter) {
   arch::SystemConfig c;
   c.numCores = 16;
   c.coresPerTile = 4;
@@ -32,7 +31,6 @@ arch::SystemConfig twoGroups(arch::AdapterKind adapter,
   c.banksPerTile = 4;
   c.wordsPerBank = 64;
   c.adapter = adapter;
-  c.engineThreads = engineThreads;
   return c;
 }
 
@@ -110,7 +108,7 @@ TEST(FaultConfigTest, DefaultIsDisabledAndValid) {
   EXPECT_FALSE(fc.enabled());
   EXPECT_NO_THROW(fc.validate());
   // A default System carries no plan and reports zero everywhere.
-  arch::System sys(twoGroups(arch::AdapterKind::kLrscSingle, 1));
+  arch::System sys(twoGroups(arch::AdapterKind::kLrscSingle));
   EXPECT_FALSE(sys.faultActive());
   EXPECT_EQ(sys.faultSeed(), 0u);
   EXPECT_EQ(sys.faultCounters().total(), 0u);
@@ -186,15 +184,15 @@ TEST(FaultPlanTest, DecisionsAreStatelessAndBounded) {
 }
 
 // The headline determinism contract: for every profile x adapter combo,
-// a rerun and an 8-worker parallel run reproduce the sequential dispatch
-// stream record for record, with identical results and fault counts.
-TEST(FaultPlanTest, EveryProfileIsDeterministicAcrossRerunsAndThreads) {
+// a rerun reproduces the dispatch stream record for record, with
+// identical results and fault counts.
+TEST(FaultPlanTest, EveryProfileIsDeterministicAcrossReruns) {
   for (const Profile& profile : profiles()) {
     for (const auto adapter :
          {arch::AdapterKind::kLrscSingle, arch::AdapterKind::kLrscTable,
           arch::AdapterKind::kLrscWait, arch::AdapterKind::kColibri}) {
       const auto flavor = flavorFor(adapter);
-      const auto cfg = twoGroups(adapter, 1);
+      const auto cfg = twoGroups(adapter);
       const std::string label = profile.name + std::string(" x ") +
                                 arch::toString(adapter);
       const auto seq = runFaulted(cfg, profile.config, flavor, 6);
@@ -202,10 +200,6 @@ TEST(FaultPlanTest, EveryProfileIsDeterministicAcrossRerunsAndThreads) {
       EXPECT_NE(seq.faultSeed, 0u) << label;
       expectSameRun(seq, runFaulted(cfg, profile.config, flavor, 6),
                     label + " rerun");
-      expectSameRun(seq,
-                    runFaulted(twoGroups(adapter, 8), profile.config, flavor,
-                               6),
-                    label + " x threads=8");
     }
   }
 }
@@ -214,7 +208,7 @@ TEST(FaultPlanTest, EveryProfileIsDeterministicAcrossRerunsAndThreads) {
 // yet the final count is exact — faults cost retries, never lost updates.
 TEST(FaultPlanTest, ChaosInjectsAtEverySiteWithoutCorruption) {
   const auto fc = findProfile("chaos")->config;
-  const auto run = runFaulted(twoGroups(arch::AdapterKind::kLrscSingle, 1),
+  const auto run = runFaulted(twoGroups(arch::AdapterKind::kLrscSingle),
                               fc, sync::RmwFlavor::kLrsc, 20);
   EXPECT_EQ(run.finalValue, 16u * 20u);
   EXPECT_GT(run.counters.at(Site::kNetDelay), 0u);
@@ -224,7 +218,7 @@ TEST(FaultPlanTest, ChaosInjectsAtEverySiteWithoutCorruption) {
   // Colibri's distributed reservation queue has no eviction site by
   // design: the evict counter must stay zero even under evict_churn.
   const auto colibri =
-      runFaulted(twoGroups(arch::AdapterKind::kColibri, 1),
+      runFaulted(twoGroups(arch::AdapterKind::kColibri),
                  findProfile("evict_churn")->config,
                  sync::RmwFlavor::kLrscWait, 20);
   EXPECT_EQ(colibri.finalValue, 16u * 20u);
@@ -235,7 +229,7 @@ TEST(FaultPlanTest, ChaosInjectsAtEverySiteWithoutCorruption) {
 // seeds explore distinct fault schedules, a pinned fault seed does not.
 TEST(FaultPlanTest, SeedDerivationFollowsSystemSeed) {
   const auto fc = findProfile("chaos")->config;
-  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle, 1);
+  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle);
   const auto a = runFaulted(cfg, fc, sync::RmwFlavor::kLrsc, 6);
   cfg.seed += 1;
   const auto b = runFaulted(cfg, fc, sync::RmwFlavor::kLrsc, 6);
@@ -249,7 +243,7 @@ TEST(FaultPlanTest, SeedDerivationFollowsSystemSeed) {
 // With no trip, the watchdog is pure observation: the dispatch stream of
 // a healthy run is byte-identical with the watchdog on and off.
 TEST(WatchdogTest, NoTripMeansNoEffect) {
-  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle, 1);
+  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle);
   cfg.watchdogCycles = 0;
   const auto off = runFaulted(cfg, FaultConfig{}, sync::RmwFlavor::kLrsc, 10);
   cfg.watchdogCycles = 500;  // tight: many probes fire during the run
@@ -261,7 +255,7 @@ TEST(WatchdogTest, NoTripMeansNoEffect) {
 // in bounded simulated time, and the blame report names the owning core
 // and the reservation slot.
 TEST(WatchdogTest, CatchesStrandedLrWithBlame) {
-  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle, 1);
+  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle);
   cfg.watchdogCycles = 10'000;
   try {
     runStrandedLr(cfg, 100 * cfg.watchdogCycles);
@@ -284,28 +278,10 @@ TEST(WatchdogTest, CatchesStrandedLrWithBlame) {
   }
 }
 
-// Same hang under the parallel engine: the probe fires at the identical
-// simulated cycle because windows are capped at probe boundaries.
-TEST(WatchdogTest, TripCycleIdenticalUnderParallelEngine) {
-  auto trip = [](std::uint32_t engineThreads) {
-    auto cfg = twoGroups(arch::AdapterKind::kLrscSingle, engineThreads);
-    cfg.watchdogCycles = 10'000;
-    try {
-      runStrandedLr(cfg, 100 * cfg.watchdogCycles);
-    } catch (const WatchdogError& e) {
-      return e.trippedAt();
-    }
-    return sim::Cycle{0};
-  };
-  const auto seq = trip(1);
-  ASSERT_GT(seq, 0u);
-  EXPECT_EQ(seq, trip(8));
-}
-
 // With the watchdog disabled the demo reproduces the pre-watchdog
 // behavior: the hang runs silently to the horizon and returns.
 TEST(WatchdogTest, DisabledWatchdogLetsTheHangRunSilently) {
-  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle, 1);
+  auto cfg = twoGroups(arch::AdapterKind::kLrscSingle);
   cfg.watchdogCycles = 0;
   EXPECT_NO_THROW(runStrandedLr(cfg, 20'000));
 }
@@ -320,10 +296,11 @@ std::vector<std::string> baseArgs(const char* adapter) {
 }
 
 TEST(FaultCliTest, JsonWithFaultBlockIsIdenticalAcrossThreadsAndReruns) {
+  // Two reps, so --threads 4 really runs them on separate workers.
   auto run = [](const char* threads) {
     auto args = baseArgs("lrsc_single");
     for (const char* extra : {"--fault", "chaos", "--json", "--json-fault",
-                              "--engine-threads", threads}) {
+                              "--reps", "2", "--threads", threads}) {
       args.emplace_back(extra);
     }
     std::ostringstream out;
@@ -337,7 +314,7 @@ TEST(FaultCliTest, JsonWithFaultBlockIsIdenticalAcrossThreadsAndReruns) {
   EXPECT_NE(seq.find("\"injected\""), std::string::npos);
   EXPECT_NE(seq.find("\"verified\": true"), std::string::npos);
   EXPECT_EQ(seq, run("1")) << "rerun diverged";
-  EXPECT_EQ(seq, run("8")) << "--engine-threads 8 diverged";
+  EXPECT_EQ(seq, run("4")) << "--threads 4 diverged";
 }
 
 TEST(FaultCliTest, DefaultOutputUntouchedByFaultSubsystem) {

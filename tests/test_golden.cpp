@@ -78,11 +78,10 @@ std::vector<GoldenCase> goldenCases() {
                              "--json", "--reps", "2"});
     cases.push_back({std::string("json__colibri__") + w + ".json", args});
   }
-  // The deterministic parallel engine must reproduce the committed
-  // sequential bytes exactly: re-run a cross-section of scenarios with
-  // --engine-threads 4 against the *same* golden files. The base geometry
-  // has two topology groups, so the parallel dispatcher is genuinely
-  // active (with two workers) in these cases.
+  // Determinism: re-run a cross-section of scenarios against the *same*
+  // golden files, so a second run in this process must reproduce the
+  // committed bytes. The two-rep JSON documents also run at one and at
+  // four SweepRunner workers: the pool size must not change the output.
   for (const auto& [a, w] :
        std::vector<std::pair<std::string, std::string>>{
            {"colibri", "zipf_hot"},
@@ -91,16 +90,17 @@ std::vector<GoldenCase> goldenCases() {
            {"lrscwait", "msqueue"},
            {"amo", "uniform_fa"}}) {
     auto args = baseArgs();
-    args.insert(args.end(), {"--adapter", a, "--workload", w, "--csv",
-                             "--engine-threads", "4"});
+    args.insert(args.end(), {"--adapter", a, "--workload", w, "--csv"});
     cases.push_back({a + "__" + w + ".csv", args});
   }
-  {
-    auto args = baseArgs();
-    args.insert(args.end(), {"--adapter", "colibri", "--workload",
-                             "histogram", "--json", "--reps", "2",
-                             "--engine-threads", "4"});
-    cases.push_back({"json__colibri__histogram.json", args});
+  for (const char* w : {"histogram", "hashtable"}) {
+    for (const char* threads : {"1", "4"}) {
+      auto args = baseArgs();
+      args.insert(args.end(), {"--adapter", "colibri", "--workload", w,
+                               "--json", "--reps", "2", "--threads",
+                               threads});
+      cases.push_back({std::string("json__colibri__") + w + ".json", args});
+    }
   }
   // Litmus: the full fenced matrix, and the unfenced Dekker memory-model
   // probe (which deliberately FAILs its exclusion expectation -> exit 1).

@@ -1,13 +1,10 @@
-// Observability layer: the metric registry's sharded counters, the span
-// tracer's Chrome output, and the end-to-end determinism contract — sink
-// bytes are identical across reruns, SweepRunner thread counts, and
-// --engine-threads values, while stdout stays byte-identical whether or
-// not a sink is attached.
+// Observability layer: the metric registry's counters, the span tracer's
+// Chrome output, and the end-to-end determinism contract — sink bytes are
+// identical across reruns and SweepRunner thread counts, while stdout
+// stays byte-identical whether or not a sink is attached.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,7 +22,7 @@
 namespace colibri {
 namespace {
 
-TEST(ObsRegistry, CountersAccumulateAndSumAcrossSlots) {
+TEST(ObsRegistry, CountersAccumulate) {
   obs::Registry reg;
   const auto a = reg.counter("a");
   const auto b = reg.counter("b");
@@ -34,14 +31,12 @@ TEST(ObsRegistry, CountersAccumulateAndSumAcrossSlots) {
   EXPECT_EQ(reg.counterTotal(a), 5u);
   EXPECT_EQ(reg.counterTotal(b), 0u);
 
-  // Outside any worker window currentWindowShard() is -1, so adds land in
-  // slot 0 even after the table is sharded — and prior values survive.
-  reg.setShardSlots(4);
+  // Registering more rows later keeps the values already counted.
+  const auto h = reg.histogram("h");
   reg.add(b, 7);
   EXPECT_EQ(reg.counterTotal(a), 5u);
   EXPECT_EQ(reg.counterTotal(b), 7u);
-
-  EXPECT_THROW(reg.setShardSlots(2), sim::InvariantViolation);
+  EXPECT_EQ(reg.bucketTotal(h, 0), 0u);
 }
 
 TEST(ObsRegistry, HistogramBucketsAreLog2) {
@@ -126,12 +121,11 @@ exp::RunSpec smallSpec() {
   return spec;
 }
 
-std::string metricsCsvOf(std::uint32_t engineThreads) {
+std::string metricsCsv() {
   obs::Recorder::Config rc;
   rc.sampleInterval = 250;
   obs::Recorder rec(rc);
   auto spec = smallSpec();
-  spec.config.engineThreads = engineThreads;
   spec.config.recorder = &rec;
   const auto res = exp::runOne(spec);
   EXPECT_TRUE(res.verified);
@@ -140,17 +134,15 @@ std::string metricsCsvOf(std::uint32_t engineThreads) {
   return os.str();
 }
 
-TEST(ObsRecorder, MetricsCsvIsByteIdenticalAcrossRerunsAndEngineThreads) {
-  const std::string seq = metricsCsvOf(1);
-  EXPECT_NE(seq.find("cycle,"), std::string::npos);
-  EXPECT_NE(seq.find("core.issuedOps"), std::string::npos);
+TEST(ObsRecorder, MetricsCsvIsByteIdenticalAcrossReruns) {
+  const std::string first = metricsCsv();
+  EXPECT_NE(first.find("cycle,"), std::string::npos);
+  EXPECT_NE(first.find("core.issuedOps"), std::string::npos);
   // Diagnostic metrics never reach the byte-compared sink.
-  EXPECT_EQ(seq.find("framepool.arenaBytes"), std::string::npos);
-  EXPECT_EQ(seq.find("engine.windows"), std::string::npos);
-  EXPECT_GT(std::count(seq.begin(), seq.end(), '\n'), 3);
+  EXPECT_EQ(first.find("framepool.arenaBytes"), std::string::npos);
+  EXPECT_GT(std::count(first.begin(), first.end(), '\n'), 3);
 
-  EXPECT_EQ(metricsCsvOf(1), seq) << "rerun changed sink bytes";
-  EXPECT_EQ(metricsCsvOf(2), seq) << "engine threads changed sink bytes";
+  EXPECT_EQ(metricsCsv(), first) << "rerun changed sink bytes";
 }
 
 TEST(ObsRecorder, SecondRunOnSameRecorderIsRejected) {
@@ -207,22 +199,17 @@ std::string tmpPath(const char* name) {
   return testing::TempDir() + name;
 }
 
-TEST(ObsCli, SinksAreIdenticalAcrossEngineAndSweepThreads) {
-  struct Case {
-    const char* engineThreads;
-    const char* sweepThreads;
-  };
-  const Case cases[] = {{"1", "1"}, {"4", "1"}, {"1", "4"}};
+TEST(ObsCli, SinksAreIdenticalAcrossRerunsAndSweepThreads) {
+  // The first two runs are reruns at one sweep thread.
+  const char* const sweepThreads[] = {"1", "1", "4"};
   std::string baseCsv;
   std::string baseTrace;
-  for (const auto& c : cases) {
+  for (const char* threads : sweepThreads) {
     const std::string csv = tmpPath("obs_m.csv");
     const std::string trace = tmpPath("obs_t.json");
     auto args = smallArgs();
-    for (const char* extra :
-         {"--engine-threads", c.engineThreads, "--threads", c.sweepThreads}) {
-      args.emplace_back(extra);
-    }
+    args.emplace_back("--threads");
+    args.emplace_back(threads);
     args.emplace_back("--metrics-csv=" + csv);
     args.emplace_back("--trace=" + trace);
     args.emplace_back("--metrics-interval=250");
@@ -236,12 +223,10 @@ TEST(ObsCli, SinksAreIdenticalAcrossEngineAndSweepThreads) {
       baseTrace = traceBytes;
       continue;
     }
-    EXPECT_EQ(csvBytes, baseCsv)
-        << "metrics CSV differs at engine-threads=" << c.engineThreads
-        << " threads=" << c.sweepThreads;
-    EXPECT_EQ(traceBytes, baseTrace)
-        << "trace differs at engine-threads=" << c.engineThreads
-        << " threads=" << c.sweepThreads;
+    EXPECT_EQ(csvBytes, baseCsv) << "metrics CSV differs at threads="
+                                 << threads;
+    EXPECT_EQ(traceBytes, baseTrace) << "trace differs at threads="
+                                     << threads;
   }
 }
 
@@ -263,7 +248,6 @@ TEST(ObsCli, AttachingSinksLeavesStdoutUntouched) {
   const auto plainJson = runCli(jsonArgs);
   ASSERT_EQ(plainJson.rc, 0) << plainJson.err;
   EXPECT_EQ(plainJson.out.find("timeseries"), std::string::npos);
-  EXPECT_EQ(plainJson.out.find("\"engine\""), std::string::npos);
   {
     auto args = jsonArgs;
     args.emplace_back("--trace=" + tmpPath("obs_sj.json"));
@@ -285,29 +269,6 @@ TEST(ObsCli, MetricsSinkAddsTimeseriesBlockToJson) {
   EXPECT_NE(r.out.find("\"interval\": 250"), std::string::npos);
   EXPECT_NE(r.out.find("\"core.opLatency\""), std::string::npos);
   EXPECT_NE(r.out.find("\"samples\""), std::string::npos);
-}
-
-TEST(ObsCli, JsonEngineBlockIsOptInAndObeysBarrierInvariant) {
-  auto args = smallArgs();
-  for (const char* extra : {"--json", "--json-engine", "--engine-threads",
-                            "4"}) {
-    args.emplace_back(extra);
-  }
-  const auto r = runCli(args);
-  ASSERT_EQ(r.rc, 0) << r.err;
-  EXPECT_TRUE(test::isValidJson(r.out));
-  const auto pos = r.out.find("\"engine\"");
-  ASSERT_NE(pos, std::string::npos);
-  auto grab = [&](const char* key) {
-    const auto kpos = r.out.find(key, pos);
-    EXPECT_NE(kpos, std::string::npos) << key;
-    return std::strtoull(r.out.c_str() + kpos + std::strlen(key), nullptr,
-                         10);
-  };
-  const auto windows = grab("\"windows\": ");
-  EXPECT_GT(windows, 0u);
-  EXPECT_EQ(grab("\"barriersTaken\": ") + grab("\"barriersElided\": "),
-            windows);
 }
 
 TEST(ObsCli, StatsRoutesThroughRegistry) {
@@ -342,13 +303,6 @@ TEST(ObsCli, SinkFlagMisuseIsRejected) {
     args.emplace_back("--trace=" + tmpPath("obs_rej.json"));
     args.emplace_back("--trace-sample=0");
     EXPECT_EQ(runCli(args).rc, 2);
-  }
-  {
-    auto args = smallArgs();
-    args.emplace_back("--json-engine");
-    const auto r = runCli(args);
-    EXPECT_EQ(r.rc, 2);
-    EXPECT_NE(r.err.find("--json"), std::string::npos) << r.err;
   }
   {
     const auto r = runCli({"--litmus", "dekker",

@@ -85,6 +85,34 @@ INSTANTIATE_TEST_SUITE_P(
         AdapterCase{AdapterKind::kColibri, sync::RmwFlavor::kLrscWait}),
     [](const auto& info) { return test::paramName(toString(info.param.adapter)); });
 
+// The 4k-core acceptance case: 4096 cores / 16 groups completes under the
+// sparse per-endpoint clamp, whose footprint is O(cores + banks) — the
+// dense per-(core, bank) matrices this replaced would need over 1 GiB at
+// this geometry and are asserted unaffordable, not silently skipped.
+TEST(System, FourKCoresRunSparseClampWithinMemoryBound) {
+  SystemConfig cfg;
+  cfg.numCores = 4096;
+  cfg.coresPerTile = 4;
+  cfg.tilesPerGroup = 64;  // 1024 tiles -> 16 groups
+  cfg.banksPerTile = 16;   // 16384 banks
+  cfg.wordsPerBank = 64;
+  cfg.adapter = AdapterKind::kAmoOnly;
+  ASSERT_EQ(cfg.numGroups(), 16u);
+  // Dense clamp state would be 2 * cores * banks * 8 B = 1 GiB.
+  EXPECT_GE(Network::denseClampBytes(cfg), std::size_t{512} << 20);
+  System sys(cfg);
+  // Sparse clamp state: 2 * banks * 3 classes * 8 B, well under 1 MiB.
+  EXPECT_LE(sys.network().clampBytes(), std::size_t{1} << 20);
+  const auto a = sys.allocator().allocGlobal(1);
+  for (sim::CoreId c = 0; c < cfg.numCores; ++c) {
+    sys.spawn(c, incrementer(sys, sys.core(c), a, 2, sync::RmwFlavor::kAmo));
+  }
+  sys.run();
+  sys.rethrowFailures();
+  EXPECT_TRUE(sys.allTasksDone());
+  EXPECT_EQ(sys.peek(a), 4096u * 2u);
+}
+
 sim::Task sleeper(System& sys, Core& core, sim::Addr a) {
   (void)sys;
   const auto r = co_await core.lrWait(a);
