@@ -8,7 +8,6 @@
 #include "obs/recorder.hpp"
 #include "sim/check.hpp"
 #include "sim/event.hpp"
-#include "sim/framepool.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 
@@ -100,7 +99,6 @@ void System::attachObservability() {
   obsHooks_->wgenVisits = reg.counter("wgen.phaseVisits");
   obsHooks_->opLatency = reg.histogram("core.opLatency");
 
-  using MC = obs::MetricClass;
   reg.gauge("engine.pendingEvents", [this] {
     return static_cast<double>(engine_.pendingEvents());
   });
@@ -203,32 +201,14 @@ void System::attachObservability() {
     }
     return static_cast<double>(n);
   });
-  // Coroutine-frame residency since the recorder attached. The raw
-  // pooled/heap counters are process-wide (concurrent sweep reps add to
-  // them), so they are registered as diagnostics below.
-  reg.gauge("framepool.frames", [rec] {
-    return static_cast<double>(sim::framepool::pooledFrameCount() +
-                               sim::framepool::heapFrameCount()) -
-           static_cast<double>(rec->frameBaseline());
-  });
-  reg.gauge(
-      "framepool.pooledFrames",
-      [] { return static_cast<double>(sim::framepool::pooledFrameCount()); },
-      MC::kDiagnostic);
-  reg.gauge(
-      "framepool.heapFrames",
-      [] { return static_cast<double>(sim::framepool::heapFrameCount()); },
-      MC::kDiagnostic);
-  reg.gauge(
-      "framepool.arenaBytes",
-      [] { return static_cast<double>(sim::framepool::arenaBytes()); },
-      MC::kDiagnostic);
-
   if (faultPlan_ != nullptr) {
     fault::FaultPlan* fp = faultPlan_.get();
-    // Deterministic class: injection decisions are pure hashes of
-    // (seed, site, entities, cycle), so the counts are bit-identical
-    // across reruns and sweep-thread counts and belong in goldens.
+    // The seed names the fault schedule, so a run's counts can be
+    // reproduced from its own output.
+    reg.add(reg.counter("fault.seed"), fp->seed());
+    // Injection decisions are pure hashes of (seed, site, entities,
+    // cycle), so the counts are bit-identical across reruns and
+    // sweep-thread counts.
     reg.gauge("fault.netDelays", [fp] {
       return static_cast<double>(fp->counters().at(fault::Site::kNetDelay));
     });

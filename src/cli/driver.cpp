@@ -18,7 +18,6 @@
 #include "litmus/harness.hpp"
 #include "report/table.hpp"
 #include "sim/check.hpp"
-#include "sim/framepool.hpp"
 #include "wgen/presets.hpp"
 
 namespace colibri::cli {
@@ -604,6 +603,9 @@ std::optional<std::string> buildConfig(const Options& opts,
       opts.banksPerTile == 0 || opts.wordsPerBank == 0) {
     return "geometry values must be >= 1";
   }
+  if (opts.colibriQueues == 0) {
+    return "--colibri-queues must be >= 1";
+  }
   if (opts.cores % opts.coresPerTile != 0) {
     return "--cores (" + std::to_string(opts.cores) +
            ") must be a multiple of --cores-per-tile (" +
@@ -708,6 +710,15 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
         << opts.workload << "'\n";
     return 2;
   }
+  if (opts.workload == "msqueue" && opts.queueCapacity == 1 &&
+      exp::queueVariantFor(*adapter) != workloads::QueueVariant::kLock) {
+    // The ticket queue cannot tell a full slot from a free one at capacity
+    // 1 (see TicketQueue::create); the lock-based variant can.
+    err << "colibri-sim: --queue-capacity must be >= 2 for msqueue on "
+           "adapter '"
+        << opts.adapter << "'\n";
+    return 2;
+  }
   if (opts.hotFraction > 1.0) {
     err << "colibri-sim: --hot-fraction must be <= 1\n";
     return 2;
@@ -719,9 +730,9 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
   const bool wantSampling = !opts.metricsCsv.empty();
   const bool wantTrace = !opts.trace.empty();
   if ((wantSampling || wantTrace) && opts.reps > 1) {
-    // Concurrent repetitions share process-wide state (the coroutine frame
-    // pool) that would bleed into sampled values; the byte-compared sinks
-    // observe exactly one run.
+    // The Recorder observes only rep 0, so a sink written under --reps N
+    // would describe one run of N; the byte-compared sinks require exactly
+    // one.
     err << "colibri-sim: --metrics-csv/--trace require --reps 1\n";
     return 2;
   }
@@ -805,22 +816,8 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
       recorder.writeChromeTrace(f);
     }
     if (opts.stats) {
-      // stderr keeps stdout byte-identical with and without --stats, so
-      // the golden corpus and the CI byte gates stay valid.
-      err << "frame-pool: pooled=" << sim::framepool::pooledFrameCount()
-          << " heap=" << sim::framepool::heapFrameCount()
-          << " arena-bytes=" << sim::framepool::arenaBytes() << "\n";
-      if (res.primary().faultSeed != 0) {
-        const auto& fc = res.primary().faultCounters;
-        err << "fault: seed=" << res.primary().faultSeed
-            << " net-delays=" << fc.at(fault::Site::kNetDelay)
-            << " sc-fails=" << fc.at(fault::Site::kScFail)
-            << " evictions=" << fc.at(fault::Site::kEvict)
-            << " stalls=" << fc.at(fault::Site::kStall)
-            << " total=" << fc.total() << "\n";
-      }
-      // The registry view of the same run (rep 0): every metric,
-      // diagnostic ones included.
+      // Every registry metric of rep 0, on stderr so stdout stays
+      // byte-identical with and without --stats (golden corpus, CI gates).
       recorder.printStats(err);
     }
     return res.allVerified ? 0 : 1;

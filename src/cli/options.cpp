@@ -175,8 +175,7 @@ const std::map<std::string, Flag>& flagTable() {
       {"--threads",
        numberFlag("sweep worker threads; 0 = all hardware threads",
                   &Options::threads)},
-      {"--stats", boolFlag("print frame-pool, fault and metric counters "
-                           "to stderr after the run",
+      {"--stats", boolFlag("print every metric to stderr after the run",
                            &Options::stats)},
       {"--metrics-csv",
        stringFlag("write interval metric samples (simulated-cycle "

@@ -119,8 +119,8 @@ struct Options {
   // --- Output / control ---------------------------------------------------
   bool csv = false;
   bool json = false;
-  /// Print frame-pool usage, fault counts and every registry metric to
-  /// stderr after the run. Machine outputs (csv/json/stdout) are untouched.
+  /// Print every registry metric to stderr after the run. Machine outputs
+  /// (csv/json/stdout) are untouched.
   bool stats = false;
   bool listScenarios = false;
   bool help = false;

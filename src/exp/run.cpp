@@ -196,9 +196,6 @@ RunResult runOne(const RunSpec& spec, std::uint32_t rep) {
     cfg.recorder = nullptr;
   }
   obs::Recorder* rec = cfg.recorder;
-  if (rec != nullptr) {
-    rec->beginRun();
-  }
 
   RunResult out;
   out.label = spec.label;

@@ -7,7 +7,6 @@
 
 #include "report/json.hpp"
 #include "sim/check.hpp"
-#include "sim/framepool.hpp"
 
 namespace colibri::obs {
 
@@ -37,19 +36,27 @@ std::string bucketLabel(std::uint32_t b) {
   return std::to_string(lo) + "-" + std::to_string((lo << 1) - 1);
 }
 
+/// Calls onCounter or onGauge with each non-histogram value of one sample
+/// row, in registration order: the column order of both sample sinks.
+template <typename Row, typename OnCounter, typename OnGauge>
+void forEachColumn(const std::vector<MetricInfo>& metrics, const Row& row,
+                   OnCounter onCounter, OnGauge onGauge) {
+  std::size_t ci = 0;
+  std::size_t gi = 0;
+  for (const auto& m : metrics) {
+    if (m.kind == MetricKind::kCounter) {
+      onCounter(row.counters[ci++]);
+    } else if (m.kind == MetricKind::kGauge) {
+      onGauge(row.gauges[gi++]);
+    }
+  }
+}
+
 }  // namespace
 
 Recorder::Recorder(Config cfg) : cfg_(cfg), tracer_(cfg.traceEvery) {}
 
-void Recorder::beginRun() {
-  COLIBRI_CHECK_MSG(!runBegun_, "a Recorder records exactly one run");
-  runBegun_ = true;
-  frameBase_ = sim::framepool::pooledFrameCount() + sim::framepool::heapFrameCount();
-  arenaBase_ = sim::framepool::arenaBytes();
-}
-
 void Recorder::attachSystem() {
-  COLIBRI_CHECK_MSG(runBegun_, "attachSystem before beginRun");
   COLIBRI_CHECK_MSG(!attached_, "a Recorder records exactly one System");
   attached_ = true;
 }
@@ -87,34 +94,16 @@ void Recorder::finalize(sim::Cycle now) {
 void Recorder::writeMetricsCsv(std::ostream& os) const {
   os << "cycle";
   for (const auto& m : registry_.metrics()) {
-    if (m.kind != MetricKind::kHistogram &&
-        m.cls == MetricClass::kDeterministic) {
+    if (m.kind != MetricKind::kHistogram) {
       os << ',' << m.name;
     }
   }
   os << '\n';
   for (const auto& row : samples_) {
     os << row.cycle;
-    std::size_t ci = 0;
-    std::size_t gi = 0;
-    for (const auto& m : registry_.metrics()) {
-      switch (m.kind) {
-        case MetricKind::kCounter:
-          if (m.cls == MetricClass::kDeterministic) {
-            os << ',' << row.counters[ci];
-          }
-          ++ci;
-          break;
-        case MetricKind::kGauge:
-          if (m.cls == MetricClass::kDeterministic) {
-            os << ',' << formatGauge(row.gauges[gi]);
-          }
-          ++gi;
-          break;
-        case MetricKind::kHistogram:
-          break;
-      }
-    }
+    forEachColumn(
+        registry_.metrics(), row, [&](std::uint64_t v) { os << ',' << v; },
+        [&](double v) { os << ',' << formatGauge(v); });
     os << '\n';
   }
 }
@@ -124,8 +113,7 @@ void Recorder::writeTimeseriesBlock(report::JsonWriter& w) const {
   w.kv("interval", static_cast<std::uint64_t>(cfg_.sampleInterval));
   w.key("metrics").beginArray();
   for (const auto& m : registry_.metrics()) {
-    if (m.kind != MetricKind::kHistogram &&
-        m.cls == MetricClass::kDeterministic) {
+    if (m.kind != MetricKind::kHistogram) {
       w.value(m.name);
     }
   }
@@ -135,33 +123,15 @@ void Recorder::writeTimeseriesBlock(report::JsonWriter& w) const {
   for (const auto& row : samples_) {
     w.beginArray();
     w.value(static_cast<std::uint64_t>(row.cycle));
-    std::size_t ci = 0;
-    std::size_t gi = 0;
-    for (const auto& m : registry_.metrics()) {
-      switch (m.kind) {
-        case MetricKind::kCounter:
-          if (m.cls == MetricClass::kDeterministic) {
-            w.value(row.counters[ci]);
-          }
-          ++ci;
-          break;
-        case MetricKind::kGauge:
-          if (m.cls == MetricClass::kDeterministic) {
-            w.value(row.gauges[gi]);
-          }
-          ++gi;
-          break;
-        case MetricKind::kHistogram:
-          break;
-      }
-    }
+    forEachColumn(
+        registry_.metrics(), row, [&](std::uint64_t v) { w.value(v); },
+        [&](double v) { w.value(v); });
     w.endArray();
   }
   w.endArray();
   w.key("histograms").beginArray();
   for (const auto& m : registry_.metrics()) {
-    if (m.kind == MetricKind::kHistogram &&
-        m.cls == MetricClass::kDeterministic) {
+    if (m.kind == MetricKind::kHistogram) {
       w.beginObject();
       w.kv("name", m.name);
       w.key("buckets").beginArray();

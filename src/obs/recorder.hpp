@@ -1,17 +1,15 @@
 // Recorder: one observability session over one simulation run.
 //
 // Owns the metric registry, the interval sample rows and (optionally) the
-// span tracer. The exp layer drives it: runOne() calls beginRun(), the
-// System attaches during construction (registering its probes and hot
-// counters), sample events scheduled up front call sampleAt(), and
-// finalize() takes the closing row before the System is destroyed — after
-// which the gauge probes are gone but every recorded row and counter cell
-// stays readable for the writers.
+// span tracer. The exp layer drives it: the System attaches during
+// construction (registering its probes and hot counters), sample events
+// scheduled up front call sampleAt(), and finalize() takes the closing row
+// before the System is destroyed — after which the gauge probes are gone
+// but every recorded row and counter cell stays readable for the writers.
 //
-// A Recorder records exactly one System (attachSystem checks); the CLI
-// additionally restricts the byte-compared sinks to --reps 1 because
-// concurrent repetitions share process-wide state (the coroutine frame
-// pool) that would bleed into the sampled values.
+// A Recorder records exactly one System (attachSystem checks), so with
+// several repetitions only rep 0 is observed; the CLI restricts the
+// byte-compared sinks to --reps 1 so they never describe part of a run.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +47,6 @@ class Recorder {
   }
 
   // --- Run plumbing -------------------------------------------------------
-  /// Capture process-wide baselines (frame pool) before the System exists.
-  void beginRun();
   /// Called by the System under construction; a Recorder records one run.
   void attachSystem();
   /// Called by the System destructor: drops the probes into it.
@@ -61,18 +57,16 @@ class Recorder {
   void finalize(sim::Cycle now);
 
   [[nodiscard]] bool sampledAnything() const { return !samples_.empty(); }
-  [[nodiscard]] std::uint64_t frameBaseline() const { return frameBase_; }
-  [[nodiscard]] std::uint64_t arenaBaseline() const { return arenaBase_; }
 
   // --- Sinks ---------------------------------------------------------------
-  /// Deterministic metrics as CSV: `cycle,<name>,...`, cumulative values.
+  /// Counters and gauges as CSV: `cycle,<name>,...`, cumulative values.
   void writeMetricsCsv(std::ostream& os) const;
-  /// The exp JSON `timeseries` member (key + object). Deterministic
-  /// metrics only, same column order as the CSV.
+  /// The exp JSON `timeseries` member (key + object), same column order
+  /// as the CSV, plus the histogram buckets.
   void writeTimeseriesBlock(report::JsonWriter& w) const;
   /// Chrome trace_event JSON (requires traceEnabled).
   void writeChromeTrace(std::ostream& os) const;
-  /// Every metric (diagnostic included) as `obs: name = value` lines.
+  /// Every metric as `obs: name = value` lines.
   void printStats(std::ostream& os) const;
 
  private:
@@ -86,10 +80,7 @@ class Recorder {
   Registry registry_;
   Tracer tracer_;
   bool attached_ = false;
-  bool runBegun_ = false;
   bool finalized_ = false;
-  std::uint64_t frameBase_ = 0;
-  std::uint64_t arenaBase_ = 0;
   std::vector<Row> samples_;
 };
 

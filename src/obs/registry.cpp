@@ -12,23 +12,22 @@ std::uint32_t Registry::addRows(std::uint32_t n) {
   return first;
 }
 
-MetricId Registry::counter(std::string name, MetricClass cls) {
+MetricId Registry::counter(std::string name) {
   const MetricId id{addRows(1)};
-  metrics_.push_back({std::move(name), MetricKind::kCounter, cls, id.cell});
+  metrics_.push_back({std::move(name), MetricKind::kCounter, id.cell});
   return id;
 }
 
-MetricId Registry::histogram(std::string name, MetricClass cls) {
+MetricId Registry::histogram(std::string name) {
   const MetricId id{addRows(kHistogramBuckets)};
-  metrics_.push_back({std::move(name), MetricKind::kHistogram, cls, id.cell});
+  metrics_.push_back({std::move(name), MetricKind::kHistogram, id.cell});
   return id;
 }
 
-MetricId Registry::gauge(std::string name, std::function<double()> probe,
-                         MetricClass cls) {
+MetricId Registry::gauge(std::string name, std::function<double()> probe) {
   const MetricId id{static_cast<std::uint32_t>(probes_.size())};
   probes_.push_back(std::move(probe));
-  metrics_.push_back({std::move(name), MetricKind::kGauge, cls, id.cell});
+  metrics_.push_back({std::move(name), MetricKind::kGauge, id.cell});
   return id;
 }
 

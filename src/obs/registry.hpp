@@ -2,13 +2,10 @@
 // *simulated* cycles.
 //
 // Determinism contract (the reason this exists instead of ad-hoc printf):
-// every metric carries a class tag. kDeterministic metrics are functions of
-// the simulated event history alone, so their sampled values are
-// bit-identical across reruns, host machines and SweepRunner thread
-// counts. kDiagnostic metrics describe the machinery that *ran* the
-// simulation (allocator arenas) — useful on stderr, but excluded from
-// every byte-compared sink (--metrics-csv, the exp JSON `timeseries`
-// block).
+// every metric is a function of the simulated event history alone, so its
+// sampled values are bit-identical across reruns, host machines and
+// SweepRunner thread counts, and every metric reaches every sink
+// (--metrics-csv, the exp JSON `timeseries` block, --stats).
 //
 // Counters and histogram buckets are plain cells in one array. Gauges are
 // probes (callbacks into live simulator state) read at sample points.
@@ -24,10 +21,6 @@ namespace colibri::obs {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// kDeterministic: bit-identical across reruns / hosts / sweep threads.
-/// kDiagnostic: describes the simulation machinery; stderr only.
-enum class MetricClass : std::uint8_t { kDeterministic, kDiagnostic };
-
 /// Opaque handle returned at registration. For counters it is the cell row;
 /// for histograms the first of kHistogramBuckets consecutive rows; for
 /// gauges the probe index.
@@ -38,7 +31,6 @@ struct MetricId {
 struct MetricInfo {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  MetricClass cls = MetricClass::kDeterministic;
   std::uint32_t cell = 0;
 };
 
@@ -49,12 +41,9 @@ class Registry {
   static constexpr std::uint32_t kHistogramBuckets = 20;
 
   // --- Registration (serial, during System construction) -----------------
-  MetricId counter(std::string name,
-                   MetricClass cls = MetricClass::kDeterministic);
-  MetricId histogram(std::string name,
-                     MetricClass cls = MetricClass::kDeterministic);
-  MetricId gauge(std::string name, std::function<double()> probe,
-                 MetricClass cls = MetricClass::kDeterministic);
+  MetricId counter(std::string name);
+  MetricId histogram(std::string name);
+  MetricId gauge(std::string name, std::function<double()> probe);
 
   /// Drop the gauge probes (they capture the System, which is being
   /// destroyed); counter and histogram cells stay readable.

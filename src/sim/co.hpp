@@ -12,12 +12,10 @@
 #pragma once
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <utility>
 
 #include "sim/check.hpp"
-#include "sim/framepool.hpp"
 
 namespace colibri::sim {
 
@@ -30,12 +28,6 @@ template <typename T>
 struct CoPromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
-
-  // Coroutine frames come from the frame pool instead of the heap: a lock
-  // acquire awaits several Co frames per attempt, and on the default
-  // allocator that was one malloc/free each on the per-op hot path.
-  static void* operator new(std::size_t n) { return framepool::allocate(n); }
-  static void operator delete(void* p) noexcept { framepool::release(p); }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -14,23 +14,16 @@
 #pragma once
 
 #include <coroutine>
-#include <cstddef>
 #include <exception>
 #include <utility>
 
 #include "sim/check.hpp"
-#include "sim/framepool.hpp"
 
 namespace colibri::sim {
 
 class Task {
  public:
   struct promise_type {
-    /// Task frames live in the frame pool (size-class free lists) so that
-    /// spawning a thousand cores costs no per-frame heap traffic.
-    static void* operator new(std::size_t n) { return framepool::allocate(n); }
-    static void operator delete(void* p) noexcept { framepool::release(p); }
-
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }

@@ -6,7 +6,10 @@ namespace colibri::workloads {
 
 TicketQueue TicketQueue::create(arch::System& sys, std::uint32_t capacity,
                                 const std::vector<sim::Word>& prefill) {
-  COLIBRI_CHECK(capacity >= 1);
+  // With one slot, "full for ticket t" (seq t+1) and "free for ticket t+1"
+  // (seq h + capacity = t+1) are the same value: an enqueuer would
+  // overwrite a value its dequeuer has not read yet.
+  COLIBRI_CHECK_MSG(capacity >= 2, "ticket queue needs capacity >= 2");
   COLIBRI_CHECK(prefill.size() <= capacity);
   TicketQueue q;
   q.capacity_ = capacity;

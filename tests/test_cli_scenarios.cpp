@@ -131,13 +131,16 @@ TEST(CliDriver, StatsFlagPrintsCountersToStderrOnly) {
   // stdout is byte-identical with and without --stats (golden-corpus and
   // CI byte gates depend on this).
   EXPECT_EQ(statsOut, quietOut);
-  EXPECT_NE(statsErr.find("frame-pool:"), std::string::npos) << statsErr;
-  // --stats also routes the metric registry to stderr: deterministic and
-  // diagnostic metrics alike, as `obs: name = value` lines.
+  // --stats prints the metric registry to stderr, as `obs: name = value`
+  // lines, and nothing else.
   EXPECT_NE(statsErr.find("obs: core.issuedOps = "), std::string::npos)
       << statsErr;
-  EXPECT_NE(statsErr.find("obs: framepool.arenaBytes = "), std::string::npos)
+  EXPECT_NE(statsErr.find("obs: adapter.scSuccesses = "), std::string::npos)
       << statsErr;
+  std::istringstream lines(statsErr);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_EQ(line.rfind("obs: ", 0), 0u) << line;
+  }
 }
 
 TEST(CliDriver, UnknownFlagExitsNonzeroViaMain) {
@@ -161,9 +164,20 @@ TEST(CliDriver, UnknownAdapterListsChoices) {
 }
 
 TEST(CliDriver, BadGeometryIsAUsableError) {
-  std::ostringstream out, err;
-  EXPECT_EQ(runMain({"--cores", "10", "--cores-per-tile", "4"}, out, err), 2);
-  EXPECT_NE(err.str().find("--cores"), std::string::npos) << err.str();
+  {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain({"--cores", "10", "--cores-per-tile", "4"}, out, err),
+              2);
+    EXPECT_NE(err.str().find("--cores"), std::string::npos) << err.str();
+  }
+  {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain({"--adapter", "colibri", "--colibri-queues", "0"}, out,
+                      err),
+              2);
+    EXPECT_NE(err.str().find("--colibri-queues"), std::string::npos)
+        << err.str();
+  }
 }
 
 TEST(CliDriver, ListPrintsEveryScenario) {
@@ -279,6 +293,32 @@ TEST(CliDriver, ZeroRepsOrEmptyWindowIsAUsableError) {
     std::ostringstream out, err;
     EXPECT_EQ(runMain(args, out, err), 0) << extra[1] << ": " << err.str();
   }
+}
+
+TEST(CliDriver, SingleSlotTicketQueueIsAUsableError) {
+  // At capacity 1 the ticket queue cannot tell a full slot from a free one,
+  // so its dequeuers would poll forever. msqueue on amo runs the
+  // lock-based variant, which has no such slot protocol.
+  for (const auto& adapter : adapters()) {
+    std::ostringstream out, err;
+    const bool lockVariant = adapter.kind == arch::AdapterKind::kAmoOnly;
+    EXPECT_EQ(runMain(smallRun({"--adapter", adapter.name, "--workload",
+                                "msqueue", "--queue-capacity", "1"}),
+                      out, err),
+              lockVariant ? 0 : 2)
+        << adapter.name << ": " << err.str();
+    if (!lockVariant) {
+      EXPECT_NE(err.str().find("--queue-capacity"), std::string::npos)
+          << err.str();
+    }
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(runMain(smallRun({"--workload", "ticket_queue",
+                              "--queue-capacity", "1"}),
+                    out, err),
+            0)
+      << err.str();
+  EXPECT_NE(out.str().find("yes"), std::string::npos) << out.str();
 }
 
 TEST(CliDriver, ThreadsFlagDoesNotChangeTheResult) {

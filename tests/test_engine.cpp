@@ -1,13 +1,9 @@
-// Engine unit tests: time ordering, FIFO tie-break, horizons, teardown,
-// and the coroutine frame pool's steady state under a full System.
+// Engine unit tests: time ordering, FIFO tie-break, horizons and teardown.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "arch/system.hpp"
 #include "sim/engine.hpp"
-#include "sim/framepool.hpp"
-#include "sync/atomic.hpp"
 
 namespace colibri::sim {
 namespace {
@@ -126,49 +122,6 @@ TEST(Engine, CountsExecutedEvents) {
   }
   e.run();
   EXPECT_EQ(e.executedEvents(), 7u);
-}
-
-sim::Task incrementer(arch::System& sys, arch::Core& core, Addr a, int iters) {
-  auto rng = Xoshiro256::forStream(sys.config().seed, core.id());
-  sync::Backoff bo(sync::BackoffPolicy::fixed(32), rng);
-  for (int i = 0; i < iters; ++i) {
-    const auto r =
-        co_await sync::fetchAdd(core, sync::RmwFlavor::kLrsc, a, 1, bo);
-    EXPECT_TRUE(r.performed);
-  }
-}
-
-// Frame pool steady state: once a simulation's coroutine frames have been
-// seen, re-running the same workload recycles pooled blocks — the pool
-// serves every frame and the heap-fallback counter does not move.
-TEST(FramePool, ServesSteadyStateWithoutHeapFallback) {
-  auto runOnce = [] {
-    arch::SystemConfig cfg;
-    cfg.numCores = 64;
-    cfg.coresPerTile = 4;
-    cfg.tilesPerGroup = 2;
-    cfg.banksPerTile = 4;
-    cfg.wordsPerBank = 64;
-    cfg.adapter = arch::AdapterKind::kLrscSingle;
-    arch::System sys(cfg);
-    const auto a = sys.allocator().allocGlobal(1);
-    for (CoreId c = 0; c < cfg.numCores; ++c) {
-      sys.spawn(c, incrementer(sys, sys.core(c), a, 10));
-    }
-    sys.run();
-    sys.rethrowFailures();
-  };
-  runOnce();  // warm the size-class free lists
-  const auto pooledBefore = framepool::pooledFrameCount();
-  const auto heapBefore = framepool::heapFrameCount();
-  const auto arenaBefore = framepool::arenaBytes();
-  runOnce();
-  EXPECT_GT(framepool::pooledFrameCount(), pooledBefore)
-      << "coroutine frames bypassed the pool";
-  EXPECT_EQ(framepool::heapFrameCount(), heapBefore)
-      << "steady-state frame fell back to the system heap";
-  EXPECT_EQ(framepool::arenaBytes(), arenaBefore)
-      << "steady-state re-run grew the arena";
 }
 
 }  // namespace

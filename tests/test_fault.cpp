@@ -365,8 +365,8 @@ TEST(FaultCliTest, StatsLineReportsInjectionCounts) {
   std::ostringstream err;
   ASSERT_EQ(cli::runMain(args, out, err), 0) << err.str();
   const std::string stats = err.str();
-  EXPECT_NE(stats.find("fault: seed="), std::string::npos) << stats;
-  EXPECT_NE(stats.find("sc-fails="), std::string::npos) << stats;
+  EXPECT_NE(stats.find("obs: fault.scFails = "), std::string::npos) << stats;
+  EXPECT_NE(stats.find("obs: fault.seed = "), std::string::npos) << stats;
 }
 
 TEST(FaultCliTest, HangDemoExitsThreeWithBlame) {

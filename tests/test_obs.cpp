@@ -138,8 +138,9 @@ TEST(ObsRecorder, MetricsCsvIsByteIdenticalAcrossReruns) {
   const std::string first = metricsCsv();
   EXPECT_NE(first.find("cycle,"), std::string::npos);
   EXPECT_NE(first.find("core.issuedOps"), std::string::npos);
-  // Diagnostic metrics never reach the byte-compared sink.
-  EXPECT_EQ(first.find("framepool.arenaBytes"), std::string::npos);
+  EXPECT_NE(first.find("sync.rmwRetries"), std::string::npos);
+  // Histograms are emitted once, at the end, never as CSV columns.
+  EXPECT_EQ(first.find("core.opLatency"), std::string::npos);
   EXPECT_GT(std::count(first.begin(), first.end(), '\n'), 3);
 
   EXPECT_EQ(metricsCsv(), first) << "rerun changed sink bytes";
@@ -279,14 +280,49 @@ TEST(ObsCli, StatsRoutesThroughRegistry) {
   EXPECT_NE(r.err.find("obs: core.issuedOps = "), std::string::npos)
       << r.err;
   EXPECT_NE(r.err.find("obs: core.opLatency["), std::string::npos) << r.err;
-  // Diagnostic metrics do appear on stderr (unlike the byte-compared
-  // sinks), and --stats tolerates --reps > 1 (rep 0 is the observed one).
-  EXPECT_NE(r.err.find("obs: framepool.arenaBytes = "), std::string::npos);
+  EXPECT_NE(r.err.find("obs: engine.executedEvents = "), std::string::npos)
+      << r.err;
+  // --stats tolerates --reps > 1 (rep 0 is the observed one).
 
   auto reps = smallArgs();
   reps.emplace_back("--stats");
   reps.emplace_back("--reps=2");
   EXPECT_EQ(runCli(reps).rc, 0);
+}
+
+// Every metric reaches every sink: the CSV columns are exactly the
+// non-histogram metrics --stats prints, in the same order.
+TEST(ObsCli, MetricsCsvColumnsMatchStatsMetrics) {
+  const std::string csv = tmpPath("obs_cols.csv");
+  auto args = smallArgs();
+  for (const char* extra : {"--stats", "--fault", "chaos"}) {
+    args.emplace_back(extra);
+  }
+  args.emplace_back("--metrics-csv=" + csv);
+  const auto r = runCli(args);
+  ASSERT_EQ(r.rc, 0) << r.err;
+
+  std::vector<std::string> statsNames;
+  std::istringstream errLines(r.err);
+  for (std::string line; std::getline(errLines, line);) {
+    ASSERT_EQ(line.rfind("obs: ", 0), 0u) << line;
+    const std::string name = line.substr(5, line.find(" = ") - 5);
+    if (name.find('[') == std::string::npos) {
+      statsNames.push_back(name);
+    }
+  }
+  const std::string body = slurp(csv);
+  std::istringstream header(body.substr(0, body.find('\n')));
+  std::vector<std::string> csvNames;
+  for (std::string col; std::getline(header, col, ',');) {
+    csvNames.push_back(col);
+  }
+  ASSERT_FALSE(csvNames.empty());
+  EXPECT_EQ(csvNames.front(), "cycle");
+  csvNames.erase(csvNames.begin());
+  EXPECT_EQ(csvNames, statsNames);
+  EXPECT_NE(std::find(csvNames.begin(), csvNames.end(), "fault.seed"),
+            csvNames.end());
 }
 
 TEST(ObsCli, SinkFlagMisuseIsRejected) {

@@ -1,6 +1,6 @@
 // TicketQueue unit tests: single-core round trips, prefill, blocking
 // semantics (full queue blocks producers, empty queue blocks consumers),
-// and multi-core conservation.
+// the capacity floor, and multi-core conservation.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -112,6 +112,14 @@ TEST(TicketQueue, EnqueueBlocksWhenFull) {
   sys.run();
   sys.rethrowFailures();
   EXPECT_GE(enqueuedAt, 150u);  // had to wait for the slot to free
+}
+
+// One slot cannot tell "full for ticket t" (seq t+1) from "free for ticket
+// t+1" (seq h + capacity = t+1), so create() refuses it.
+TEST(TicketQueue, RejectsSingleSlotCapacity) {
+  System sys(colibriCfg());
+  EXPECT_THROW((void)TicketQueue::create(sys, 1), sim::InvariantViolation);
+  EXPECT_THROW((void)TicketQueue::create(sys, 0), sim::InvariantViolation);
 }
 
 class TicketQueueFlavors
