@@ -10,23 +10,23 @@
 namespace colibri::arch {
 
 Bank::Bank(sim::Engine& engine, Network& net, CoreSink& sink,
-           const SystemConfig& cfg, BankId id)
+           const SystemConfig& cfg, BankId id, Word* spm)
     : engine_(engine),
       net_(net),
       sink_(sink),
-      cfg_(cfg),
       id_(id),
-      port_(cfg.bankPortsPerCycle),
-      words_(cfg.wordsPerBank, 0) {
+      numCores_(cfg.numCores),
+      numBanks_(cfg.numBanks()),
+      numWords_(cfg.numWords()),
+      spm_(spm),
+      port_(cfg.bankPortsPerCycle) {
   adapter_ = atomics::makeAdapter(cfg, *this);
 }
 
-std::uint64_t Bank::offsetOf(Addr a) const {
-  COLIBRI_CHECK_MSG(a % cfg_.numBanks() == id_,
+void Bank::checkOwned(Addr a) const {
+  COLIBRI_CHECK_MSG(a % numBanks_ == id_,
                     "address " << a << " does not map to bank " << id_);
-  const std::uint64_t off = a / cfg_.numBanks();
-  COLIBRI_CHECK(off < words_.size());
-  return off;
+  COLIBRI_CHECK(a < numWords_);
 }
 
 void Bank::receive(const MemRequest& req) {
@@ -58,9 +58,15 @@ void Bank::receive(const MemRequest& req) {
   engine_.scheduleAt(serveAt, std::move(serve));
 }
 
-Word Bank::read(Addr a) const { return words_[offsetOf(a)]; }
+Word Bank::read(Addr a) const {
+  checkOwned(a);
+  return spm_[a];
+}
 
-void Bank::writeRaw(Addr a, Word v) { words_[offsetOf(a)] = v; }
+void Bank::writeRaw(Addr a, Word v) {
+  checkOwned(a);
+  spm_[a] = v;
+}
 
 void Bank::respond(CoreId c, const MemResponse& r) {
   // Responses ride dedicated return paths (no shared stages), so the

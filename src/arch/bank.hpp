@@ -1,15 +1,15 @@
-// Memory bank: word storage + single-ported access + the atomic adapter.
+// Memory bank: single-ported access + the atomic adapter.
 //
 // One Bank models one SPM bank. Requests arriving from the network are
 // serialized through the bank port (bankPortsPerCycle per cycle, FIFO) and
 // then handed to the adapter. The Bank implements BankContext so the
 // adapter can read/write storage and emit responses/protocol messages.
+// The words themselves live in the System's address-indexed SPM array;
+// the bank only checks that an address is its own and in range.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "arch/address.hpp"
 #include "arch/config.hpp"
@@ -41,8 +41,10 @@ struct BankStats {
 
 class Bank final : public atomics::BankContext {
  public:
+  /// `spm` is the System's SPM, indexed by address: cfg.numWords() words
+  /// that must outlive the bank.
   Bank(sim::Engine& engine, Network& net, CoreSink& sink,
-       const SystemConfig& cfg, BankId id);
+       const SystemConfig& cfg, BankId id, Word* spm);
 
   /// Entry point from the network: arbitrate the port, then run the adapter.
   void receive(const MemRequest& req);
@@ -55,9 +57,7 @@ class Bank final : public atomics::BankContext {
                            bool successorIsMwait) override;
   [[nodiscard]] sim::Cycle now() const override { return engine_.now(); }
   [[nodiscard]] BankId bankId() const override { return id_; }
-  [[nodiscard]] std::uint32_t numCores() const override {
-    return cfg_.numCores;
-  }
+  [[nodiscard]] std::uint32_t numCores() const override { return numCores_; }
 
   /// Cycles a request arriving now would wait for the bank port — the
   /// congestion signal the network's backpressure proxy uses.
@@ -85,18 +85,21 @@ class Bank final : public atomics::BankContext {
   void resetStats();
 
  private:
-  [[nodiscard]] std::uint64_t offsetOf(Addr a) const;
+  /// Check that `a` maps to this bank and lies inside the SPM.
+  void checkOwned(Addr a) const;
 
   sim::Engine& engine_;
   Network& net_;
   CoreSink& sink_;
-  SystemConfig cfg_;
   BankId id_;
+  std::uint32_t numCores_;
+  std::uint32_t numBanks_;
+  std::uint64_t numWords_;
+  Word* spm_;  ///< the System's storage, indexed by address
   sim::ThroughputResource port_;
   sim::Cycle lastServe_ = 0;  ///< stall clamp: service stays in-order
   fault::FaultPlan* fault_ = nullptr;
   const obs::SimHooks* hooks_ = nullptr;
-  std::vector<Word> words_;
   std::unique_ptr<atomics::AtomicAdapter> adapter_;
   BankStats stats_;
 };

@@ -1,17 +1,8 @@
 #include "arch/network.hpp"
 
-#include <type_traits>
-#include <utility>
-
 #include "fault/fault.hpp"
 
 namespace colibri::arch {
-
-// The network only relays events built at the injection sites (core.cpp,
-// bank.cpp, system.cpp), where their closures are asserted to fit inline;
-// relaying must itself stay allocation-free, i.e. moves never allocate.
-static_assert(std::is_nothrow_move_constructible_v<sim::InlineEvent> &&
-              std::is_nothrow_move_assignable_v<sim::InlineEvent>);
 
 namespace {
 
@@ -24,28 +15,38 @@ constexpr std::size_t kDistanceClasses = 3;
 
 }  // namespace
 
-Network::Network(Engine& engine, const SystemConfig& cfg)
-    : engine_(engine), topo_(cfg), cfg_(cfg) {
-  const std::uint32_t groups = cfg.numGroups();
-  localRouters_.reserve(groups);
-  groupEgress_.reserve(groups);
-  for (std::uint32_t g = 0; g < groups; ++g) {
+Network::Network(const SystemConfig& cfg)
+    : topo_(cfg),
+      numCores_(cfg.numCores),
+      numBanks_(cfg.numBanks()),
+      numGroups_(cfg.numGroups()),
+      latency_{cfg.latLocalTile, cfg.latSameGroup, cfg.latRemoteGroup} {
+  corePlace_.reserve(numCores_);
+  for (CoreId c = 0; c < numCores_; ++c) {
+    corePlace_.push_back({topo_.tileOfCore(c), topo_.groupOfCore(c)});
+  }
+  bankPlace_.reserve(numBanks_);
+  for (BankId b = 0; b < numBanks_; ++b) {
+    bankPlace_.push_back({topo_.tileOfBank(b), topo_.groupOfBank(b)});
+  }
+  localRouters_.reserve(numGroups_);
+  groupEgress_.reserve(numGroups_);
+  for (GroupId g = 0; g < numGroups_; ++g) {
     localRouters_.emplace_back(cfg.localGroupBandwidth);
     groupEgress_.emplace_back(cfg.localGroupBandwidth);
   }
-  groupLinks_.reserve(static_cast<std::size_t>(groups) * groups);
-  for (std::uint32_t i = 0; i < groups * groups; ++i) {
+  groupLinks_.reserve(static_cast<std::size_t>(numGroups_) * numGroups_);
+  for (std::uint32_t i = 0; i < numGroups_ * numGroups_; ++i) {
     groupLinks_.emplace_back(cfg.groupLinkBandwidth);
   }
   tileIngress_.reserve(cfg.numTiles());
   for (std::uint32_t t = 0; t < cfg.numTiles(); ++t) {
     tileIngress_.emplace_back(cfg.tileIngressBandwidth);
   }
-  lastRequestToBank_.assign(cfg.numBanks() * kDistanceClasses, 0);
-  lastResponseFromBank_.assign(cfg.numBanks() * kDistanceClasses, 0);
+  lastRequestToBank_.assign(numBanks_ * kDistanceClasses, 0);
+  lastResponseFromBank_.assign(numBanks_ * kDistanceClasses, 0);
 #ifndef NDEBUG
-  const std::size_t pairs =
-      static_cast<std::size_t>(cfg.numCores) * cfg.numBanks();
+  const std::size_t pairs = static_cast<std::size_t>(numCores_) * numBanks_;
   if (pairs <= kDenseCheckMaxPairs) {
     denseCoreToBank_.assign(pairs, 0);
     denseBankToCore_.assign(pairs, 0);
@@ -63,21 +64,8 @@ std::size_t Network::denseClampBytes(const SystemConfig& cfg) {
          sizeof(Cycle);
 }
 
-Cycle Network::baseLatency(Distance d) const {
-  switch (d) {
-    case Distance::kLocalTile:
-      return cfg_.latLocalTile;
-    case Distance::kSameGroup:
-      return cfg_.latSameGroup;
-    case Distance::kRemoteGroup:
-      return cfg_.latRemoteGroup;
-  }
-  return cfg_.latRemoteGroup;
-}
-
-Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
-                                  TileId dstTile, Distance d, Cycle at,
-                                  std::uint32_t holdSlots) {
+Cycle Network::acquireRequestPath(Placement src, Placement dst, Distance d,
+                                  Cycle at, std::uint32_t holdSlots) {
   // A message with holdSlots > 1 occupies each shared stage for several
   // consecutive slots: the backpressure proxy for requests heading into a
   // backlogged bank (their flits sit in switch buffers, blocking others).
@@ -87,19 +75,19 @@ Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
     case Distance::kSameGroup: {
       // The group's local (inter-tile) crossbar — the only shared stage on
       // the intra-group path, touched by no other group's traffic.
-      const Cycle granted = localRouters_[srcGroup].acquire(at, holdSlots);
+      const Cycle granted = localRouters_[src.group].acquire(at, holdSlots);
       stats_.totalQueueingDelay += granted - at;
       return granted;
     }
     case Distance::kRemoteGroup: {
       // Source-group egress port, directed inter-group link, destination
       // tile's remote ingress — all touched only by remote traffic.
-      const Cycle egress = groupEgress_[srcGroup].acquire(at, holdSlots);
+      const Cycle egress = groupEgress_[src.group].acquire(at, holdSlots);
       const std::size_t link =
-          static_cast<std::size_t>(srcGroup) * cfg_.numGroups() + dstGroup;
+          static_cast<std::size_t>(src.group) * numGroups_ + dst.group;
       const Cycle linkCleared = groupLinks_[link].acquire(egress, holdSlots);
       const Cycle granted =
-          tileIngress_[dstTile].acquire(linkCleared, holdSlots);
+          tileIngress_[dst.tile].acquire(linkCleared, holdSlots);
       stats_.totalQueueingDelay += granted - at;
       return granted;
     }
@@ -109,18 +97,17 @@ Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
 
 Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
                             std::uint32_t holdSlots) {
-  COLIBRI_CHECK_MSG(c < cfg_.numCores && b < cfg_.numBanks(),
+  COLIBRI_CHECK_MSG(c < numCores_ && b < numBanks_,
                     "routeRequest with out-of-range endpoint: core "
                         << c << " bank " << b);
-  const TileId srcTile = topo_.tileOfCore(c);
-  const TileId dstTile = topo_.tileOfBank(b);
-  const Distance d = topo_.distance(srcTile, dstTile);
+  const Placement src = corePlace_[c];
+  const Placement dst = bankPlace_[b];
+  const Distance d = distance(src, dst);
   stats_.messagesByDistance[static_cast<std::size_t>(d)]++;
   stats_.totalMessages++;
 
-  const Cycle cleared = acquireRequestPath(
-      topo_.groupOfTile(srcTile), topo_.groupOfTile(dstTile), dstTile, d, at,
-      holdSlots == 0 ? 1 : holdSlots);
+  const Cycle cleared =
+      acquireRequestPath(src, dst, d, at, holdSlots == 0 ? 1 : holdSlots);
   // FIFO clamp: no message of a class may be delivered into this bank
   // earlier than its predecessor of the same class. Per-pair FIFO follows
   // (a pair is a subsequence of its (bank, class) stream), and the clamp
@@ -151,7 +138,7 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
     // Exhaustive cross-check against the retired dense per-pair clamp: the
     // sparse layout must deliver exactly what the dense one would have.
     Cycle& pairLast =
-        denseCoreToBank_[static_cast<std::size_t>(c) * cfg_.numBanks() + b];
+        denseCoreToBank_[static_cast<std::size_t>(c) * numBanks_ + b];
     const Cycle denseArrive = arrive < pairLast ? pairLast : arrive;
     COLIBRI_CHECK_MSG(denseArrive == arrive,
                       "sparse clamp diverged from dense per-pair clamp: core "
@@ -164,12 +151,10 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
 }
 
 Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
-  COLIBRI_CHECK_MSG(c < cfg_.numCores && b < cfg_.numBanks(),
+  COLIBRI_CHECK_MSG(c < numCores_ && b < numBanks_,
                     "routeResponse with out-of-range endpoint: bank "
                         << b << " core " << c);
-  const TileId srcTile = topo_.tileOfBank(b);
-  const TileId dstTile = topo_.tileOfCore(c);
-  const Distance d = topo_.distance(srcTile, dstTile);
+  const Distance d = distance(bankPlace_[b], corePlace_[c]);
   stats_.messagesByDistance[static_cast<std::size_t>(d)]++;
   stats_.totalMessages++;
 
@@ -194,7 +179,7 @@ Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
 #ifndef NDEBUG
   if (!denseBankToCore_.empty()) {
     Cycle& pairLast =
-        denseBankToCore_[static_cast<std::size_t>(b) * cfg_.numCores + c];
+        denseBankToCore_[static_cast<std::size_t>(b) * numCores_ + c];
     const Cycle denseArrive = arrive < pairLast ? pairLast : arrive;
     COLIBRI_CHECK_MSG(denseArrive == arrive,
                       "sparse clamp diverged from dense per-pair clamp: bank "
@@ -204,16 +189,6 @@ Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
   }
 #endif
   return arrive;
-}
-
-void Network::coreToBank(CoreId c, BankId b, sim::InlineEvent onArrive,
-                         std::uint32_t holdSlots) {
-  engine_.scheduleAt(routeRequest(c, b, engine_.now(), holdSlots),
-                     std::move(onArrive));
-}
-
-void Network::bankToCore(BankId b, CoreId c, sim::InlineEvent onArrive) {
-  engine_.scheduleAt(routeResponse(b, c, engine_.now()), std::move(onArrive));
 }
 
 void Network::resetStats() {

@@ -40,8 +40,6 @@
 
 #include "arch/config.hpp"
 #include "arch/topology.hpp"
-#include "sim/engine.hpp"
-#include "sim/event.hpp"
 #include "sim/resource.hpp"
 #include "sim/types.hpp"
 
@@ -52,7 +50,6 @@ class FaultPlan;
 namespace colibri::arch {
 
 using sim::Cycle;
-using sim::Engine;
 
 /// Per-distance-class traffic counters (for the energy model).
 struct NetworkStats {
@@ -69,7 +66,7 @@ struct NetworkStats {
 
 class Network {
  public:
-  Network(Engine& engine, const SystemConfig& cfg);
+  explicit Network(const SystemConfig& cfg);
 
   /// Route a request departing core `c` at cycle `at` towards bank `b`:
   /// acquires the shared stages (link queueing), applies the per-pair FIFO
@@ -86,15 +83,10 @@ class Network {
   /// the delivery cycle.
   Cycle routeResponse(BankId b, CoreId c, Cycle at);
 
-  /// Convenience wrappers over route*: schedule `onArrive` on the engine
-  /// at the computed delivery cycle. (Unit tests drive the network this
-  /// way; System and Bank build their closures in place instead.)
-  void coreToBank(CoreId c, BankId b, sim::InlineEvent onArrive,
-                  std::uint32_t holdSlots = 1);
-  void bankToCore(BankId b, CoreId c, sim::InlineEvent onArrive);
-
   /// One-way latency (without queueing) for a distance class.
-  [[nodiscard]] Cycle baseLatency(Distance d) const;
+  [[nodiscard]] Cycle baseLatency(Distance d) const {
+    return latency_[static_cast<std::size_t>(d)];
+  }
 
   /// Aggregated traffic counters.
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
@@ -123,15 +115,36 @@ class Network {
   [[nodiscard]] static std::size_t denseClampBytes(const SystemConfig& cfg);
 
  private:
+  /// Where an endpoint sits: its tile and that tile's group.
+  struct Placement {
+    TileId tile;
+    GroupId group;
+  };
+
+  [[nodiscard]] static Distance distance(Placement src, Placement dst) {
+    if (src.tile == dst.tile) {
+      return Distance::kLocalTile;
+    }
+    return src.group == dst.group ? Distance::kSameGroup
+                                  : Distance::kRemoteGroup;
+  }
+
   /// Claim the request path's shared stages for a message departing at
   /// `at`; returns the cycle it clears the last contended stage. Queueing
   /// delay counts into the stats.
-  Cycle acquireRequestPath(GroupId srcGroup, GroupId dstGroup, TileId dstTile,
-                           Distance d, Cycle at, std::uint32_t holdSlots);
+  Cycle acquireRequestPath(Placement src, Placement dst, Distance d, Cycle at,
+                           std::uint32_t holdSlots);
 
-  Engine& engine_;
   Topology topo_;
-  SystemConfig cfg_;
+  std::uint32_t numCores_;
+  std::uint32_t numBanks_;
+  std::uint32_t numGroups_;
+  // Placement of every core and every bank and the latency of every
+  // distance class, precomputed from topo_ so routing a message is table
+  // lookups: no Topology division on the hot path.
+  std::vector<Placement> corePlace_;
+  std::vector<Placement> bankPlace_;
+  std::array<Cycle, 3> latency_;
   // Shared stages, each owned by exactly one distance class (see header
   // comment): same-group traffic uses the group's local router; remote
   // traffic uses source egress -> directed link -> destination ingress.

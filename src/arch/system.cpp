@@ -1,6 +1,9 @@
 #include "arch/system.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -13,13 +16,37 @@
 
 namespace colibri::arch {
 
-System::System(const SystemConfig& cfg)
-    : cfg_(cfg), net_(engine_, cfg), alloc_(cfg) {
-  cfg_.validate();
+SpmStorage::SpmStorage(std::uint64_t words)
+    : words_(nullptr), bytes_(words * sizeof(sim::Word)) {
+  void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  words_ = static_cast<sim::Word*>(p);
+}
 
-  banks_.reserve(cfg_.numBanks());
-  for (BankId b = 0; b < cfg_.numBanks(); ++b) {
-    banks_.push_back(std::make_unique<Bank>(engine_, net_, *this, cfg_, b));
+SpmStorage::~SpmStorage() { munmap(words_, bytes_); }
+
+namespace {
+
+const SystemConfig& validated(const SystemConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+
+}  // namespace
+
+System::System(const SystemConfig& cfg)
+    : cfg_(validated(cfg)),
+      net_(cfg_),
+      alloc_(cfg_),
+      spm_(cfg_.numWords()) {
+  const BankId numBanks = cfg_.numBanks();
+  banks_.reserve(numBanks);
+  for (BankId b = 0; b < numBanks; ++b) {
+    banks_.push_back(
+        std::make_unique<Bank>(engine_, net_, *this, cfg_, b, spm_.data()));
   }
 
   qnodes_.reserve(cfg_.numCores);
@@ -257,11 +284,11 @@ void System::spawn(CoreId c, sim::Task task) {
 }
 
 sim::Word System::peek(sim::Addr a) const {
-  return banks_[a % cfg_.numBanks()]->read(a);
+  return banks_[a % banks_.size()]->read(a);
 }
 
 void System::poke(sim::Addr a, sim::Word v) {
-  banks_[a % cfg_.numBanks()]->writeRaw(a, v);
+  banks_[a % banks_.size()]->writeRaw(a, v);
 }
 
 void System::run() { engine_.run(); }
@@ -288,7 +315,7 @@ bool System::allTasksDone() const {
 }
 
 void System::injectRequest(CoreId from, const MemRequest& req) {
-  const BankId b = static_cast<BankId>(req.addr % cfg_.numBanks());
+  const BankId b = static_cast<BankId>(req.addr % banks_.size());
   auto arrive = [this, b, req] { banks_[b]->receive(req); };
   static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
                 "request-injection closure must fit the inline event buffer");
@@ -345,7 +372,7 @@ std::string System::blameReport(sim::Cycle now) const {
     const CoreHot& h = coreHot_[c];
     os << "  core " << c << ": ";
     if (h.pendingHandle != nullptr) {
-      const BankId b = static_cast<BankId>(h.pendingAddr % cfg_.numBanks());
+      const BankId b = static_cast<BankId>(h.pendingAddr % banks_.size());
       os << "waiting on " << toString(h.pendingKind) << " to addr "
          << h.pendingAddr << " (bank " << b << ") since cycle "
          << h.pendingSince;

@@ -7,6 +7,7 @@
 // event can touch a dead frame.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -30,6 +31,25 @@ struct SimHooks;
 
 namespace colibri::arch {
 
+/// The SPM's words as one anonymous private mapping, indexed by address.
+/// The kernel backs it with shared zero pages until a word is written, so
+/// mapping it writes nothing and untouched words cost no resident memory
+/// (a zero-filled vector would touch every page at construction).
+class SpmStorage {
+ public:
+  explicit SpmStorage(std::uint64_t words);
+  ~SpmStorage();
+
+  SpmStorage(const SpmStorage&) = delete;
+  SpmStorage& operator=(const SpmStorage&) = delete;
+
+  [[nodiscard]] sim::Word* data() const { return words_; }
+
+ private:
+  sim::Word* words_;
+  std::size_t bytes_;
+};
+
 class System final : public CoreSink {
  public:
   explicit System(const SystemConfig& cfg);
@@ -48,7 +68,9 @@ class System final : public CoreSink {
   [[nodiscard]] Bank& bank(BankId b) { return *banks_[b]; }
   [[nodiscard]] atomics::Qnode& qnode(CoreId c) { return qnodes_[c]; }
   [[nodiscard]] std::uint32_t numCores() const { return cfg_.numCores; }
-  [[nodiscard]] std::uint32_t numBanks() const { return cfg_.numBanks(); }
+  [[nodiscard]] std::uint32_t numBanks() const {
+    return static_cast<std::uint32_t>(banks_.size());
+  }
 
   /// Attach a workload coroutine to a core and start it at the current time.
   void spawn(CoreId c, sim::Task task);
@@ -119,6 +141,7 @@ class System final : public CoreSink {
   sim::Engine engine_;
   Network net_;
   Allocator alloc_;
+  SpmStorage spm_;  // declared before banks_: it must outlive them
   std::vector<std::unique_ptr<Bank>> banks_;
   std::vector<atomics::Qnode> qnodes_;
   std::vector<CoreHot> coreHot_;  // dense hot state, one slot per core

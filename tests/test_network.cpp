@@ -1,7 +1,9 @@
 // Network model tests: distance latencies, FIFO-per-pair delivery, link
-// contention, statistics.
+// contention, statistics, and the precomputed placement tables.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
 #include <vector>
 
 #include "arch/network.hpp"
@@ -12,49 +14,41 @@ namespace {
 
 SystemConfig cfg() { return SystemConfig::smallTest(); }
 
+// Route a request departing core `c` now and schedule `onArrive` at its
+// delivery cycle, the way System::injectRequest does.
+template <typename F>
+void send(sim::Engine& e, Network& n, CoreId c, BankId b, F&& onArrive) {
+  e.scheduleAt(n.routeRequest(c, b, e.now()), std::forward<F>(onArrive));
+}
+
 TEST(Network, LocalTileLatency) {
-  sim::Engine e;
-  Network n(e, cfg());
-  sim::Cycle arrived = 0;
-  n.coreToBank(0, 0, [&] { arrived = e.now(); });  // core 0, bank 0: tile 0
-  e.run();
-  EXPECT_EQ(arrived, cfg().latLocalTile);
+  Network n(cfg());
+  // core 0, bank 0: tile 0
+  EXPECT_EQ(n.routeRequest(0, 0, 0), cfg().latLocalTile);
 }
 
 TEST(Network, SameGroupLatency) {
-  sim::Engine e;
-  Network n(e, cfg());
-  sim::Cycle arrived = 0;
-  n.coreToBank(0, 4, [&] { arrived = e.now(); });  // tile 0 -> tile 1
-  e.run();
-  EXPECT_EQ(arrived, cfg().latSameGroup);
+  Network n(cfg());
+  EXPECT_EQ(n.routeRequest(0, 4, 0), cfg().latSameGroup);  // tile 0 -> 1
 }
 
 TEST(Network, RemoteGroupLatency) {
-  sim::Engine e;
-  Network n(e, cfg());
-  sim::Cycle arrived = 0;
-  n.coreToBank(0, 12, [&] { arrived = e.now(); });  // group 0 -> group 1
-  e.run();
-  EXPECT_EQ(arrived, cfg().latRemoteGroup);
+  Network n(cfg());
+  EXPECT_EQ(n.routeRequest(0, 12, 0), cfg().latRemoteGroup);  // group 0 -> 1
 }
 
 TEST(Network, ResponsePathMirrorsLatency) {
-  sim::Engine e;
-  Network n(e, cfg());
-  sim::Cycle arrived = 0;
-  n.bankToCore(12, 0, [&] { arrived = e.now(); });
-  e.run();
-  EXPECT_EQ(arrived, cfg().latRemoteGroup);
+  Network n(cfg());
+  EXPECT_EQ(n.routeResponse(12, 0, 0), cfg().latRemoteGroup);
 }
 
 TEST(Network, SamePairDeliveryIsFifo) {
   sim::Engine e;
-  Network n(e, cfg());
+  Network n(cfg());
   std::vector<int> order;
   // Saturate the link so queueing occurs, then check arrival order.
   for (int i = 0; i < 40; ++i) {
-    n.coreToBank(0, 12, [&order, i] { order.push_back(i); });
+    send(e, n, 0, 12, [&order, i] { order.push_back(i); });
   }
   e.run();
   ASSERT_EQ(order.size(), 40u);
@@ -66,13 +60,11 @@ TEST(Network, SamePairDeliveryIsFifo) {
 TEST(Network, GroupLinkLimitsThroughput) {
   auto c = cfg();
   c.groupLinkBandwidth = 1;
-  sim::Engine e;
-  Network n(e, c);
+  Network n(c);
   std::vector<sim::Cycle> arrivals;
   for (int i = 0; i < 8; ++i) {
-    n.coreToBank(0, 12, [&] { arrivals.push_back(e.now()); });
+    arrivals.push_back(n.routeRequest(0, 12, 0));
   }
-  e.run();
   // With bandwidth 1, one message clears the link per cycle.
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i] - arrivals[i - 1], 1u);
@@ -84,32 +76,25 @@ TEST(Network, LocalTileBypassesSharedLinks) {
   auto c = cfg();
   c.groupLinkBandwidth = 1;
   c.localGroupBandwidth = 1;
-  sim::Engine e;
-  Network n(e, c);
-  std::vector<sim::Cycle> arrivals;
-  for (int i = 0; i < 8; ++i) {
-    n.coreToBank(0, 0, [&] { arrivals.push_back(e.now()); });
-  }
-  e.run();
+  Network n(c);
   // All local-tile messages arrive together: no shared stage.
-  for (const auto a : arrivals) {
-    EXPECT_EQ(a, c.latLocalTile);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(n.routeRequest(0, 0, 0), c.latLocalTile);
   }
 }
 
 TEST(Network, CountsMessagesByDistance) {
-  sim::Engine e;
-  Network n(e, cfg());
-  n.coreToBank(0, 0, [] {});
-  n.coreToBank(0, 4, [] {});
-  n.coreToBank(0, 12, [] {});
-  n.coreToBank(0, 12, [] {});
-  e.run();
+  Network n(cfg());
+  (void)n.routeRequest(0, 0, 0);
+  (void)n.routeRequest(0, 4, 0);
+  (void)n.routeRequest(0, 12, 0);
+  (void)n.routeRequest(0, 12, 0);
+  (void)n.routeResponse(12, 0, 0);
   const auto& s = n.stats();
   EXPECT_EQ(s.messagesByDistance[0], 1u);
   EXPECT_EQ(s.messagesByDistance[1], 1u);
-  EXPECT_EQ(s.messagesByDistance[2], 2u);
-  EXPECT_EQ(s.totalMessages, 4u);
+  EXPECT_EQ(s.messagesByDistance[2], 3u);
+  EXPECT_EQ(s.totalMessages, 5u);
   n.resetStats();
   EXPECT_EQ(n.stats().totalMessages, 0u);
 }
@@ -120,18 +105,65 @@ TEST(Network, CrossTrafficPreservesPerPairOrder) {
   auto c = cfg();
   c.groupLinkBandwidth = 2;
   sim::Engine e;
-  Network n(e, c);
+  Network n(c);
   std::vector<int> pairA;
   std::vector<int> pairB;
   for (int i = 0; i < 20; ++i) {
-    n.coreToBank(0, 12, [&pairA, i] { pairA.push_back(i); });
-    n.coreToBank(1, 13, [&pairB, i] { pairB.push_back(i); });
+    send(e, n, 0, 12, [&pairA, i] { pairA.push_back(i); });
+    send(e, n, 1, 13, [&pairB, i] { pairB.push_back(i); });
   }
   e.run();
+  ASSERT_EQ(pairA.size(), 20u);
+  ASSERT_EQ(pairB.size(), 20u);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(pairA[static_cast<std::size_t>(i)], i);
     EXPECT_EQ(pairB[static_cast<std::size_t>(i)], i);
   }
+}
+
+// The precomputed placement tables must classify every (core, bank) pair
+// exactly as Topology does, also when no size is a power of two (10 tiles
+// of 3 cores, 2 groups of 5 tiles, 70 banks). Departures are spaced far
+// enough apart that no message queues behind another, so each delivery is
+// the departure cycle plus the class's base latency, in both directions.
+TEST(Network, PlacementTablesMatchTopologyOnOddGeometry) {
+  SystemConfig c;
+  c.numCores = 30;
+  c.coresPerTile = 3;
+  c.tilesPerGroup = 5;
+  c.banksPerTile = 7;
+  c.latLocalTile = 1;
+  c.latSameGroup = 4;
+  c.latRemoteGroup = 9;
+  c.validate();
+  ASSERT_EQ(c.numBanks(), 70u);
+  ASSERT_EQ(c.numGroups(), 2u);
+  const Topology topo(c);
+  Network n(c);
+  constexpr sim::Cycle kSpacing = 64;  // far beyond any hold or latency
+  sim::Cycle at = 0;
+  std::array<std::uint64_t, 3> byClass{};
+  for (CoreId core = 0; core < c.numCores; ++core) {
+    for (BankId bank = 0; bank < c.numBanks(); ++bank) {
+      const Distance d = topo.coreToBank(core, bank);
+      ++byClass[static_cast<std::size_t>(d)];
+      EXPECT_EQ(n.routeRequest(core, bank, at), at + n.baseLatency(d))
+          << "core " << core << " -> bank " << bank;
+      EXPECT_EQ(n.routeResponse(bank, core, at), at + n.baseLatency(d))
+          << "bank " << bank << " -> core " << core;
+      at += kSpacing;
+    }
+  }
+  EXPECT_EQ(n.baseLatency(Distance::kLocalTile), 1u);
+  EXPECT_EQ(n.baseLatency(Distance::kSameGroup), 4u);
+  EXPECT_EQ(n.baseLatency(Distance::kRemoteGroup), 9u);
+  // Every class is exercised: 30 cores x 7 banks in their own tile, x 28
+  // in the other four tiles of their group, x 35 in the other group.
+  EXPECT_EQ(byClass[0], 30u * 7);
+  EXPECT_EQ(byClass[1], 30u * 28);
+  EXPECT_EQ(byClass[2], 30u * 35);
+  EXPECT_EQ(n.stats().totalMessages, 2u * 30 * 70);
+  EXPECT_EQ(n.stats().totalQueueingDelay, 0u);
 }
 
 }  // namespace

@@ -113,6 +113,41 @@ TEST(System, FourKCoresRunSparseClampWithinMemoryBound) {
   EXPECT_EQ(sys.peek(a), 4096u * 2u);
 }
 
+// SPM storage is one address-indexed array shared by all banks, so each
+// bank must guard it: it accepts only its own addresses, and only below
+// numWords(). peek/poke reach the last word of the last bank, and words
+// nobody wrote read as zero.
+TEST(System, SpmStorageBoundsAndOwnership) {
+  const auto cfg = SystemConfig::smallTest();  // 16 banks x 64 words
+  System sys(cfg);
+  const sim::Addr words = cfg.numWords();
+  const sim::Addr last = words - 1;
+  const BankId lastBank = cfg.numBanks() - 1;
+  ASSERT_EQ(last % cfg.numBanks(), lastBank);
+  for (sim::Addr a = 0; a < words; ++a) {
+    ASSERT_EQ(sys.peek(a), 0u) << "addr " << a;
+  }
+  sys.poke(last, 0xDEADBEEF);
+  EXPECT_EQ(sys.peek(last), 0xDEADBEEFu);
+  EXPECT_EQ(sys.bank(lastBank).read(last), 0xDEADBEEFu);
+  EXPECT_EQ(sys.peek(last - cfg.numBanks()), 0u);
+
+  // Another bank's address.
+  Bank& first = sys.bank(0);
+  EXPECT_THROW((void)first.read(1), sim::InvariantViolation);
+  EXPECT_THROW(first.writeRaw(1, 5), sim::InvariantViolation);
+  EXPECT_THROW((void)first.read(last), sim::InvariantViolation);
+  // Past the end, at addresses the bank would otherwise own.
+  EXPECT_THROW((void)first.read(words), sim::InvariantViolation);
+  EXPECT_THROW(first.writeRaw(words, 5), sim::InvariantViolation);
+  EXPECT_THROW((void)sys.bank(lastBank).read(last + cfg.numBanks()),
+               sim::InvariantViolation);
+  EXPECT_THROW((void)sys.peek(words), sim::InvariantViolation);
+  EXPECT_THROW(sys.poke(words + 3, 1), sim::InvariantViolation);
+  // The rejected writes stored nothing.
+  EXPECT_EQ(sys.peek(1), 0u);
+}
+
 sim::Task sleeper(System& sys, Core& core, sim::Addr a) {
   (void)sys;
   const auto r = co_await core.lrWait(a);
