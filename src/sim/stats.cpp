@@ -29,21 +29,12 @@ double interpolateRank(std::size_t n, double q, At at) {
 
 }  // namespace
 
-void CycleHistogram::merge(const CycleHistogram& other) {
-  if (other.dense_.size() > dense_.size()) {
-    dense_.resize(other.dense_.size(), 0);
-  }
-  for (std::size_t v = 0; v < other.dense_.size(); ++v) {
-    const std::uint32_t n = dense_[v] + other.dense_[v];
-    COLIBRI_CHECK_MSG(n >= dense_[v], "CycleHistogram count overflow");
-    dense_[v] = n;
-  }
-  tail_.insert(tail_.end(), other.tail_.begin(), other.tail_.end());
-}
-
 std::uint64_t CycleHistogram::count() const {
-  std::uint64_t n = tail_.size();
-  for (const std::uint32_t c : dense_) {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : dense_) {
+    n += c;
+  }
+  for (const auto& [v, c] : tail_) {
     n += c;
   }
   return n;
@@ -81,23 +72,21 @@ Summary Summary::ofHistogram(const CycleHistogram& h) {
   if (s.count == 0) {
     return s;
   }
-  std::vector<std::uint64_t> tail = h.tail_;
-  std::sort(tail.begin(), tail.end());
-  const std::size_t denseCount = s.count - tail.size();
 
-  // The i-th smallest sample: a walk over cumulative dense counts, then
-  // the sorted tail.
+  // The i-th smallest sample: a walk over the dense counts, then over the
+  // counted tail.
   const auto at = [&](std::size_t i) -> double {
-    if (i >= denseCount) {
-      return static_cast<double>(tail[i - denseCount]);
-    }
-    std::size_t below = 0;
-    for (std::size_t v = 0;; ++v) {
-      below += h.dense_[v];
-      if (i < below) {
+    for (std::size_t v = 0; v < h.dense_.size(); ++v) {
+      if (i < h.dense_[v]) {
         return static_cast<double>(v);
       }
+      i -= h.dense_[v];
     }
+    auto it = h.tail_.begin();  // i < count, so the walk ends in the map
+    for (; i >= it->second; ++it) {
+      i -= it->second;
+    }
+    return static_cast<double>(it->first);
   };
   s.min = at(0);
   s.max = at(s.count - 1);
@@ -108,8 +97,8 @@ Summary Summary::ofHistogram(const CycleHistogram& h) {
   for (std::size_t v = 0; v < h.dense_.size(); ++v) {
     sum += v * h.dense_[v];
   }
-  for (const std::uint64_t x : tail) {
-    sum += x;
+  for (const auto& [v, n] : h.tail_) {
+    sum += v * n;
   }
   const auto n = static_cast<double>(s.count);
   s.mean = static_cast<double>(sum) / n;
@@ -118,9 +107,13 @@ Summary Summary::ofHistogram(const CycleHistogram& h) {
     const double d = static_cast<double>(v) - s.mean;
     var += static_cast<double>(h.dense_[v]) * d * d;
   }
-  for (const std::uint64_t x : tail) {
-    const double d = static_cast<double>(x) - s.mean;
-    var += d * d;
+  // One d * d term per tail sample, in ascending order, as a sorted sample
+  // adds them; c * d * d would round differently.
+  for (const auto& [v, c] : h.tail_) {
+    const double d = static_cast<double>(v) - s.mean;
+    for (std::uint64_t k = 0; k < c; ++k) {
+      var += d * d;
+    }
   }
   s.stddev = std::sqrt(var / n);
   s.p50 = interpolateRank(s.count, 0.50, at);

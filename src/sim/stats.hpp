@@ -4,17 +4,18 @@
 // accesses/cycle), fairness (per-core min/max spread) and latency
 // distributions. WindowedCounter supports warmup-then-measure: events
 // before the window opens are counted separately and excluded from the
-// reported rate. CycleHistogram holds latency samples in bounded memory,
+// reported rate. CycleHistogram holds latency samples exactly, in memory
+// that grows with the number of distinct values rather than of samples,
 // and Summary computes the descriptive statistics the figures need.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
-#include "sim/check.hpp"
 #include "sim/types.hpp"
 
 namespace colibri::sim {
@@ -62,9 +63,9 @@ class WindowedCounter {
 
 /// Exact multiset of non-negative integer cycle counts (per-op latencies).
 /// Values below kDenseLimit are counted in a dense array grown lazily to
-/// the largest value seen; values at or above it are stored raw. Memory is
-/// the dense range plus one word per tail sample, so samples in the dense
-/// range cost nothing however long the measurement window is.
+/// the largest value seen; values at or above it are counted in an ordered
+/// map. Memory is the dense range plus one map node per distinct tail
+/// value, however many samples the measurement window adds.
 class CycleHistogram {
  public:
   static constexpr std::uint64_t kDenseLimit = 256;
@@ -74,22 +75,19 @@ class CycleHistogram {
       if (v >= dense_.size()) {
         dense_.resize(v + 1, 0);
       }
-      const std::uint32_t n = ++dense_[v];
-      COLIBRI_CHECK_MSG(n != 0, "CycleHistogram count overflow");
+      ++dense_[v];
     } else {
-      tail_.push_back(v);
+      ++tail_[v];
     }
   }
-
-  /// Add every sample of `other`; the result is independent of merge order.
-  void merge(const CycleHistogram& other);
 
   [[nodiscard]] std::uint64_t count() const;
 
  private:
   friend struct Summary;
-  std::vector<std::uint32_t> dense_;  ///< dense_[v] = samples equal to v
-  std::vector<std::uint64_t> tail_;   ///< samples >= kDenseLimit, unsorted
+  std::vector<std::uint64_t> dense_;  ///< dense_[v] = samples equal to v
+  /// tail_[v] = samples equal to v, for v >= kDenseLimit
+  std::map<std::uint64_t, std::uint64_t> tail_;
 };
 
 /// Descriptive statistics over a sample (per-core op counts, latencies...).
@@ -107,7 +105,7 @@ struct Summary {
   static Summary ofCounts(std::span<const std::uint64_t> xs);
   /// Equal to `of` over the same samples as doubles for count, min, max,
   /// mean and percentiles (all exact below 2^53); stddev agrees to rounding.
-  /// Walks the dense counts and sorts only the tail.
+  /// Walks the dense counts and then the counted tail in place.
   static Summary ofHistogram(const CycleHistogram& h);
 
   /// Linearly interpolated quantile over an *ascending-sorted* sample;

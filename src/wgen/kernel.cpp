@@ -28,7 +28,7 @@ struct WgenCtx {
   std::vector<std::uint64_t> perCoreTotal;       // by participant index
   std::vector<std::uint64_t> perCoreWindow;
   std::vector<std::uint64_t> perCoreIncrements;
-  std::vector<sim::CycleHistogram> perCoreLatency;
+  sim::CycleHistogram latency;  // every participant's window ops
 };
 
 std::uint32_t pickIndex(const Region& def, const ResolvedRegion& region,
@@ -136,7 +136,7 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
         const auto now = sys.now();
         if (now >= ctx.windowStart && now < ctx.windowEnd) {
           ++ctx.perCoreWindow[pidx];
-          ctx.perCoreLatency[pidx].add(now - start);
+          ctx.latency.add(now - start);
         }
       }
     }
@@ -240,7 +240,6 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
   ctx.perCoreTotal.assign(participants, 0);
   ctx.perCoreWindow.assign(participants, 0);
   ctx.perCoreIncrements.assign(participants, 0);
-  ctx.perCoreLatency.resize(participants);
 
   const auto assignment = assignRoles(p.kernel, participants);
   for (std::uint32_t i = 0; i < participants; ++i) {
@@ -287,11 +286,7 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
   res.rate = workloads::summarizeRates(ctx.perCoreWindow, p.window.measure,
                                        counters);
 
-  sim::CycleHistogram latency;
-  for (const auto& h : ctx.perCoreLatency) {
-    latency.merge(h);
-  }
-  res.opLatency = sim::Summary::ofHistogram(latency);
+  res.opLatency = sim::Summary::ofHistogram(ctx.latency);
   return res;
 }
 

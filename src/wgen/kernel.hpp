@@ -10,8 +10,8 @@
 //
 // Determinism: participant i derives its RNG stream from (seed, CoreId)
 // exactly like the fixed workloads, regions are allocated in declaration
-// order, and latencies are merged in participant order — a (config, seed,
-// spec) triple reproduces the WgenResult bit-for-bit.
+// order, and latencies go into one order-independent histogram — a
+// (config, seed, spec) triple reproduces the WgenResult bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +51,8 @@ struct WgenResult {
   workloads::RateResult rate;
   /// Latency (cycles, think time excluded) of every op that completed
   /// inside the measurement window; count == rate.opsInWindow. Exact: built
-  /// from per-core CycleHistograms, so only samples of kDenseLimit cycles
-  /// or more take memory per sample.
+  /// from one CycleHistogram per run, so memory grows with the number of
+  /// distinct latencies, not with ops or cores.
   sim::Summary opLatency;
   std::uint64_t totalOps = 0;         ///< performed ops incl. outside window
   std::uint64_t totalIncrements = 0;  ///< modifying ops (verification basis)

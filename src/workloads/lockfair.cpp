@@ -20,7 +20,7 @@ struct LockCtx {
   sim::Cycle windowStart = 0;
   sim::Cycle windowEnd = 0;
   std::vector<std::uint64_t> perCoreWindow;
-  std::vector<sim::CycleHistogram> perCoreWait;
+  sim::CycleHistogram waits;  // every participant's window acquisitions
   std::uint64_t acquisitions = 0;
   std::uint64_t exclusionViolations = 0;
 };
@@ -50,7 +50,7 @@ sim::Task lockWorker(arch::System& sys, arch::Core& core, LockCtx& ctx,
     ++ctx.acquisitions;
     if (held >= ctx.windowStart && held < ctx.windowEnd) {
       ++ctx.perCoreWindow[idx];
-      ctx.perCoreWait[idx].add(held - waitFrom);
+      ctx.waits.add(held - waitFrom);
     }
     co_await core.delay(1 + ctx.params->thinkCycles + rng.below(8));
   }
@@ -77,7 +77,6 @@ LockFairResult runLockFair(arch::System& sys, const LockFairParams& p) {
   sys.poke(ctx.overlap, 0);
   sys.poke(ctx.shared, 0);
   ctx.perCoreWindow.assign(participants, 0);
-  ctx.perCoreWait.resize(participants);
   ctx.windowStart = p.window.warmup;
   ctx.windowEnd = p.window.horizon();
 
@@ -107,11 +106,7 @@ LockFairResult runLockFair(arch::System& sys, const LockFairParams& p) {
 
   res.rate = summarizeRates(ctx.perCoreWindow, p.window.measure, counters);
   res.acqSpread = sim::Summary::ofCounts(ctx.perCoreWindow);
-  sim::CycleHistogram waits;
-  for (const auto& h : ctx.perCoreWait) {
-    waits.merge(h);
-  }
-  res.handoff = sim::Summary::ofHistogram(waits);
+  res.handoff = sim::Summary::ofHistogram(ctx.waits);
   return res;
 }
 

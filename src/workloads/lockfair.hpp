@@ -42,8 +42,8 @@ struct LockFairResult {
   /// spread: max/min >> 1 means the lock starves distant cores).
   sim::Summary acqSpread{};
   /// Cycles from first acquire attempt to lock held, per acquisition in
-  /// the window. Exact: built from per-core CycleHistograms, so only
-  /// samples of kDenseLimit cycles or more take memory per sample.
+  /// the window. Exact: built from one CycleHistogram per run, so memory
+  /// grows with the number of distinct waits, not with acquisitions.
   sim::Summary handoff{};
   std::uint64_t exclusionViolations = 0;  ///< must be 0
   bool verified = false;  ///< no overlap, lock left free, counts add up

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -219,21 +220,67 @@ TEST(CycleHistogram, RandomSamplesMatchSummary) {
   }
 }
 
-TEST(CycleHistogram, MergeIsOrderIndependent) {
-  const std::vector<std::vector<std::uint64_t>> parts{
-      {3, 3, kLimit + 9}, {}, {kLimit - 1, 0, 40}, {kLimit, 2 * kLimit, 1}};
-  std::vector<std::uint64_t> all;
-  CycleHistogram forward;
-  for (const auto& p : parts) {
-    forward.merge(histogramOf(p));
-    all.insert(all.end(), p.begin(), p.end());
+TEST(CycleHistogram, AddOrderDoesNotMatter) {
+  // One histogram takes every core's samples in whatever order the engine
+  // interleaves them, so the summary must not depend on add order.
+  Xoshiro256 rng(0xADD);
+  std::vector<std::uint64_t> xs(3000);
+  for (auto& x : xs) {
+    x = rng.below(4) == 0 ? kLimit + rng.below(40) : rng.below(kLimit);
   }
-  CycleHistogram backward;
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    backward.merge(histogramOf(*it));
+  const std::vector<std::uint64_t> reversed(xs.rbegin(), xs.rend());
+  std::vector<std::uint64_t> interleaved;
+  for (std::size_t start : {1u, 0u}) {
+    for (std::size_t i = start; i < xs.size(); i += 2) {
+      interleaved.push_back(xs[i]);
+    }
   }
-  expectExact(forward, all, "forward");
-  expectExact(backward, all, "backward");
+  const auto want = Summary::ofHistogram(histogramOf(xs));
+  for (const auto& order : {reversed, interleaved}) {
+    const auto got = Summary::ofHistogram(histogramOf(order));
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.mean, want.mean);
+    EXPECT_EQ(got.stddev, want.stddev);
+    EXPECT_EQ(got.p50, want.p50);
+    EXPECT_EQ(got.p95, want.p95);
+    EXPECT_EQ(got.p99, want.p99);
+  }
+  expectExact(xs, "forward");
+}
+
+TEST(CycleHistogram, HeavilyRepeatedTailMatchesSummary) {
+  // 10^5 samples, so the p50/p95/p99 positions are 49999.5, 94999.05 and
+  // 98999.01. The counts put each interpolated pair (lo, lo + 1) across
+  // a boundary: p50 across dense -> tail, p95 and p99 across tail entries.
+  const std::vector<std::pair<std::uint64_t, std::size_t>> runs{
+      {10, 30000},          // ranks 0..29999
+      {kLimit - 1, 20000},  // ..49999, the last dense rank
+      {kLimit, 45000},      // 50000..94999
+      {1000, 4000},         // 95000..98999
+      {52227, 1000},        // 99000..99999
+  };
+  std::vector<std::uint64_t> xs;
+  for (const auto& [v, n] : runs) {
+    xs.insert(xs.end(), n, v);
+  }
+  ASSERT_EQ(xs.size(), 100000u);
+  // Add in a scrambled order: ascending runs would hide an order bug.
+  std::vector<std::uint64_t> scrambled;
+  for (std::size_t start = 0; start < 7; ++start) {
+    for (std::size_t i = start; i < xs.size(); i += 7) {
+      scrambled.push_back(xs[i]);
+    }
+  }
+  const auto h = histogramOf(scrambled);
+  expectExact(h, xs, "repeated tail");
+  const auto s = Summary::ofHistogram(h);
+  EXPECT_EQ(s.p50, (kLimit - 1 + kLimit) / 2.0);
+  EXPECT_GT(s.p95, static_cast<double>(kLimit));
+  EXPECT_LT(s.p95, 1000.0);
+  EXPECT_GT(s.p99, 1000.0);
+  EXPECT_LT(s.p99, 52227.0);
 }
 
 }  // namespace
