@@ -295,6 +295,28 @@ TEST(CliDriver, ZeroRepsOrEmptyWindowIsAUsableError) {
   }
 }
 
+TEST(CliDriver, WorkloadFlagChecksAreUsableErrors) {
+  // Each workload's knob check: exit 2 with exactly this message, before
+  // anything runs.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases{
+      {{"--bins", "0"}, "--bins must be >= 1"},
+      {{"--workload", "matmul", "--matmul-n", "0"}, "--matmul-n must be >= 1"},
+      {{"--workload", "wsdeque", "--cores", "1", "--cores-per-tile", "1",
+        "--tiles-per-group", "1"},
+       "wsdeque needs --cores >= 2 (an owner and a thief)"},
+      {{"--workload", "prodcons", "--producers", "0"},
+       "--producers and --consumers must be >= 1"},
+      {{"--workload", "prodcons", "--producers", "10", "--consumers", "8"},
+       "--producers + --consumers (10 + 8) exceeds --cores (16)"},
+  };
+  for (const auto& [extra, message] : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain(smallRun(extra), out, err), 2) << message;
+    EXPECT_EQ(err.str(), "colibri-sim: " + message + "\n");
+    EXPECT_EQ(out.str(), "") << message;
+  }
+}
+
 TEST(CliDriver, SingleSlotTicketQueueIsAUsableError) {
   // At capacity 1 the ticket queue cannot tell a full slot from a free one,
   // so its dequeuers would poll forever. msqueue on amo runs the

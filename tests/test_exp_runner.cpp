@@ -320,6 +320,40 @@ TEST(ExpJson, SerializesASweepAsValidJson) {
   EXPECT_NE(json.find("\"hotspot1\""), std::string::npos);
 }
 
+TEST(ExpJson, InterferenceRunWritesItsExtrasInOrder) {
+  // The CLI cannot reach `interference` (no golden covers it), so pin its
+  // per-rep extras here: duration, macs, then pollerUpdates.
+  const auto adapter = findAdapter("colibri");
+  RunSpec spec;
+  spec.config = configFor(*adapter, 8, arch::SystemConfig::smallTest());
+  workloads::InterferenceParams p;
+  p.matmul.n = 8;
+  p.matmul.workers = {0, 1, 2, 3};
+  p.pollerMode = workloads::HistogramMode::kLrscWait;
+  for (sim::CoreId c = 4; c < 16; ++c) {
+    p.pollers.push_back(c);
+  }
+  spec.params = p;
+  const std::vector<RunSpec> specs = {spec};
+  const auto results = SweepRunner(1).run(specs);
+  ASSERT_TRUE(results.front().allVerified);
+
+  std::ostringstream os;
+  writeJson(os, specs, results);
+  const std::string json = os.str();
+  EXPECT_TRUE(test::isValidJson(json)) << json;
+  EXPECT_NE(json.find("\"workload\": \"interference\""), std::string::npos);
+  const auto duration = json.find("\"duration\": ");
+  const auto macs = json.find("\"macs\": 512,");
+  const auto pollers = json.find("\"pollerUpdates\": ");
+  ASSERT_NE(duration, std::string::npos) << json;
+  ASSERT_NE(macs, std::string::npos) << json;
+  ASSERT_NE(pollers, std::string::npos) << json;
+  EXPECT_LT(duration, macs);
+  EXPECT_LT(macs, pollers);
+  EXPECT_LT(pollers, json.find("\"counters\""));
+}
+
 TEST(ExpJson, WriterEscapesAndBalances) {
   std::ostringstream os;
   report::JsonWriter w(os);

@@ -71,12 +71,27 @@ std::vector<GoldenCase> goldenCases() {
   }
   // JSON documents (per-rep + aggregate) for a cross-section of workload
   // families on one adapter.
-  for (const char* w :
-       {"histogram", "hashtable", "wsdeque", "lockfair", "uniform_fa"}) {
+  for (const char* w : {"histogram", "hashtable", "wsdeque", "lockfair",
+                        "uniform_fa", "prodcons", "matmul"}) {
     auto args = baseArgs();
     args.insert(args.end(), {"--adapter", "colibri", "--workload", w,
                              "--json", "--reps", "2"});
+    if (std::string(w) == "matmul") {
+      args.insert(args.end(), {"--matmul-n", "8"});
+    }
     cases.push_back({std::string("json__colibri__") + w + ".json", args});
+  }
+  // Aligned tables (banner, column alignment, aggregate columns) for one
+  // workload of each table layout.
+  for (const char* w : {"histogram", "msqueue", "prodcons", "matmul",
+                        "hashtable", "wsdeque", "lockfair", "zipf_hot"}) {
+    auto args = baseArgs();
+    args.insert(args.end(),
+                {"--adapter", "colibri", "--workload", w, "--reps", "2"});
+    if (std::string(w) == "matmul") {
+      args.insert(args.end(), {"--matmul-n", "8"});
+    }
+    cases.push_back({std::string("table__colibri__") + w + ".txt", args});
   }
   // Determinism: re-run a cross-section of scenarios against the *same*
   // golden files, so a second run in this process must reproduce the
