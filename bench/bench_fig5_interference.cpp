@@ -90,17 +90,16 @@ int main() {
   const auto baselineFor = [&](std::uint32_t w) {
     for (std::size_t i = 0; i < workerCounts.size(); ++i) {
       if (workerCounts[i] == w) {
-        return static_cast<double>(results[i].primary().duration);
+        return results[i].primary().extra("duration").value();
       }
     }
-    return static_cast<double>(
-        results[workerCounts.size() - 1].primary().duration);
+    return results[workerCounts.size() - 1].primary().extra("duration").value();
   };
   const auto durationAt = [&](std::size_t si, std::size_t bi) {
-    return static_cast<double>(
-        results[workerCounts.size() + si * bins.size() + bi]
-            .primary()
-            .duration);
+    return results[workerCounts.size() + si * bins.size() + bi]
+        .primary()
+        .extra("duration")
+        .value();
   };
 
   report::banner(std::cout,

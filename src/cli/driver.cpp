@@ -4,8 +4,10 @@
 #include <charconv>
 #include <exception>
 #include <fstream>
+#include <map>
 #include <numeric>
 #include <ostream>
+#include <string_view>
 
 #include "exp/json.hpp"
 #include "fault/demo.hpp"
@@ -22,10 +24,6 @@
 
 namespace colibri::cli {
 namespace {
-
-workloads::MeasureWindow windowOf(const Options& opts) {
-  return workloads::MeasureWindow{opts.warmup, opts.measure};
-}
 
 void emit(const report::Table& table, std::ostream& out, bool csv) {
   if (csv) {
@@ -137,288 +135,318 @@ double sleepFraction(const workloads::SystemCounters& c) {
   return total > 0.0 ? static_cast<double>(c.sleepCycles) / total : 0.0;
 }
 
-/// Translate Options into the declarative RunSpec the exp layer executes.
-/// The scenario registry already vetted the names; nullopt means a
-/// workload is registered but has no dispatch here (internal error).
-std::optional<exp::RunSpec> buildSpec(const Options& opts,
-                                      const exp::AdapterSpec& adapter,
-                                      const arch::SystemConfig& cfg) {
-  exp::RunSpec spec;
-  spec.label = opts.adapter + "/" + opts.workload;
-  spec.workload = opts.workload;
-  spec.config = cfg;
-  spec.window = windowOf(opts);
-  spec.seed = opts.seed;
-  spec.repetitions = opts.reps;
+/// What a table cell is formatted from: the options, the aggregate over
+/// reps, and rep 0's result.
+struct Row {
+  const Options& opts;
+  const exp::SweepResult& res;
+  const exp::RunResult& rep;
+};
+using Cell = std::string (*)(const Row&);
 
-  const auto backoff = sync::BackoffPolicy::fixed(opts.backoffCycles);
-  if (opts.workload == "histogram") {
-    workloads::HistogramParams p;
-    p.bins = opts.bins;
-    p.mode = exp::histogramModeFor(adapter);
-    p.backoff = backoff;
-    spec.params = p;
-  } else if (opts.workload == "msqueue" || opts.workload == "ticket_queue") {
-    workloads::QueueParams p;
-    p.variant = opts.workload == "ticket_queue"
-                    ? workloads::QueueVariant::kLock
-                    : exp::queueVariantFor(adapter);
-    p.capacity = opts.queueCapacity;
-    p.backoff = backoff;
-    spec.params = p;
-  } else if (opts.workload == "prodcons") {
-    workloads::ProdConsParams p;
-    p.producers = opts.producers;
-    p.consumers = opts.consumers;
-    p.useMwait = adapter.waitCapable;
-    p.backoff = backoff;
-    spec.params = p;
-  } else if (opts.workload == "matmul") {
-    workloads::MatmulParams p;
-    p.n = opts.matmulN;
-    p.workers.resize(opts.cores);
-    std::iota(p.workers.begin(), p.workers.end(), 0);
-    spec.params = p;
-  } else if (opts.workload == "hashtable") {
-    workloads::HashTableParams p;
-    p.slots = opts.htSlots;
-    p.keysPerCore = opts.htKeys;
-    p.backoff = backoff;
-    spec.params = p;
-  } else if (opts.workload == "wsdeque") {
-    workloads::WsDequeParams p;
-    p.tasks = opts.wsdTasks;
-    p.taskCycles = opts.taskCycles;
-    // Keep the workload's exponential default: a fixed --backoff livelocks
-    // the top-word CAS storm on the single-slot LR/SC adapter.
-    spec.params = p;
-  } else if (opts.workload == "lockfair") {
-    workloads::LockFairParams p;
-    p.csCycles = opts.csCycles;
-    p.backoff = backoff;
-    spec.params = p;
-  } else if (const auto* preset = wgen::findPreset(opts.workload)) {
-    wgen::WgenParams p;
-    p.kernel = preset->spec;
-    p.backoff = backoff;
-    for (auto& region : p.kernel.regions) {
-      if (opts.zipfTheta >= 0.0) {
-        region.zipfTheta = opts.zipfTheta;
-      }
-      if (opts.hotFraction >= 0.0) {
-        region.hotFraction = opts.hotFraction;
-      }
-      if (opts.wgenWords != 0 && region.dist != wgen::AddrDist::kStrided) {
-        region.range = opts.wgenWords;
-      }
+std::string countCell(const Row& r, std::string_view key) {
+  return std::to_string(static_cast<std::uint64_t>(r.rep.extra(key).value()));
+}
+
+/// Every column a workload table can show, keyed by its header, so each
+/// column is formatted in one place. The rate columns show the mean
+/// across reps (the single measurement for --reps 1).
+const std::map<std::string_view, Cell>& cells() {
+  constexpr Cell kRate = [](const Row& r) {
+    return report::fmt(r.res.opsPerCycle.mean, 4);
+  };
+  constexpr Cell kOps = [](const Row& r) {
+    return std::to_string(r.rep.rate.opsInWindow);
+  };
+  constexpr Cell kCores = [](const Row& r) {
+    return std::to_string(r.opts.cores);
+  };
+  constexpr Cell kP50 = [](const Row& r) {
+    return report::fmt(r.rep.opLatency.p50, 1);
+  };
+  constexpr Cell kP99 = [](const Row& r) {
+    return report::fmt(r.rep.opLatency.p99, 1);
+  };
+  static const std::map<std::string_view, Cell> table = {
+      {"adapter", [](const Row& r) { return r.opts.adapter; }},
+      {"workload", [](const Row& r) { return r.opts.workload; }},
+      {"cores", kCores},
+      {"workers", kCores},
+      {"bins", [](const Row& r) { return std::to_string(r.opts.bins); }},
+      {"producers",
+       [](const Row& r) { return std::to_string(r.opts.producers); }},
+      {"consumers",
+       [](const Row& r) { return std::to_string(r.opts.consumers); }},
+      {"n", [](const Row& r) { return std::to_string(r.opts.matmulN); }},
+      {"ops/cycle", kRate},
+      {"items/cycle", kRate},
+      {"tasks/cycle", kRate},
+      {"acq/cycle", kRate},
+      {"macs/cycle",
+       [](const Row& r) { return report::fmt(r.res.opsPerCycle.mean, 2); }},
+      {"ops", kOps},
+      {"tasks", kOps},
+      {"acqs", kOps},
+      {"items", [](const Row& r) { return countCell(r, "itemsConsumed"); }},
+      {"macs", [](const Row& r) { return countCell(r, "macs"); }},
+      {"cycles", [](const Row& r) { return countCell(r, "duration"); }},
+      {"inserts", [](const Row& r) { return countCell(r, "inserts"); }},
+      {"lookups", [](const Row& r) { return countCell(r, "lookups"); }},
+      {"owner-pops", [](const Row& r) { return countCell(r, "ownerPops"); }},
+      {"steals", [](const Row& r) { return countCell(r, "steals"); }},
+      {"jain",
+       [](const Row& r) { return report::fmt(r.rep.rate.fairnessJain, 3); }},
+      // prodcons reports the share of its consumers' cycles spent asleep;
+      // the other workloads the share of all active core-cycles.
+      {"sleep%",
+       [](const Row& r) {
+         return report::fmtPercent(
+             100.0 * r.rep.extra("consumerSleepFraction")
+                         .value_or(sleepFraction(r.rep.rate.counters)));
+       }},
+      {"reqs/item",
+       [](const Row& r) {
+         return report::fmt(r.rep.extra("consumerRequestsPerItem").value(), 2);
+       }},
+      {"lat-p50", kP50},
+      {"lat-p95",
+       [](const Row& r) { return report::fmt(r.rep.opLatency.p95, 1); }},
+      {"lat-p99", kP99},
+      {"wait-p50", kP50},
+      {"wait-p99", kP99},
+      {"acq-min",
+       [](const Row& r) { return report::fmt(r.rep.acqSpread.min, 0); }},
+      {"acq-max",
+       [](const Row& r) { return report::fmt(r.rep.acqSpread.max, 0); }},
+      {"verified",
+       [](const Row& r) {
+         return std::string(r.res.allVerified ? "yes" : "NO");
+       }},
+  };
+  return table;
+}
+
+using Error = std::optional<std::string>;
+
+/// One CLI workload family: how Options become its params, which knob
+/// values it rejects up front, and how its result table looks.
+struct WorkloadEntry {
+  /// Registry name; nullptr matches every wgen preset.
+  const char* name;
+  /// The banner between "colibri-sim: " and " on <adapter>".
+  std::string (*title)(const exp::RunSpec&);
+  exp::WorkloadParams (*params)(const Options&, const exp::AdapterSpec&);
+  /// A usage error for knobs the workload would otherwise reject with a
+  /// raw invariant trace; nullptr when it has none.
+  Error (*check)(const Options&, const exp::AdapterSpec&);
+  /// Header names, each a key of cells().
+  std::vector<std::string_view> columns;
+};
+
+workloads::QueueParams queueParams(const Options& opts,
+                                   workloads::QueueVariant variant) {
+  workloads::QueueParams p;
+  p.variant = variant;
+  p.capacity = opts.queueCapacity;
+  p.backoff = sync::BackoffPolicy::fixed(opts.backoffCycles);
+  return p;
+}
+
+std::string queueTitle(const exp::RunSpec& s) {
+  const auto& p = std::get<workloads::QueueParams>(s.params);
+  return s.workload + " (" + workloads::toString(p.variant) + ")";
+}
+
+const std::vector<WorkloadEntry>& workloadTable() {
+  using Adapter = exp::AdapterSpec;
+  static const std::vector<WorkloadEntry> table = {
+      {"histogram",
+       [](const exp::RunSpec& s) {
+         const auto& p = std::get<workloads::HistogramParams>(s.params);
+         return "histogram (" + std::string(workloads::toString(p.mode)) +
+                ", " + std::to_string(p.bins) + " bins)";
+       },
+       [](const Options& o, const Adapter& a) -> exp::WorkloadParams {
+         workloads::HistogramParams p;
+         p.bins = o.bins;
+         p.mode = exp::histogramModeFor(a);
+         p.backoff = sync::BackoffPolicy::fixed(o.backoffCycles);
+         return p;
+       },
+       [](const Options& o, const Adapter&) {
+         return o.bins == 0 ? Error("--bins must be >= 1") : std::nullopt;
+       },
+       {"adapter", "workload", "cores", "bins", "ops/cycle", "ops", "jain",
+        "sleep%", "verified"}},
+      {"msqueue", queueTitle,
+       [](const Options& o, const Adapter& a) -> exp::WorkloadParams {
+         return queueParams(o, exp::queueVariantFor(a));
+       },
+       [](const Options& o, const Adapter& a) -> Error {
+         // The ticket queue cannot tell a full slot from a free one at
+         // capacity 1 (see TicketQueue::create); the lock-based variant can.
+         if (o.queueCapacity == 1 &&
+             exp::queueVariantFor(a) != workloads::QueueVariant::kLock) {
+           return "--queue-capacity must be >= 2 for msqueue on adapter '" +
+                  o.adapter + "'";
+         }
+         return std::nullopt;
+       },
+       {"adapter", "workload", "cores", "ops/cycle", "ops", "jain", "sleep%",
+        "verified"}},
+      {"ticket_queue", queueTitle,
+       [](const Options& o, const Adapter&) -> exp::WorkloadParams {
+         return queueParams(o, workloads::QueueVariant::kLock);
+       },
+       nullptr,
+       {"adapter", "workload", "cores", "ops/cycle", "ops", "jain", "sleep%",
+        "verified"}},
+      {"prodcons",
+       [](const exp::RunSpec& s) {
+         const auto& p = std::get<workloads::ProdConsParams>(s.params);
+         return std::string("prodcons (") + (p.useMwait ? "Mwait" : "polling") +
+                " consumers)";
+       },
+       [](const Options& o, const Adapter& a) -> exp::WorkloadParams {
+         workloads::ProdConsParams p;
+         p.producers = o.producers;
+         p.consumers = o.consumers;
+         p.useMwait = a.waitCapable;
+         p.backoff = sync::BackoffPolicy::fixed(o.backoffCycles);
+         return p;
+       },
+       [](const Options& o, const Adapter&) -> Error {
+         if (o.producers == 0 || o.consumers == 0) {
+           return "--producers and --consumers must be >= 1";
+         }
+         if (std::uint64_t{o.producers} + o.consumers > o.cores) {
+           return "--producers + --consumers (" +
+                  std::to_string(o.producers) + " + " +
+                  std::to_string(o.consumers) + ") exceeds --cores (" +
+                  std::to_string(o.cores) + ")";
+         }
+         return std::nullopt;
+       },
+       {"adapter", "producers", "consumers", "items/cycle", "items",
+        "sleep%", "reqs/item", "verified"}},
+      {"matmul",
+       [](const exp::RunSpec& s) {
+         const auto& p = std::get<workloads::MatmulParams>(s.params);
+         return "matmul (n=" + std::to_string(p.n) + ")";
+       },
+       [](const Options& o, const Adapter&) -> exp::WorkloadParams {
+         workloads::MatmulParams p;
+         p.n = o.matmulN;
+         p.workers.resize(o.cores);
+         std::iota(p.workers.begin(), p.workers.end(), 0);
+         return p;
+       },
+       [](const Options& o, const Adapter&) {
+         return o.matmulN == 0 ? Error("--matmul-n must be >= 1")
+                               : std::nullopt;
+       },
+       {"adapter", "workers", "n", "cycles", "macs", "macs/cycle",
+        "verified"}},
+      {"hashtable",
+       [](const exp::RunSpec&) {
+         return std::string("hashtable (lock-free linear probing)");
+       },
+       [](const Options& o, const Adapter&) -> exp::WorkloadParams {
+         workloads::HashTableParams p;
+         p.slots = o.htSlots;
+         p.keysPerCore = o.htKeys;
+         p.backoff = sync::BackoffPolicy::fixed(o.backoffCycles);
+         return p;
+       },
+       nullptr,
+       {"adapter", "workload", "cores", "inserts", "lookups", "ops/cycle",
+        "ops", "jain", "sleep%", "verified"}},
+      {"wsdeque",
+       [](const exp::RunSpec&) {
+         return std::string("wsdeque (Chase-Lev work stealing)");
+       },
+       // Keep the workload's exponential backoff: a fixed --backoff
+       // livelocks the top-word CAS storm on the single-slot LR/SC adapter.
+       [](const Options& o, const Adapter&) -> exp::WorkloadParams {
+         workloads::WsDequeParams p;
+         p.tasks = o.wsdTasks;
+         p.taskCycles = o.taskCycles;
+         return p;
+       },
+       [](const Options& o, const Adapter&) {
+         return o.cores < 2 ? Error("wsdeque needs --cores >= 2 (an owner "
+                                    "and a thief)")
+                            : std::nullopt;
+       },
+       {"adapter", "cores", "tasks", "cycles", "owner-pops", "steals",
+        "tasks/cycle", "verified"}},
+      {"lockfair",
+       [](const exp::RunSpec&) {
+         return std::string("lockfair (TAS handoff/fairness)");
+       },
+       [](const Options& o, const Adapter&) -> exp::WorkloadParams {
+         workloads::LockFairParams p;
+         p.csCycles = o.csCycles;
+         p.backoff = sync::BackoffPolicy::fixed(o.backoffCycles);
+         return p;
+       },
+       nullptr,
+       {"adapter", "cores", "acq/cycle", "acqs", "jain", "acq-min", "acq-max",
+        "wait-p50", "wait-p99", "verified"}},
+      {nullptr,
+       [](const exp::RunSpec& s) { return "wgen preset '" + s.workload + "'"; },
+       [](const Options& o, const Adapter&) -> exp::WorkloadParams {
+         wgen::WgenParams p;
+         p.kernel = wgen::findPreset(o.workload)->spec;
+         p.backoff = sync::BackoffPolicy::fixed(o.backoffCycles);
+         for (auto& region : p.kernel.regions) {
+           region.zipfTheta = o.zipfTheta.value_or(region.zipfTheta);
+           region.hotFraction = o.hotFraction.value_or(region.hotFraction);
+           if (o.wgenWords != 0 && region.dist != wgen::AddrDist::kStrided) {
+             region.range = o.wgenWords;
+           }
+         }
+         return p;
+       },
+       nullptr,
+       {"adapter", "workload", "cores", "ops/cycle", "ops", "jain", "lat-p50",
+        "lat-p95", "lat-p99", "sleep%", "verified"}},
+  };
+  return table;
+}
+
+const WorkloadEntry* findEntry(const std::string& workload) {
+  for (const auto& e : workloadTable()) {
+    if (e.name != nullptr ? workload == e.name
+                          : wgen::findPreset(workload) != nullptr) {
+      return &e;
     }
-    spec.params = p;
-  } else {
-    return std::nullopt;
   }
-  return spec;
+  return nullptr;
 }
 
-/// The columns shared by the rate-based workloads (histogram, queues);
-/// the rate column shows the mean across reps (== the single measurement
-/// for --reps 1, keeping the documented output stable).
-std::vector<std::string> rateHeaders() {
-  return {"adapter", "workload", "cores",  "ops/cycle",
-          "ops",     "jain",     "sleep%", "verified"};
-}
-
-std::vector<std::string> rateRow(const Options& opts,
-                                 const exp::SweepResult& res) {
-  const auto& r = res.primary();
-  return {opts.adapter,
-          opts.workload,
-          std::to_string(opts.cores),
-          report::fmt(res.opsPerCycle.mean, 4),
-          std::to_string(r.rate.opsInWindow),
-          report::fmt(r.rate.fairnessJain, 3),
-          report::fmtPercent(100.0 * sleepFraction(r.rate.counters)),
-          res.allVerified ? "yes" : "NO"};
-}
-
-/// With --reps N > 1 every table gains the aggregate columns; the rate
-/// column always shows the mean across reps (identical to the single
-/// measurement for N = 1, keeping the documented output stable).
-void appendAggregate(std::vector<std::string>& headers,
-                     std::vector<std::string>& row, const Options& opts,
-                     const exp::SweepResult& res) {
-  if (opts.reps <= 1) {
-    return;
+/// The result table: banner, the entry's columns and, with --reps N > 1,
+/// the aggregate columns (the rate column always shows the mean across
+/// reps, identical to the single measurement for N = 1).
+void printTable(const WorkloadEntry& entry, const Options& opts,
+                const exp::RunSpec& spec, const exp::SweepResult& res,
+                std::ostream& out) {
+  maybeBanner(out, opts,
+              "colibri-sim: " + entry.title(spec) + " on " + opts.adapter);
+  const Row r{opts, res, res.primary()};
+  std::vector<std::string> headers;
+  std::vector<std::string> row;
+  for (const auto column : entry.columns) {
+    headers.emplace_back(column);
+    row.push_back(cells().at(column)(r));
   }
-  headers.insert(headers.end(), {"reps", "stddev", "min", "max"});
-  row.push_back(std::to_string(res.reps.size()));
-  row.push_back(report::fmt(res.opsPerCycle.stddev, 4));
-  row.push_back(report::fmt(res.opsPerCycle.min, 4));
-  row.push_back(report::fmt(res.opsPerCycle.max, 4));
-}
-
-void printHistogram(const Options& opts, const exp::RunSpec& spec,
-                    const exp::SweepResult& res, std::ostream& out) {
-  const auto& p = std::get<workloads::HistogramParams>(spec.params);
-  maybeBanner(out, opts, "colibri-sim: histogram (" +
-                             std::string(workloads::toString(p.mode)) + ", " +
-                             std::to_string(opts.bins) + " bins) on " +
-                             opts.adapter);
-  auto headers = rateHeaders();
-  headers.insert(headers.begin() + 3, "bins");
-  auto row = rateRow(opts, res);
-  row.insert(row.begin() + 3, std::to_string(opts.bins));
-  appendAggregate(headers, row, opts, res);
-  report::Table table(headers);
-  table.addRow(row);
-  emit(table, out, opts.csv);
-}
-
-void printQueue(const Options& opts, const exp::RunSpec& spec,
-                const exp::SweepResult& res, std::ostream& out) {
-  const auto& p = std::get<workloads::QueueParams>(spec.params);
-  maybeBanner(out, opts, "colibri-sim: " + opts.workload + " (" +
-                             std::string(workloads::toString(p.variant)) +
-                             ") on " + opts.adapter);
-  auto headers = rateHeaders();
-  auto row = rateRow(opts, res);
-  appendAggregate(headers, row, opts, res);
-  report::Table table(headers);
-  table.addRow(row);
-  emit(table, out, opts.csv);
-}
-
-void printProdCons(const Options& opts, const exp::RunSpec& spec,
-                   const exp::SweepResult& res, std::ostream& out) {
-  const auto& p = std::get<workloads::ProdConsParams>(spec.params);
-  const auto& r = res.primary();
-  maybeBanner(out, opts, "colibri-sim: prodcons (" +
-                             std::string(p.useMwait ? "Mwait" : "polling") +
-                             " consumers) on " + opts.adapter);
-  std::vector<std::string> headers{"adapter",     "producers", "consumers",
-                                   "items/cycle", "items",     "sleep%",
-                                   "reqs/item",   "verified"};
-  std::vector<std::string> row{
-      opts.adapter,
-      std::to_string(opts.producers),
-      std::to_string(opts.consumers),
-      report::fmt(res.opsPerCycle.mean, 4),
-      std::to_string(r.itemsConsumed),
-      report::fmtPercent(100.0 * r.consumerSleepFraction),
-      report::fmt(r.consumerRequestsPerItem, 2),
-      res.allVerified ? "yes" : "NO"};
-  appendAggregate(headers, row, opts, res);
-  report::Table table(headers);
-  table.addRow(row);
-  emit(table, out, opts.csv);
-}
-
-void printWgen(const Options& opts, const exp::SweepResult& res,
-               std::ostream& out) {
-  const auto& r = res.primary();
-  maybeBanner(out, opts, "colibri-sim: wgen preset '" + opts.workload +
-                             "' on " + opts.adapter);
-  std::vector<std::string> headers{
-      "adapter", "workload", "cores",   "ops/cycle", "ops",     "jain",
-      "lat-p50", "lat-p95",  "lat-p99", "sleep%",    "verified"};
-  std::vector<std::string> row{
-      opts.adapter,
-      opts.workload,
-      std::to_string(opts.cores),
-      report::fmt(res.opsPerCycle.mean, 4),
-      std::to_string(r.rate.opsInWindow),
-      report::fmt(r.rate.fairnessJain, 3),
-      report::fmt(r.opLatency.p50, 1),
-      report::fmt(r.opLatency.p95, 1),
-      report::fmt(r.opLatency.p99, 1),
-      report::fmtPercent(100.0 * sleepFraction(r.rate.counters)),
-      res.allVerified ? "yes" : "NO"};
-  appendAggregate(headers, row, opts, res);
-  report::Table table(headers);
-  table.addRow(row);
-  emit(table, out, opts.csv);
-}
-
-void printMatmul(const Options& opts, const exp::SweepResult& res,
-                 std::ostream& out) {
-  const auto& r = res.primary();
-  maybeBanner(out, opts,
-              "colibri-sim: matmul (n=" + std::to_string(opts.matmulN) +
-                  ") on " + opts.adapter);
-  std::vector<std::string> headers{"adapter", "workers",    "n",
-                                   "cycles",  "macs",       "macs/cycle",
-                                   "verified"};
-  std::vector<std::string> row{opts.adapter,
-                               std::to_string(opts.cores),
-                               std::to_string(opts.matmulN),
-                               std::to_string(r.duration),
-                               std::to_string(r.macs),
-                               report::fmt(res.opsPerCycle.mean, 2),
-                               res.allVerified ? "yes" : "NO"};
-  appendAggregate(headers, row, opts, res);
-  report::Table table(headers);
-  table.addRow(row);
-  emit(table, out, opts.csv);
-}
-
-void printHashTable(const Options& opts, const exp::SweepResult& res,
-                    std::ostream& out) {
-  const auto& r = res.primary();
-  maybeBanner(out, opts, "colibri-sim: hashtable (lock-free linear "
-                         "probing) on " + opts.adapter);
-  auto headers = rateHeaders();
-  headers.insert(headers.begin() + 3, {"inserts", "lookups"});
-  auto row = rateRow(opts, res);
-  row.insert(row.begin() + 3, {std::to_string(r.inserts),
-                               std::to_string(r.lookups)});
-  appendAggregate(headers, row, opts, res);
-  report::Table table(headers);
-  table.addRow(row);
-  emit(table, out, opts.csv);
-}
-
-void printWsDeque(const Options& opts, const exp::SweepResult& res,
-                  std::ostream& out) {
-  const auto& r = res.primary();
-  maybeBanner(out, opts, "colibri-sim: wsdeque (Chase-Lev work stealing) "
-                         "on " + opts.adapter);
-  std::vector<std::string> headers{"adapter", "cores",       "tasks",
-                                   "cycles",  "owner-pops",  "steals",
-                                   "tasks/cycle", "verified"};
-  std::vector<std::string> row{opts.adapter,
-                               std::to_string(opts.cores),
-                               std::to_string(r.rate.opsInWindow),
-                               std::to_string(r.duration),
-                               std::to_string(r.ownerPops),
-                               std::to_string(r.steals),
-                               report::fmt(res.opsPerCycle.mean, 4),
-                               res.allVerified ? "yes" : "NO"};
-  appendAggregate(headers, row, opts, res);
-  report::Table table(headers);
-  table.addRow(row);
-  emit(table, out, opts.csv);
-}
-
-void printLockFair(const Options& opts, const exp::SweepResult& res,
-                   std::ostream& out) {
-  const auto& r = res.primary();
-  maybeBanner(out, opts,
-              "colibri-sim: lockfair (TAS handoff/fairness) on " +
-                  opts.adapter);
-  std::vector<std::string> headers{
-      "adapter",  "cores",    "acq/cycle", "acqs",     "jain",
-      "acq-min",  "acq-max",  "wait-p50",  "wait-p99", "verified"};
-  std::vector<std::string> row{
-      opts.adapter,
-      std::to_string(opts.cores),
-      report::fmt(res.opsPerCycle.mean, 4),
-      std::to_string(r.rate.opsInWindow),
-      report::fmt(r.rate.fairnessJain, 3),
-      report::fmt(r.acqSpread.min, 0),
-      report::fmt(r.acqSpread.max, 0),
-      report::fmt(r.opLatency.p50, 1),
-      report::fmt(r.opLatency.p99, 1),
-      res.allVerified ? "yes" : "NO"};
-  appendAggregate(headers, row, opts, res);
+  if (opts.reps > 1) {
+    headers.insert(headers.end(), {"reps", "stddev", "min", "max"});
+    row.insert(row.end(), {std::to_string(res.reps.size()),
+                           report::fmt(res.opsPerCycle.stddev, 4),
+                           report::fmt(res.opsPerCycle.min, 4),
+                           report::fmt(res.opsPerCycle.max, 4)});
+  }
   report::Table table(headers);
   table.addRow(row);
   emit(table, out, opts.csv);
@@ -670,53 +698,35 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     return 2;
   }
 
-  // Friendly flag errors for knobs the workloads would otherwise reject
-  // with a raw invariant trace.
-  if (opts.workload == "histogram" && opts.bins == 0) {
-    err << "colibri-sim: --bins must be >= 1\n";
-    return 2;
+  const auto* entry = findEntry(opts.workload);
+  if (entry == nullptr) {
+    err << "colibri-sim: workload '" << opts.workload
+        << "' is registered but has no runner (internal error)\n";
+    return 1;
   }
-  if (opts.workload == "matmul" && opts.matmulN == 0) {
-    err << "colibri-sim: --matmul-n must be >= 1\n";
-    return 2;
-  }
-  if (opts.workload == "wsdeque" && opts.cores < 2) {
-    err << "colibri-sim: wsdeque needs --cores >= 2 (an owner and a "
-           "thief)\n";
-    return 2;
-  }
-  if (opts.workload == "prodcons" &&
-      (opts.producers == 0 || opts.consumers == 0)) {
-    err << "colibri-sim: --producers and --consumers must be >= 1\n";
-    return 2;
-  }
-  if (opts.workload == "prodcons" &&
-      opts.producers + opts.consumers > opts.cores) {
-    err << "colibri-sim: --producers + --consumers (" << opts.producers
-        << " + " << opts.consumers << ") exceeds --cores (" << opts.cores
-        << ")\n";
-    return 2;
+  if (entry->check != nullptr) {
+    if (const auto knobError = entry->check(opts, *adapter)) {
+      err << "colibri-sim: " << *knobError << "\n";
+      return 2;
+    }
   }
   if (opts.reps == 0) {
     err << "colibri-sim: --reps must be >= 1\n";
     return 2;
   }
-  if (opts.measure == 0 && opts.workload != "matmul" &&
-      opts.workload != "wsdeque") {
+  exp::RunSpec spec;
+  spec.label = opts.adapter + "/" + opts.workload;
+  spec.workload = opts.workload;
+  spec.config = cfg;
+  spec.params = entry->params(opts, *adapter);
+  spec.window = workloads::MeasureWindow{opts.warmup, opts.measure};
+  spec.seed = opts.seed;
+  spec.repetitions = opts.reps;
+  if (opts.measure == 0 && exp::isWindowed(spec.params)) {
     // Windowed workloads report rates over the measurement window; an
-    // empty window would print 0 ops/cycle as a verified result. (matmul
-    // and wsdeque run to completion and ignore the window.)
+    // empty window would print 0 ops/cycle as a verified result.
     err << "colibri-sim: --measure must be >= 1 for workload '"
         << opts.workload << "'\n";
-    return 2;
-  }
-  if (opts.workload == "msqueue" && opts.queueCapacity == 1 &&
-      exp::queueVariantFor(*adapter) != workloads::QueueVariant::kLock) {
-    // The ticket queue cannot tell a full slot from a free one at capacity
-    // 1 (see TicketQueue::create); the lock-based variant can.
-    err << "colibri-sim: --queue-capacity must be >= 2 for msqueue on "
-           "adapter '"
-        << opts.adapter << "'\n";
     return 2;
   }
   if (opts.hotFraction > 1.0) {
@@ -745,13 +755,6 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     return 2;
   }
 
-  auto spec = buildSpec(opts, *adapter, cfg);
-  if (!spec) {
-    err << "colibri-sim: workload '" << opts.workload
-        << "' is registered but has no runner (internal error)\n";
-    return 1;
-  }
-
   // One recorder for the whole scenario. Attaching it (sinks or --stats)
   // must not change any machine output: the sampler events are pure reads
   // scheduled before the workload spawns, so stdout stays byte-identical
@@ -765,11 +768,11 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
   recCfg.traceEvery = opts.traceSample;
   obs::Recorder recorder(recCfg);
   if (wantSampling || wantTrace || opts.stats) {
-    spec->config.recorder = &recorder;
+    spec.config.recorder = &recorder;
   }
 
   try {
-    const std::vector<exp::RunSpec> specs = {*std::move(spec)};
+    const std::vector<exp::RunSpec> specs = {std::move(spec)};
     exp::SweepRunner runner(opts.threads);
     const auto results = runner.run(specs);
     const auto& res = results.front();
@@ -779,23 +782,8 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
       jsonOpts.recorder = wantSampling ? &recorder : nullptr;
       jsonOpts.faultBlock = opts.jsonFault;
       exp::writeJson(out, specs, results, jsonOpts);
-    } else if (opts.workload == "histogram") {
-      printHistogram(opts, specs.front(), res, out);
-    } else if (opts.workload == "msqueue" ||
-               opts.workload == "ticket_queue") {
-      printQueue(opts, specs.front(), res, out);
-    } else if (opts.workload == "prodcons") {
-      printProdCons(opts, specs.front(), res, out);
-    } else if (opts.workload == "hashtable") {
-      printHashTable(opts, res, out);
-    } else if (opts.workload == "wsdeque") {
-      printWsDeque(opts, res, out);
-    } else if (opts.workload == "lockfair") {
-      printLockFair(opts, res, out);
-    } else if (wgen::findPreset(opts.workload) != nullptr) {
-      printWgen(opts, res, out);
     } else {
-      printMatmul(opts, res, out);
+      printTable(*entry, opts, specs.front(), res, out);
     }
     if (!opts.metricsCsv.empty()) {
       std::ofstream f(opts.metricsCsv, std::ios::binary);

@@ -29,6 +29,19 @@ Flag numberFlag(const char* help, T Options::* member) {
               }};
 }
 
+/// A preset override: a real >= 0 (negatives and NaN are rejected, not
+/// read as "unset").
+Flag overrideFlag(const char* help, std::optional<double> Options::* member) {
+  return Flag{help, true, [member](Options& o, const std::string& v) {
+                double x = 0.0;
+                if (!parseNumber(v, x) || !(x >= 0.0)) {
+                  return false;
+                }
+                o.*member = x;
+                return true;
+              }};
+}
+
 Flag stringFlag(const char* help, std::string Options::* member) {
   return Flag{help, true, [member](Options& o, const std::string& v) {
                 o.*member = v;
@@ -103,13 +116,13 @@ const std::map<std::string, Flag>& flagTable() {
        numberFlag("lockfair critical-section cycles (default 8)",
                   &Options::csCycles)},
       {"--zipf-theta",
-       numberFlag("wgen: Zipf skew for zipfian regions (default: preset "
-                  "value)",
-                  &Options::zipfTheta)},
+       overrideFlag("wgen: Zipf skew >= 0 for zipfian regions (default: "
+                    "preset value)",
+                    &Options::zipfTheta)},
       {"--hot-fraction",
-       numberFlag("wgen: hot-word probability for hotspot regions "
-                  "(default: preset value)",
-                  &Options::hotFraction)},
+       overrideFlag("wgen: hot-word probability in [0, 1] for hotspot "
+                    "regions (default: preset value)",
+                    &Options::hotFraction)},
       {"--wgen-words",
        numberFlag("wgen: words per non-strided region; 0 = preset value",
                   &Options::wgenWords)},

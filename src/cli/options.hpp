@@ -51,10 +51,10 @@ struct Options {
   std::uint32_t csCycles = 8;       ///< lockfair critical-section cycles
 
   // --- Workload-generator (wgen preset) overrides --------------------------
-  /// Zipf skew θ for zipfian regions; negative = keep the preset value.
-  double zipfTheta = -1.0;
-  /// Hot-word probability for hotspot regions; negative = preset value.
-  double hotFraction = -1.0;
+  /// Zipf skew θ for zipfian regions; unset = keep the preset value.
+  std::optional<double> zipfTheta;
+  /// Hot-word probability for hotspot regions; unset = preset value.
+  std::optional<double> hotFraction;
   /// Region word count for non-strided regions; 0 = preset value.
   std::uint32_t wgenWords = 0;
 

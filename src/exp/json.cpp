@@ -1,6 +1,7 @@
 #include "exp/json.hpp"
 
 #include <ostream>
+#include <variant>
 
 #include "obs/recorder.hpp"
 #include "report/json.hpp"
@@ -75,27 +76,10 @@ void writeRep(report::JsonWriter& w, const RunResult& r,
         .kv("count", static_cast<std::uint64_t>(r.opLatency.count));
     w.endObject();
   }
-  if (r.workload == "matmul" || r.workload == "interference") {
-    w.kv("duration", static_cast<std::uint64_t>(r.duration))
-        .kv("macs", r.macs);
+  for (const auto& e : r.extras) {
+    std::visit([&](auto v) { w.kv(e.key, v); }, e.value);
   }
-  if (r.workload == "interference") {
-    w.kv("pollerUpdates", r.pollerUpdates);
-  }
-  if (r.workload == "prodcons") {
-    w.kv("itemsConsumed", r.itemsConsumed)
-        .kv("consumerSleepFraction", r.consumerSleepFraction)
-        .kv("consumerRequestsPerItem", r.consumerRequestsPerItem);
-  }
-  if (r.workload == "hashtable") {
-    w.kv("inserts", r.inserts).kv("lookups", r.lookups);
-  }
-  if (r.workload == "wsdeque") {
-    w.kv("duration", static_cast<std::uint64_t>(r.duration))
-        .kv("steals", r.steals)
-        .kv("ownerPops", r.ownerPops);
-  }
-  if (r.workload == "lockfair") {
+  if (r.acqSpread.count > 0) {  // lockfair: per-core acquisition spread
     w.key("acqSpread").beginObject();
     w.kv("min", r.acqSpread.min)
         .kv("max", r.acqSpread.max)

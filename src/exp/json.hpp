@@ -1,9 +1,10 @@
 // JSON serialization of sweep results (report::JsonWriter does the
 // syntax; this file owns the schema).
 //
-// Schema (colibri-exp-v1): a top-level object with a "runs" array, one
+// Schema (colibri-exp-v2): a top-level object with a "runs" array, one
 // entry per submitted RunSpec, each carrying the config summary, every
-// repetition's measurements, and the aggregate stats across reps.
+// repetition's measurements (with the workload's RunResult::extras as
+// plain keys), and the aggregate stats across reps.
 #pragma once
 
 #include <iosfwd>

@@ -33,9 +33,9 @@ struct Dispatcher {
     out.rate.opsInWindow = r.itemsInWindow;
     out.rate.counters = r.counters;
     out.verified = r.allItemsSeen;
-    out.itemsConsumed = r.itemsConsumed;
-    out.consumerSleepFraction = r.consumerSleepFraction;
-    out.consumerRequestsPerItem = r.consumerRequestsPerItem;
+    out.extras = {{"itemsConsumed", r.itemsConsumed},
+                  {"consumerSleepFraction", r.consumerSleepFraction},
+                  {"consumerRequestsPerItem", r.consumerRequestsPerItem}};
   }
 
   void operator()(const workloads::MatmulParams& p) const {
@@ -47,7 +47,7 @@ struct Dispatcher {
     const auto r = workloads::runInterference(sys, p);
     fillMatmul(r.matmul, static_cast<std::uint32_t>(p.matmul.workers.size() +
                                                     p.pollers.size()));
-    out.pollerUpdates = r.pollerUpdates;
+    out.extras.push_back({"pollerUpdates", r.pollerUpdates});
   }
 
   void operator()(const wgen::WgenParams& p) const {
@@ -61,17 +61,16 @@ struct Dispatcher {
     const auto r = workloads::runHashTable(sys, p);
     out.rate = r.rate;
     out.verified = r.verified;
-    out.inserts = r.inserts;
-    out.lookups = r.lookups;
+    out.extras = {{"inserts", r.inserts}, {"lookups", r.lookups}};
   }
 
   void operator()(const workloads::WsDequeParams& p) const {
     // Completion-style like matmul: the whole run is the window and the
     // executed task count is the op count.
     const auto r = workloads::runWsDeque(sys, p);
-    out.duration = r.duration;
-    out.steals = r.steals;
-    out.ownerPops = r.ownerPops;
+    out.extras = {{"duration", r.duration},
+                  {"steals", r.steals},
+                  {"ownerPops", r.ownerPops}};
     out.verified = r.verified;
     out.rate.counters = r.counters;
     out.rate.opsInWindow = r.executed;
@@ -94,8 +93,7 @@ struct Dispatcher {
   /// run as the window (stats were never reset) and report MACs as ops.
   void fillMatmul(const workloads::MatmulResult& r,
                   std::uint32_t participants) const {
-    out.duration = r.duration;
-    out.macs = r.macs;
+    out.extras = {{"duration", r.duration}, {"macs", r.macs}};
     out.verified = r.verified;
     out.rate.counters = workloads::snapshotCounters(sys, r.duration,
                                                     participants);
@@ -113,13 +111,7 @@ WorkloadParams withWindow(WorkloadParams params,
                           const workloads::MeasureWindow& window) {
   std::visit(
       [&](auto& p) {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, workloads::HistogramParams> ||
-                      std::is_same_v<T, workloads::QueueParams> ||
-                      std::is_same_v<T, workloads::ProdConsParams> ||
-                      std::is_same_v<T, wgen::WgenParams> ||
-                      std::is_same_v<T, workloads::HashTableParams> ||
-                      std::is_same_v<T, workloads::LockFairParams>) {
+        if constexpr (requires { p.window; }) {
           p.window = window;
         }
       },
@@ -142,36 +134,30 @@ double tileAreaFor(const arch::SystemConfig& cfg) {
 }  // namespace
 
 const char* workloadNameOf(const WorkloadParams& params) {
-  struct Namer {
-    const char* operator()(const workloads::HistogramParams&) const {
-      return "histogram";
+  return std::visit(
+      [](const auto& p) -> const char* {
+        if constexpr (requires { p.kernel.name; }) {
+          return p.kernel.name.empty() ? "wgen" : p.kernel.name.c_str();
+        } else {
+          return p.kName;
+        }
+      },
+      params);
+}
+
+bool isWindowed(const WorkloadParams& params) {
+  return std::visit([](const auto& p) { return requires { p.window; }; },
+                    params);
+}
+
+std::optional<double> RunResult::extra(std::string_view key) const {
+  for (const auto& e : extras) {
+    if (key == e.key) {
+      return std::visit([](auto v) { return static_cast<double>(v); },
+                        e.value);
     }
-    const char* operator()(const workloads::QueueParams&) const {
-      return "msqueue";
-    }
-    const char* operator()(const workloads::ProdConsParams&) const {
-      return "prodcons";
-    }
-    const char* operator()(const workloads::MatmulParams&) const {
-      return "matmul";
-    }
-    const char* operator()(const workloads::InterferenceParams&) const {
-      return "interference";
-    }
-    const char* operator()(const wgen::WgenParams& p) const {
-      return p.kernel.name.empty() ? "wgen" : p.kernel.name.c_str();
-    }
-    const char* operator()(const workloads::HashTableParams&) const {
-      return "hashtable";
-    }
-    const char* operator()(const workloads::WsDequeParams&) const {
-      return "wsdeque";
-    }
-    const char* operator()(const workloads::LockFairParams&) const {
-      return "lockfair";
-    }
-  };
-  return std::visit(Namer{}, params);
+  }
+  return std::nullopt;
 }
 
 std::string workloadNameFor(const RunSpec& spec) {

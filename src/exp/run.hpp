@@ -14,8 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
+#include <vector>
 
 #include "arch/config.hpp"
 #include "model/energy.hpp"
@@ -42,12 +45,16 @@ using WorkloadParams =
                  workloads::HashTableParams, workloads::WsDequeParams,
                  workloads::LockFairParams>;
 
-/// The workload family a WorkloadParams selects ("histogram", "msqueue",
-/// "prodcons", "matmul", "interference"; WgenParams reports its kernel
-/// name). QueueParams always reports "msqueue" — the registry's
-/// "ticket_queue" entry runs the same queue with the kLock variant; set
-/// RunSpec::workload to keep that name.
+/// The workload family a WorkloadParams selects: "histogram", "msqueue",
+/// "prodcons", "matmul", "interference", "hashtable", "wsdeque" or
+/// "lockfair"; WgenParams reports its kernel name. QueueParams always
+/// reports "msqueue" — the registry's "ticket_queue" entry runs the same
+/// queue with the kLock variant; set RunSpec::workload to keep that name.
 [[nodiscard]] const char* workloadNameOf(const WorkloadParams& params);
+
+/// True when the workload reports rates over RunSpec::window; false for
+/// the run-to-completion ones (matmul, interference, wsdeque).
+[[nodiscard]] bool isWindowed(const WorkloadParams& params);
 
 struct RunSpec {
   /// Display label for reports (curve name, CLI scenario, ...).
@@ -68,6 +75,13 @@ struct RunSpec {
   std::uint32_t repetitions = 1;
 };
 
+/// One workload-specific result value, named by its JSON key. Counts stay
+/// integers and ratios stay doubles, so each serializes in its own format.
+struct Extra {
+  const char* key;
+  std::variant<std::uint64_t, double> value;
+};
+
 /// Everything one simulation produced: the rate summary (with the window
 /// SystemCounters inside), workload-specific extras, and the area/energy
 /// model outputs evaluated on those counters.
@@ -79,23 +93,23 @@ struct RunResult {
   workloads::RateResult rate;
   bool verified = false;
 
-  // --- Workload-specific extras (zero where not applicable) -------------
+  // --- Workload-specific extras ----------------------------------------
   /// wgen kernels: per-op completion latency over the window (count > 0
   /// identifies a wgen result; p50/p95/p99 feed the latency columns).
   sim::Summary opLatency{};
-  sim::Cycle duration = 0;   ///< matmul/interference: first spawn → done
-  std::uint64_t macs = 0;    ///< matmul/interference
-  std::uint64_t itemsConsumed = 0;       ///< prodcons: total incl. drain
-  double consumerSleepFraction = 0.0;    ///< prodcons
-  double consumerRequestsPerItem = 0.0;  ///< prodcons
-  std::uint64_t pollerUpdates = 0;       ///< interference
-  std::uint64_t inserts = 0;             ///< hashtable: successful inserts
-  std::uint64_t lookups = 0;             ///< hashtable: completed lookups
-  std::uint64_t steals = 0;              ///< wsdeque: tasks thieves won
-  std::uint64_t ownerPops = 0;           ///< wsdeque: tasks the owner took
   /// lockfair: per-core window acquisition-count spread (count > 0
   /// identifies a lockfair result; its handoff latencies reuse opLatency).
   sim::Summary acqSpread{};
+  /// The workload's scalar extras in JSON key order: matmul/interference
+  /// `duration`, `macs` (+ interference `pollerUpdates`); prodcons
+  /// `itemsConsumed`, `consumerSleepFraction`, `consumerRequestsPerItem`;
+  /// hashtable `inserts`, `lookups`; wsdeque `duration`, `steals`,
+  /// `ownerPops`. Empty for the other workloads.
+  std::vector<Extra> extras;
+
+  /// The extra named `key` as a double (integers are exact below 2^53),
+  /// or nullopt when this run reported none by that name.
+  [[nodiscard]] std::optional<double> extra(std::string_view key) const;
 
   // --- Model outputs (Table I / Table II, from the same counters) -------
   double tileAreaKge = 0.0;  ///< area of one tile with this adapter config

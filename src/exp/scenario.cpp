@@ -45,7 +45,7 @@ const std::vector<WorkloadSpec>& workloads() {
          "TAS spin-lock fairness/handoff study: per-core acquisition spread"},
     };
     // Workload-generator presets are first-class workloads: the CLI,
-    // RunSpec dispatch, and SweepRunner treat them like the fixed five.
+    // RunSpec dispatch, and SweepRunner treat them like the fixed ones.
     for (const auto& p : wgen::presets()) {
       ws.push_back({p.spec.name, "wgen: " + p.description});
     }

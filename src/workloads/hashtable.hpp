@@ -29,6 +29,7 @@
 namespace colibri::workloads {
 
 struct HashTableParams {
+  static constexpr const char* kName = "hashtable";  ///< the reported name
   std::uint32_t slots = 0;        ///< table size in words; 0 = 16 * #cores
   /// Successful inserts each worker performs before switching to lookups;
   /// 0 = an equal share of half the table (load factor capped at 1/2).

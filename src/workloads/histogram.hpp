@@ -40,6 +40,7 @@ enum class HistogramMode : std::uint8_t {
 [[nodiscard]] bool needsWaitSupport(HistogramMode m);
 
 struct HistogramParams {
+  static constexpr const char* kName = "histogram";  ///< the reported name
   std::uint32_t bins = 16;
   HistogramMode mode = HistogramMode::kAmoAdd;
   sync::BackoffPolicy backoff = sync::BackoffPolicy::fixed(128);

@@ -27,6 +27,7 @@
 namespace colibri::workloads {
 
 struct LockFairParams {
+  static constexpr const char* kName = "lockfair";  ///< the reported name
   std::uint32_t csCycles = 8;     ///< compute inside the critical section
   std::uint32_t thinkCycles = 16; ///< local work between releases
   sync::BackoffPolicy backoff = sync::BackoffPolicy::fixed(128);

@@ -18,6 +18,7 @@
 namespace colibri::workloads {
 
 struct MatmulParams {
+  static constexpr const char* kName = "matmul";  ///< the reported name
   std::uint32_t n = 32;  ///< square matrix dimension
   std::vector<sim::CoreId> workers;
 };
@@ -32,6 +33,7 @@ struct MatmulResult {
 MatmulResult runMatmul(arch::System& sys, const MatmulParams& p);
 
 struct InterferenceParams {
+  static constexpr const char* kName = "interference";
   MatmulParams matmul{};
   /// Histogram pollers running beside the workers.
   std::uint32_t bins = 1;

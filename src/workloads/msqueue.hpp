@@ -30,6 +30,7 @@ enum class QueueVariant : std::uint8_t { kLrsc, kLrscWait, kLock };
 [[nodiscard]] const char* toString(QueueVariant v);
 
 struct QueueParams {
+  static constexpr const char* kName = "msqueue";  ///< the reported name
   QueueVariant variant = QueueVariant::kLrscWait;
   std::uint32_t capacity = 0;  ///< 0 = 2 * #cores
   /// Elements pre-filled so balanced enqueue/dequeue pairs never block on

@@ -79,7 +79,7 @@ ProdConsResult runProdCons(arch::System& sys, const ProdConsParams& p) {
   COLIBRI_CHECK_MSG(waitCapable || !p.useMwait,
                     "Mwait consumers need a wait-capable adapter");
   COLIBRI_CHECK(p.producers >= 1 && p.consumers >= 1);
-  COLIBRI_CHECK(p.producers + p.consumers <= sys.numCores());
+  COLIBRI_CHECK(std::uint64_t{p.producers} + p.consumers <= sys.numCores());
 
   PcCtx ctx;
   ctx.params = p;

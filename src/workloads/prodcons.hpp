@@ -18,6 +18,7 @@
 namespace colibri::workloads {
 
 struct ProdConsParams {
+  static constexpr const char* kName = "prodcons";  ///< the reported name
   std::uint32_t producers = 8;
   std::uint32_t consumers = 8;
   /// Cycles a producer computes between items (item generation cost).

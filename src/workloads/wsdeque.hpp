@@ -29,6 +29,7 @@
 namespace colibri::workloads {
 
 struct WsDequeParams {
+  static constexpr const char* kName = "wsdeque";  ///< the reported name
   std::uint32_t tasks = 0;       ///< ring size; 0 = 8 * #cores
   std::uint32_t taskCycles = 12; ///< compute per task
   /// Stealing cores (owner is core 0 of the system); 0 = all other cores.

@@ -317,6 +317,19 @@ TEST(CliDriver, WorkloadFlagChecksAreUsableErrors) {
   }
 }
 
+TEST(CliDriver, ProdConsCountsDoNotWrapAround) {
+  // 4294967295 + 2 wraps to 1 in 32 bits; the check must still see it.
+  std::ostringstream out, err;
+  EXPECT_EQ(runMain(smallRun({"--workload", "prodcons", "--producers",
+                              "4294967295", "--consumers", "2"}),
+                    out, err),
+            2)
+      << err.str();
+  EXPECT_EQ(err.str(),
+            "colibri-sim: --producers + --consumers (4294967295 + 2) "
+            "exceeds --cores (16)\n");
+}
+
 TEST(CliDriver, SingleSlotTicketQueueIsAUsableError) {
   // At capacity 1 the ticket queue cannot tell a full slot from a free one,
   // so its dequeuers would poll forever. msqueue on amo runs the
@@ -410,6 +423,21 @@ TEST(CliWgen, HotFractionAboveOneIsAUsableError) {
             2);
   EXPECT_NE(err.str().find("--hot-fraction"), std::string::npos)
       << err.str();
+}
+
+TEST(CliWgen, NegativeOverridesAreUsableErrors) {
+  // A negative value is an error, not a silent fall-back to the preset.
+  for (const auto& [workload, flag] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"hotspot1", "--hot-fraction"}, {"zipf_hot", "--zipf-theta"}}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain(smallRun({"--workload", workload, flag, "-0.5"}), out,
+                      err),
+              2)
+        << flag << ": " << out.str();
+    EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
+    EXPECT_EQ(out.str(), "") << flag;
+  }
 }
 
 TEST(CliWgen, JsonRunCarriesTheLatencyBlock) {

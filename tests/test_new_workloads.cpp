@@ -63,16 +63,17 @@ TEST(HashTable, RunsAndVerifiesOnEveryCasAdapter) {
     const auto r = exp::runOne(specFor(adapter, workloads::HashTableParams{}));
     EXPECT_TRUE(r.verified) << adapter.name;
     EXPECT_EQ(r.workload, "hashtable") << adapter.name;
-    EXPECT_GT(r.inserts, 0u) << adapter.name;
-    EXPECT_LE(r.inserts, 128u) << adapter.name;  // 16 cores x 8-key budget
+    const double inserts = r.extra("inserts").value();
+    EXPECT_GT(inserts, 0.0) << adapter.name;
+    EXPECT_LE(inserts, 128.0) << adapter.name;  // 16 cores x 8-key budget
     EXPECT_GT(r.rate.opsInWindow, 0u) << adapter.name;
     if (adapter.waitCapable || adapter.kind == arch::AdapterKind::kColibri) {
       // Fast CAS adapters exhaust the whole insert budget well inside the
       // window and move on to lookups; the single-slot LR/SC adapter
       // spends the window fighting over reservations instead — which is
       // the contention story this workload exists to show.
-      EXPECT_EQ(r.inserts, 128u) << adapter.name;
-      EXPECT_GT(r.lookups, 0u) << adapter.name;
+      EXPECT_EQ(inserts, 128.0) << adapter.name;
+      EXPECT_GT(r.extra("lookups").value(), 0.0) << adapter.name;
     }
   }
 }
@@ -156,9 +157,11 @@ TEST(NewWorkloadDeterminism, RerunsAreBitIdentical) {
       const std::string what = std::string(adapter.name) + "/" + workload;
       EXPECT_EQ(a.rate.opsInWindow, b.rate.opsInWindow) << what;
       EXPECT_EQ(a.rate.perCoreWindowOps, b.rate.perCoreWindowOps) << what;
-      EXPECT_EQ(a.duration, b.duration) << what;
-      EXPECT_EQ(a.inserts, b.inserts) << what;
-      EXPECT_EQ(a.steals, b.steals) << what;
+      ASSERT_EQ(a.extras.size(), b.extras.size()) << what;
+      for (const auto& e : a.extras) {
+        EXPECT_EQ(a.extra(e.key).value(), b.extra(e.key).value())
+            << what << " " << e.key;
+      }
       EXPECT_EQ(a.opLatency.p99, b.opLatency.p99) << what;
     }
   }
