@@ -433,12 +433,12 @@ void printTable(const WorkloadEntry& entry, const Options& opts,
                 std::ostream& out) {
   maybeBanner(out, opts,
               "colibri-sim: " + entry.title(spec) + " on " + opts.adapter);
-  const Row r{opts, res, res.primary()};
+  const Row source{opts, res, res.primary()};
   std::vector<std::string> headers;
   std::vector<std::string> row;
   for (const auto column : entry.columns) {
     headers.emplace_back(column);
-    row.push_back(cells().at(column)(r));
+    row.push_back(cells().at(column)(source));
   }
   if (opts.reps > 1) {
     headers.insert(headers.end(), {"reps", "stddev", "min", "max"});
