@@ -10,23 +10,25 @@
 namespace colibri::arch {
 
 Bank::Bank(sim::Engine& engine, Network& net, CoreSink& sink,
-           const SystemConfig& cfg, BankId id, Word* spm)
+           const SystemConfig& cfg, BankId id, Word* spm,
+           fault::FaultPlan* fault, const obs::SimHooks* hooks)
     : engine_(engine),
       net_(net),
       sink_(sink),
       id_(id),
       numCores_(cfg.numCores),
-      numBanks_(cfg.numBanks()),
-      numWords_(cfg.numWords()),
+      map_(cfg),
       spm_(spm),
-      port_(cfg.bankPortsPerCycle) {
+      port_(cfg.bankPortsPerCycle),
+      fault_(fault),
+      hooks_(hooks) {
   adapter_ = atomics::makeAdapter(cfg, *this);
 }
 
 void Bank::checkOwned(Addr a) const {
-  COLIBRI_CHECK_MSG(a % numBanks_ == id_,
+  COLIBRI_CHECK_MSG(map_.bankOf(a) == id_,
                     "address " << a << " does not map to bank " << id_);
-  COLIBRI_CHECK(a < numWords_);
+  COLIBRI_CHECK(a < map_.numWords());
 }
 
 void Bank::receive(const MemRequest& req) {

@@ -5,7 +5,9 @@
 // then handed to the adapter. The Bank implements BankContext so the
 // adapter can read/write storage and emit responses/protocol messages.
 // The words themselves live in the System's address-indexed SPM array;
-// the bank only checks that an address is its own and in range.
+// the bank only checks that an address is its own and in range. The
+// System builds a Bank the first time something reaches it, so banks no
+// request touches cost nothing.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +44,12 @@ struct BankStats {
 class Bank final : public atomics::BankContext {
  public:
   /// `spm` is the System's SPM, indexed by address: cfg.numWords() words
-  /// that must outlive the bank.
+  /// that must outlive the bank. `fault` is the fault plan (null =
+  /// injection off) and `hooks` the observability bundle (null = off);
+  /// both must outlive the bank too.
   Bank(sim::Engine& engine, Network& net, CoreSink& sink,
-       const SystemConfig& cfg, BankId id, Word* spm);
+       const SystemConfig& cfg, BankId id, Word* spm,
+       fault::FaultPlan* fault, const obs::SimHooks* hooks);
 
   /// Entry point from the network: arbitrate the port, then run the adapter.
   void receive(const MemRequest& req);
@@ -66,13 +71,9 @@ class Bank final : public atomics::BankContext {
     return port_.peek(now) - now;
   }
 
-  /// Attach the observability hook bundle (nullptr = off).
-  void setObsHooks(const obs::SimHooks* hooks) { hooks_ = hooks; }
-
-  /// Attach the fault plan (null = injection off). Transient service
-  /// stalls add cycles between the port grant and the adapter handling
-  /// the request; in-order service is preserved by a monotone clamp.
-  void setFaultPlan(fault::FaultPlan* plan) { fault_ = plan; }
+  /// Transient service stalls from the fault plan add cycles between the
+  /// port grant and the adapter handling the request; in-order service is
+  /// preserved by a monotone clamp.
   [[nodiscard]] fault::FaultPlan* faultPlan() const override {
     return fault_;
   }
@@ -93,13 +94,12 @@ class Bank final : public atomics::BankContext {
   CoreSink& sink_;
   BankId id_;
   std::uint32_t numCores_;
-  std::uint32_t numBanks_;
-  std::uint64_t numWords_;
+  AddressMap map_;
   Word* spm_;  ///< the System's storage, indexed by address
   sim::ThroughputResource port_;
   sim::Cycle lastServe_ = 0;  ///< stall clamp: service stays in-order
-  fault::FaultPlan* fault_ = nullptr;
-  const obs::SimHooks* hooks_ = nullptr;
+  fault::FaultPlan* fault_;
+  const obs::SimHooks* hooks_;
   std::unique_ptr<atomics::AtomicAdapter> adapter_;
   BankStats stats_;
 };

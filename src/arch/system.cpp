@@ -41,14 +41,8 @@ System::System(const SystemConfig& cfg)
     : cfg_(validated(cfg)),
       net_(cfg_),
       alloc_(cfg_),
-      spm_(cfg_.numWords()) {
-  const BankId numBanks = cfg_.numBanks();
-  banks_.reserve(numBanks);
-  for (BankId b = 0; b < numBanks; ++b) {
-    banks_.push_back(
-        std::make_unique<Bank>(engine_, net_, *this, cfg_, b, spm_.data()));
-  }
-
+      spm_(cfg_.numWords()),
+      banks_(cfg_.numBanks()) {
   qnodes_.reserve(cfg_.numCores);
   for (CoreId c = 0; c < cfg_.numCores; ++c) {
     qnodes_.emplace_back(c);
@@ -86,9 +80,6 @@ System::System(const SystemConfig& cfg)
     }
     faultPlan_ = std::make_unique<fault::FaultPlan>(fc);
     net_.setFaultPlan(faultPlan_.get());
-    for (auto& b : banks_) {
-      b->setFaultPlan(faultPlan_.get());
-    }
   }
 
   if (cfg_.watchdogCycles > 0) {
@@ -155,21 +146,21 @@ void System::attachObservability() {
   });
   reg.gauge("bank.requests", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
+    for (const Bank* b : built_) {
       n += b->stats().requests;
     }
     return static_cast<double>(n);
   });
   reg.gauge("bank.backlogMax", [this] {
     sim::Cycle mx = 0;
-    for (const auto& b : banks_) {
+    for (const Bank* b : built_) {
       mx = std::max(mx, b->backlog());
     }
     return static_cast<double>(mx);
   });
   reg.gauge("bank.backlogMean", [this] {
     double sum = 0;
-    for (const auto& b : banks_) {
+    for (const Bank* b : built_) {
       sum += static_cast<double>(b->backlog());
     }
     return sum / static_cast<double>(banks_.size());
@@ -186,48 +177,26 @@ void System::attachObservability() {
   reg.gauge("net.queueingDelay", [this] {
     return static_cast<double>(net_.stats().totalQueueingDelay);
   });
-  reg.gauge("adapter.lrGrants", [this] {
-    std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().lrGrants;
-    }
-    return static_cast<double>(n);
-  });
-  reg.gauge("adapter.lrFails", [this] {
-    std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().lrFails;
-    }
-    return static_cast<double>(n);
-  });
-  reg.gauge("adapter.scSuccesses", [this] {
-    std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().scSuccesses;
-    }
-    return static_cast<double>(n);
-  });
-  reg.gauge("adapter.scFailures", [this] {
-    std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().scFailures;
-    }
-    return static_cast<double>(n);
-  });
-  reg.gauge("adapter.mwaitWakes", [this] {
-    std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().mwaitWakes;
-    }
-    return static_cast<double>(n);
-  });
-  reg.gauge("adapter.wakeUpRequests", [this] {
-    std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().wakeUpRequests;
-    }
-    return static_cast<double>(n);
-  });
+  // Adapter counters summed over the built banks; a bank never built
+  // has counted nothing.
+  using AdapterCounter = std::uint64_t atomics::AdapterStats::*;
+  const auto adapterGauge = [this, &reg](std::string name,
+                                         AdapterCounter field) {
+    reg.gauge(std::move(name), [this, field] {
+      std::uint64_t n = 0;
+      for (const Bank* b : built_) {
+        n += b->adapter().stats().*field;
+      }
+      return static_cast<double>(n);
+    });
+  };
+  adapterGauge("adapter.lrGrants", &atomics::AdapterStats::lrGrants);
+  adapterGauge("adapter.lrFails", &atomics::AdapterStats::lrFails);
+  adapterGauge("adapter.scSuccesses", &atomics::AdapterStats::scSuccesses);
+  adapterGauge("adapter.scFailures", &atomics::AdapterStats::scFailures);
+  adapterGauge("adapter.mwaitWakes", &atomics::AdapterStats::mwaitWakes);
+  adapterGauge("adapter.wakeUpRequests",
+               &atomics::AdapterStats::wakeUpRequests);
   if (faultPlan_ != nullptr) {
     fault::FaultPlan* fp = faultPlan_.get();
     // The seed names the fault schedule, so a run's counts can be
@@ -260,9 +229,6 @@ void System::attachObservability() {
       faultPlan_->setTracer(tr);
     }
   }
-  for (auto& b : banks_) {
-    b->setObsHooks(obsHooks_.get());
-  }
   for (auto& c : cores_) {
     c->hooks_ = obsHooks_.get();
   }
@@ -283,12 +249,22 @@ void System::spawn(CoreId c, sim::Task task) {
   cores_[c]->run(std::move(task));
 }
 
+Bank& System::buildBank(BankId b) {
+  banks_[b] = std::make_unique<Bank>(engine_, net_, *this, cfg_, b,
+                                     spm_.data(), faultPlan_.get(),
+                                     obsHooks_.get());
+  built_.push_back(banks_[b].get());
+  return *banks_[b];
+}
+
 sim::Word System::peek(sim::Addr a) const {
-  return banks_[a % banks_.size()]->read(a);
+  COLIBRI_CHECK(a < alloc_.map().numWords());
+  return spm_.data()[a];
 }
 
 void System::poke(sim::Addr a, sim::Word v) {
-  banks_[a % banks_.size()]->writeRaw(a, v);
+  COLIBRI_CHECK(a < alloc_.map().numWords());
+  spm_.data()[a] = v;
 }
 
 void System::run() { engine_.run(); }
@@ -315,8 +291,9 @@ bool System::allTasksDone() const {
 }
 
 void System::injectRequest(CoreId from, const MemRequest& req) {
-  const BankId b = static_cast<BankId>(req.addr % banks_.size());
-  auto arrive = [this, b, req] { banks_[b]->receive(req); };
+  const BankId b = alloc_.map().bankOf(req.addr);
+  Bank* target = &bank(b);
+  auto arrive = [target, req] { target->receive(req); };
   static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
                 "request-injection closure must fit the inline event buffer");
 
@@ -324,7 +301,7 @@ void System::injectRequest(CoreId from, const MemRequest& req) {
   // network stages longer (finite switch buffers; see config.hpp).
   std::uint32_t hold = 1;
   if (cfg_.linkHoldMax > 0) {
-    const sim::Cycle backlog = banks_[b]->backlog();
+    const sim::Cycle backlog = target->backlog();
     hold += static_cast<std::uint32_t>(
         backlog > cfg_.linkHoldMax ? cfg_.linkHoldMax : backlog);
   }
@@ -336,8 +313,8 @@ void System::resetStats() {
   for (auto& core : cores_) {
     core->resetStats();
   }
-  for (auto& bank : banks_) {
-    bank->resetStats();
+  for (Bank* b : built_) {
+    b->resetStats();
   }
   net_.resetStats();
   if (faultPlan_ != nullptr) {
@@ -345,7 +322,7 @@ void System::resetStats() {
   }
 }
 
-std::string System::blameReport(sim::Cycle now) const {
+std::string System::blameReport(sim::Cycle now) {
   constexpr std::size_t kMaxBlamedCores = 16;
   std::ostringstream os;
   sim::Cycle lastAny = 0;
@@ -372,7 +349,7 @@ std::string System::blameReport(sim::Cycle now) const {
     const CoreHot& h = coreHot_[c];
     os << "  core " << c << ": ";
     if (h.pendingHandle != nullptr) {
-      const BankId b = static_cast<BankId>(h.pendingAddr % banks_.size());
+      const BankId b = alloc_.map().bankOf(h.pendingAddr);
       os << "waiting on " << toString(h.pendingKind) << " to addr "
          << h.pendingAddr << " (bank " << b << ") since cycle "
          << h.pendingSince;
@@ -413,7 +390,7 @@ std::string System::blameReport(sim::Cycle now) const {
   std::sort(blamedBanks.begin(), blamedBanks.end());
   for (const BankId b : blamedBanks) {
     os << "  bank " << b << ": ";
-    banks_[b]->adapter().describeState(os);
+    bank(b).adapter().describeState(os);
     os << '\n';
   }
   return os.str();

@@ -1,16 +1,20 @@
 // System: the whole modeled manycore — engine, network, banks (with their
 // atomic adapters), cores (with their Qnodes), and the SPM allocator.
 //
-// Construction wires everything; workloads are attached per core as
-// coroutines and the simulation is driven with run()/runUntil(). Teardown
-// clears the event queue before destroying coroutine frames so no stale
-// event can touch a dead frame.
+// Construction wires everything except the banks: a bank and its adapter
+// are built the first time a request, a bank() call or a blame report
+// reaches it, so construction and teardown cost grows with the banks a
+// workload touches, not with the geometry. Workloads are attached per core
+// as coroutines and the simulation is driven with run()/runUntil().
+// Teardown clears the event queue before destroying coroutine frames so no
+// stale event can touch a dead frame.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +69,15 @@ class System final : public CoreSink {
   [[nodiscard]] const Topology& topology() const { return net_.topology(); }
 
   [[nodiscard]] Core& core(CoreId c) { return *cores_[c]; }
-  [[nodiscard]] Bank& bank(BankId b) { return *banks_[b]; }
+  /// Bank `b`, built here if nothing has reached it yet.
+  [[nodiscard]] Bank& bank(BankId b) {
+    Bank* built = banks_[b].get();
+    return built != nullptr ? *built : buildBank(b);
+  }
+  /// The banks built so far, in build order. A bank never built has
+  /// served no request and holds no state, so sums over its counters are
+  /// zero. The span is valid until the next bank is built.
+  [[nodiscard]] std::span<Bank* const> builtBanks() const { return built_; }
   [[nodiscard]] atomics::Qnode& qnode(CoreId c) { return qnodes_[c]; }
   [[nodiscard]] std::uint32_t numCores() const { return cfg_.numCores; }
   [[nodiscard]] std::uint32_t numBanks() const {
@@ -76,6 +88,8 @@ class System final : public CoreSink {
   void spawn(CoreId c, sim::Task task);
 
   /// Direct (zero-sim-time) memory access for setup and verification.
+  /// Reads and writes the SPM without building a bank; throws
+  /// sim::InvariantViolation past the last word.
   [[nodiscard]] sim::Word peek(sim::Addr a) const;
   void poke(sim::Addr a, sim::Word v);
 
@@ -126,7 +140,7 @@ class System final : public CoreSink {
   /// target bank and progress timestamps, plus the reservation state of
   /// every bank those requests point at. Used by the watchdog's blame
   /// hook and exposed for tests.
-  [[nodiscard]] std::string blameReport(sim::Cycle now) const;
+  [[nodiscard]] std::string blameReport(sim::Cycle now);
 
   // --- CoreSink ----------------------------------------------------------
   void deliverResponse(CoreId c, const MemResponse& r) override;
@@ -136,18 +150,22 @@ class System final : public CoreSink {
  private:
   /// Register metrics/probes and distribute hook pointers (recorder set).
   void attachObservability();
+  /// Build bank `b` and its adapter; bank() calls this on first use.
+  Bank& buildBank(BankId b);
 
   SystemConfig cfg_;
   sim::Engine engine_;
   Network net_;
   Allocator alloc_;
   SpmStorage spm_;  // declared before banks_: it must outlive them
-  std::vector<std::unique_ptr<Bank>> banks_;
+  std::vector<std::unique_ptr<Bank>> banks_;  // null until first use
+  std::vector<Bank*> built_;                  // the non-null banks_
   std::vector<atomics::Qnode> qnodes_;
   std::vector<CoreHot> coreHot_;  // dense hot state, one slot per core
   std::vector<std::unique_ptr<Core>> cores_;
   // Hook bundle handed to cores/banks/sync; owned here so those raw
-  // pointers stay valid for the System's whole lifetime.
+  // pointers stay valid for the System's whole lifetime. Banks built
+  // later receive it (and the fault plan) at construction.
   std::unique_ptr<obs::SimHooks> obsHooks_;
   // Fault-injection plan (null when disabled) and the hang watchdog (null
   // when watchdogCycles == 0). Banks and the network hold raw pointers to

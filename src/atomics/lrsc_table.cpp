@@ -1,5 +1,6 @@
 #include "atomics/lrsc_table.hpp"
 
+#include <algorithm>
 #include <ostream>
 
 #include "fault/fault.hpp"
@@ -7,25 +8,24 @@
 
 namespace colibri::atomics {
 
+std::vector<LrscTableAdapter::Entry>::iterator LrscTableAdapter::slotFor(
+    CoreId c) {
+  return std::lower_bound(
+      held_.begin(), held_.end(), c,
+      [](const Entry& e, CoreId core) { return e.core < core; });
+}
+
 void LrscTableAdapter::handle(const MemRequest& req) {
   if (fault::FaultPlan* fp = ctx_.faultPlan();
       fp != nullptr && fp->evict(ctx_.bankId(), req.core, ctx_.now())) {
     // Injected eviction: drop one held reservation, hash-picked among the
-    // valid entries so churn spreads across cores. The victim's SC fails
-    // and its retry loop re-grants.
-    std::uint32_t held = 0;
-    for (const Entry& e : entries_) {
-      held += e.valid ? 1 : 0;
-    }
+    // held entries in core order so churn spreads across cores. The
+    // victim's SC fails and its retry loop re-grants.
+    const auto held = static_cast<std::uint32_t>(held_.size());
     if (held > 0) {
-      std::uint32_t victim =
+      const std::uint32_t victim =
           fp->evictVictim(ctx_.bankId(), ctx_.now(), held);
-      for (Entry& e : entries_) {
-        if (e.valid && victim-- == 0) {
-          e.valid = false;
-          break;
-        }
-      }
+      held_.erase(held_.begin() + victim);
     }
   }
   if (handleBasic(req)) {
@@ -33,16 +33,22 @@ void LrscTableAdapter::handle(const MemRequest& req) {
   }
   switch (req.kind) {
     case OpKind::kLr: {
-      COLIBRI_CHECK(req.core < entries_.size());
-      entries_[req.core] = Entry{true, req.addr};
+      COLIBRI_CHECK(req.core < ctx_.numCores());
+      const auto it = slotFor(req.core);
+      if (it != held_.end() && it->core == req.core) {
+        it->addr = req.addr;
+      } else {
+        held_.insert(it, Entry{req.core, req.addr});
+      }
       ++stats_.lrGrants;
       ctx_.respond(req.core, MemResponse{ctx_.read(req.addr), true, true});
       return;
     }
     case OpKind::kSc: {
-      COLIBRI_CHECK(req.core < entries_.size());
-      Entry& e = entries_[req.core];
-      bool success = e.valid && e.addr == req.addr;
+      COLIBRI_CHECK(req.core < ctx_.numCores());
+      const auto it = slotFor(req.core);
+      const bool held = it != held_.end() && it->core == req.core;
+      bool success = held && it->addr == req.addr;
       if (success) {
         if (fault::FaultPlan* fp = ctx_.faultPlan();
             fp != nullptr &&
@@ -50,7 +56,9 @@ void LrscTableAdapter::handle(const MemRequest& req) {
           success = false;  // spurious failure; the entry clears either way
         }
       }
-      e.valid = false;
+      if (held) {
+        held_.erase(it);
+      }
       if (success) {
         ++stats_.scSuccesses;
         // Commit, then invalidate every other reservation on this address.
@@ -69,32 +77,21 @@ void LrscTableAdapter::handle(const MemRequest& req) {
 }
 
 void LrscTableAdapter::onWrite(Addr a) {
-  for (Entry& e : entries_) {
-    if (e.valid && e.addr == a) {
-      e.valid = false;
-    }
-  }
+  std::erase_if(held_, [a](const Entry& e) { return e.addr == a; });
 }
 
 void LrscTableAdapter::reset() {
   AtomicAdapter::reset();
-  for (Entry& e : entries_) {
-    e = Entry{};
-  }
+  held_.clear();
 }
 
 void LrscTableAdapter::describeState(std::ostream& os) const {
-  std::uint32_t held = 0;
-  for (const Entry& e : entries_) {
-    held += e.valid ? 1 : 0;
-  }
-  os << held << " of " << entries_.size() << " reservation entries held";
-  if (held > 0) {
+  os << held_.size() << " of " << ctx_.numCores()
+     << " reservation entries held";
+  if (!held_.empty()) {
     os << " (cores:";
-    for (std::size_t c = 0; c < entries_.size(); ++c) {
-      if (entries_[c].valid) {
-        os << ' ' << c;
-      }
+    for (const Entry& e : held_) {
+      os << ' ' << e.core;
     }
     os << ')';
   }

@@ -5,6 +5,10 @@
 // reservations on it, so under contention exactly one SC per round
 // succeeds and the losers retry. The hardware cost of the full table is
 // what Table I's area model charges for reservation-table designs.
+//
+// The model stores only the entries that are held, sorted by core id, so
+// a bank's state and a write's invalidation scan grow with the
+// reservations actually outstanding rather than with the core count.
 #pragma once
 
 #include <vector>
@@ -15,8 +19,7 @@ namespace colibri::atomics {
 
 class LrscTableAdapter final : public AtomicAdapter {
  public:
-  explicit LrscTableAdapter(BankContext& ctx)
-      : AtomicAdapter(ctx), entries_(ctx.numCores()) {}
+  explicit LrscTableAdapter(BankContext& ctx) : AtomicAdapter(ctx) {}
 
   void handle(const MemRequest& req) override;
   void reset() override;
@@ -24,13 +27,15 @@ class LrscTableAdapter final : public AtomicAdapter {
 
  private:
   struct Entry {
-    bool valid = false;
-    Addr addr = 0;
+    CoreId core;
+    Addr addr;
   };
 
   void onWrite(Addr a) override;
+  /// The first held entry whose core is >= `c` (the slot for `c`).
+  std::vector<Entry>::iterator slotFor(CoreId c);
 
-  std::vector<Entry> entries_;  // indexed by core id
+  std::vector<Entry> held_;  // held reservations, ascending core id
 };
 
 }  // namespace colibri::atomics

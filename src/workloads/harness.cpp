@@ -40,8 +40,8 @@ SystemCounters snapshotCounters(arch::System& sys, Cycle windowCycles,
     s.sleepCycles += cs.sleepCycles;
     s.stallCycles += cs.stallCycles;
   }
-  for (sim::BankId b = 0; b < sys.numBanks(); ++b) {
-    s.bankAccesses += sys.bank(b).stats().requests;
+  for (const arch::Bank* b : sys.builtBanks()) {
+    s.bankAccesses += b->stats().requests;
   }
   s.netMessages = sys.network().stats().messagesByDistance;
   return s;

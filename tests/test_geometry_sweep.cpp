@@ -26,6 +26,7 @@ const Geometry kGeometries[] = {
     {"tall_tiles", 16, 8, 2, 4},
     {"many_groups", 32, 4, 2, 8},
     {"wide_banks", 8, 2, 2, 16},
+    {"odd_banks", 18, 3, 2, 5},  // 30 banks in 3 groups: no power of two
 };
 
 using Case = std::tuple<Geometry, AdapterKind>;
@@ -85,16 +86,20 @@ TEST_P(GeometrySweep, ContendedIncrementsAreExact) {
 }
 
 // Property: per-bank traffic stays addressable — every word of every bank
-// is reachable and holds what was stored (exercises the address map end
-// to end on odd shapes).
+// is reachable and holds what was stored, through peek and through the
+// bank AddressMap::bankOf names as its owner (exercises the address map
+// end to end on odd shapes).
 TEST_P(GeometrySweep, EveryBankWordIsAddressable) {
   const auto cfg = makeConfig(GetParam());
   System sys(cfg);
+  const AddressMap& map = sys.allocator().map();
   for (sim::Addr a = 0; a < cfg.numWords(); a += 7) {
     sys.poke(a, static_cast<sim::Word>(a * 2654435761u));
   }
   for (sim::Addr a = 0; a < cfg.numWords(); a += 7) {
     EXPECT_EQ(sys.peek(a), static_cast<sim::Word>(a * 2654435761u));
+    EXPECT_EQ(sys.bank(map.bankOf(a)).read(a),
+              static_cast<sim::Word>(a * 2654435761u));
   }
 }
 

@@ -1,6 +1,8 @@
 // LR/SC baseline adapters: single-slot (MemPool) and per-core table (ATUN).
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "atomics/lrsc_single.hpp"
 #include "atomics/lrsc_table.hpp"
 #include "mock_bank.hpp"
@@ -166,6 +168,29 @@ TEST(LrscTable, TracksSuccessAndFailureCounts) {
   EXPECT_EQ(a.stats().lrGrants, 2u);
   EXPECT_EQ(a.stats().scSuccesses, 1u);
   EXPECT_EQ(a.stats().scFailures, 1u);
+}
+
+// Held reservations are listed in core order whatever order the LRs came
+// in, a re-LR moves a core's reservation instead of adding one, and a
+// write drops exactly the entries on its address.
+TEST(LrscTable, DescribeStateListsHeldCoresInOrder) {
+  MockBank bank;
+  atomics::LrscTableAdapter a(bank);
+  const auto state = [&a] {
+    std::ostringstream os;
+    a.describeState(os);
+    return os.str();
+  };
+  EXPECT_EQ(state(), "0 of 8 reservation entries held");
+  a.handle(lr(3, 5));
+  a.handle(lr(4, 2));
+  a.handle(lr(3, 7));
+  a.handle(lr(4, 5));  // core 5 moves its reservation to address 4
+  EXPECT_EQ(state(), "3 of 8 reservation entries held (cores: 2 5 7)");
+  a.handle(store(4, 1, 0));
+  EXPECT_EQ(state(), "1 of 8 reservation entries held (cores: 7)");
+  a.reset();
+  EXPECT_EQ(state(), "0 of 8 reservation entries held");
 }
 
 }  // namespace
