@@ -15,7 +15,7 @@ Bank::Bank(sim::Engine& engine, Network& net, CoreSink& sink,
     : engine_(engine),
       net_(net),
       sink_(sink),
-      id_(id),
+      link_(net.bankLink(id)),
       numCores_(cfg.numCores),
       map_(cfg),
       spm_(spm),
@@ -26,8 +26,8 @@ Bank::Bank(sim::Engine& engine, Network& net, CoreSink& sink,
 }
 
 void Bank::checkOwned(Addr a) const {
-  COLIBRI_CHECK_MSG(map_.bankOf(a) == id_,
-                    "address " << a << " does not map to bank " << id_);
+  COLIBRI_CHECK_MSG(map_.bankOf(a) == bankId(),
+                    "address " << a << " does not map to bank " << bankId());
   COLIBRI_CHECK(a < map_.numWords());
 }
 
@@ -41,7 +41,7 @@ void Bank::receive(const MemRequest& req) {
     // exactly as without faults); the clamp keeps service in order, so a
     // stalled request delays everything granted behind it, like a
     // refresh-busy bank.
-    serveAt += fault_->stall(id_, req.core, grant);
+    serveAt += fault_->stall(bankId(), req.core, grant);
     if (serveAt < lastServe_) {
       serveAt = lastServe_;
     }
@@ -49,7 +49,7 @@ void Bank::receive(const MemRequest& req) {
   }
   if (hooks_ != nullptr && hooks_->tracer != nullptr &&
       expectsResponse(req.kind)) {
-    hooks_->tracer->onBankArrive(req.core, id_, at, serveAt);
+    hooks_->tracer->onBankArrive(req.core, bankId(), at, serveAt);
   }
   auto serve = [this, req] {
     ++stats_.requests;
@@ -73,7 +73,7 @@ void Bank::writeRaw(Addr a, Word v) {
 void Bank::respond(CoreId c, const MemResponse& r) {
   // Responses ride dedicated return paths (no shared stages), so the
   // arrival cycle is fully determined at send time.
-  const sim::Cycle arriveAt = net_.routeResponse(id_, c, engine_.now());
+  const sim::Cycle arriveAt = net_.routeResponse(link_, c, engine_.now());
   if (hooks_ != nullptr && hooks_->tracer != nullptr) {
     hooks_->tracer->onRespond(c, engine_.now());
   }
@@ -85,7 +85,7 @@ void Bank::respond(CoreId c, const MemResponse& r) {
 
 void Bank::sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
                                bool successorIsMwait) {
-  const sim::Cycle arriveAt = net_.routeResponse(id_, target, engine_.now());
+  const sim::Cycle arriveAt = net_.routeResponse(link_, target, engine_.now());
   auto arrive = [this, target, successor, a, successorIsMwait] {
     sink_.deliverSuccessorUpdate(target, successor, a, successorIsMwait);
   };

@@ -5,7 +5,8 @@
 // then handed to the adapter. The Bank implements BankContext so the
 // adapter can read/write storage and emit responses/protocol messages.
 // The words themselves live in the System's address-indexed SPM array;
-// the bank only checks that an address is its own and in range. The
+// the bank only checks that an address is its own and in range. Its
+// network link state (placement and FIFO clamps) lives here too. The
 // System builds a Bank the first time something reaches it, so banks no
 // request touches cost nothing.
 #pragma once
@@ -61,7 +62,7 @@ class Bank final : public atomics::BankContext {
   void sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
                            bool successorIsMwait) override;
   [[nodiscard]] sim::Cycle now() const override { return engine_.now(); }
-  [[nodiscard]] BankId bankId() const override { return id_; }
+  [[nodiscard]] BankId bankId() const override { return link_.bank(); }
   [[nodiscard]] std::uint32_t numCores() const override { return numCores_; }
 
   /// Cycles a request arriving now would wait for the bank port — the
@@ -85,6 +86,10 @@ class Bank final : public atomics::BankContext {
   [[nodiscard]] const BankStats& stats() const { return stats_; }
   void resetStats();
 
+  /// This bank's end of the network, which requests towards it route
+  /// through (Network::routeRequest).
+  [[nodiscard]] BankLink& link() { return link_; }
+
  private:
   /// Check that `a` maps to this bank and lies inside the SPM.
   void checkOwned(Addr a) const;
@@ -92,7 +97,7 @@ class Bank final : public atomics::BankContext {
   sim::Engine& engine_;
   Network& net_;
   CoreSink& sink_;
-  BankId id_;
+  BankLink link_;
   std::uint32_t numCores_;
   AddressMap map_;
   Word* spm_;  ///< the System's storage, indexed by address

@@ -11,8 +11,6 @@ namespace {
 /// exactly what the sparse layout exists to avoid allocating).
 constexpr std::size_t kDenseCheckMaxPairs = std::size_t{4} << 20;
 
-constexpr std::size_t kDistanceClasses = 3;
-
 }  // namespace
 
 Network::Network(const SystemConfig& cfg)
@@ -24,10 +22,6 @@ Network::Network(const SystemConfig& cfg)
   corePlace_.reserve(numCores_);
   for (CoreId c = 0; c < numCores_; ++c) {
     corePlace_.push_back({topo_.tileOfCore(c), topo_.groupOfCore(c)});
-  }
-  bankPlace_.reserve(numBanks_);
-  for (BankId b = 0; b < numBanks_; ++b) {
-    bankPlace_.push_back({topo_.tileOfBank(b), topo_.groupOfBank(b)});
   }
   localRouters_.reserve(numGroups_);
   groupEgress_.reserve(numGroups_);
@@ -43,8 +37,6 @@ Network::Network(const SystemConfig& cfg)
   for (std::uint32_t t = 0; t < cfg.numTiles(); ++t) {
     tileIngress_.emplace_back(cfg.tileIngressBandwidth);
   }
-  lastRequestToBank_.assign(numBanks_ * kDistanceClasses, 0);
-  lastResponseFromBank_.assign(numBanks_ * kDistanceClasses, 0);
 #ifndef NDEBUG
   const std::size_t pairs = static_cast<std::size_t>(numCores_) * numBanks_;
   if (pairs <= kDenseCheckMaxPairs) {
@@ -54,9 +46,10 @@ Network::Network(const SystemConfig& cfg)
 #endif
 }
 
-std::size_t Network::clampBytes() const {
-  return (lastRequestToBank_.capacity() + lastResponseFromBank_.capacity()) *
-         sizeof(Cycle);
+BankLink Network::bankLink(BankId b) const {
+  COLIBRI_CHECK_MSG(b < numBanks_, "bankLink for bank " << b << " of "
+                                                        << numBanks_);
+  return BankLink(b, {topo_.tileOfBank(b), topo_.groupOfBank(b)});
 }
 
 std::size_t Network::denseClampBytes(const SystemConfig& cfg) {
@@ -95,13 +88,14 @@ Cycle Network::acquireRequestPath(Placement src, Placement dst, Distance d,
   return at;
 }
 
-Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
+Cycle Network::routeRequest(CoreId c, BankLink& dstLink, Cycle at,
                             std::uint32_t holdSlots) {
-  COLIBRI_CHECK_MSG(c < numCores_ && b < numBanks_,
+  const BankId b = dstLink.bank_;
+  COLIBRI_CHECK_MSG(c < numCores_,
                     "routeRequest with out-of-range endpoint: core "
                         << c << " bank " << b);
   const Placement src = corePlace_[c];
-  const Placement dst = bankPlace_[b];
+  const Placement dst = dstLink.place_;
   const Distance d = distance(src, dst);
   stats_.messagesByDistance[static_cast<std::size_t>(d)]++;
   stats_.totalMessages++;
@@ -116,9 +110,7 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
   // class's base latency is constant — so it is enforced as a hard check
   // rather than silently rewriting the delivery cycle.
   Cycle arrive = cleared + baseLatency(d);
-  Cycle& last = lastRequestToBank_[static_cast<std::size_t>(b) *
-                                       kDistanceClasses +
-                                   static_cast<std::size_t>(d)];
+  Cycle& last = dstLink.lastRequestIn_[static_cast<std::size_t>(d)];
   if (fault_ != nullptr && fault_->netDelayActive()) {
     // Injected delivery delay: only ever adds cycles, and the FIFO
     // invariant becomes a binding clamp — an artificially delayed message
@@ -150,11 +142,12 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
   return arrive;
 }
 
-Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
-  COLIBRI_CHECK_MSG(c < numCores_ && b < numBanks_,
+Cycle Network::routeResponse(BankLink& srcLink, CoreId c, Cycle at) {
+  const BankId b = srcLink.bank_;
+  COLIBRI_CHECK_MSG(c < numCores_,
                     "routeResponse with out-of-range endpoint: bank "
                         << b << " core " << c);
-  const Distance d = distance(bankPlace_[b], corePlace_[c]);
+  const Distance d = distance(srcLink.place_, corePlace_[c]);
   stats_.messagesByDistance[static_cast<std::size_t>(d)]++;
   stats_.totalMessages++;
 
@@ -162,9 +155,7 @@ Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
   // in send order and the clamp never binds (same argument as requests,
   // with an empty stage chain).
   Cycle arrive = at + baseLatency(d);
-  Cycle& last = lastResponseFromBank_[static_cast<std::size_t>(b) *
-                                          kDistanceClasses +
-                                      static_cast<std::size_t>(d)];
+  Cycle& last = srcLink.lastResponseOut_[static_cast<std::size_t>(d)];
   if (fault_ != nullptr && fault_->netDelayActive()) {
     arrive += fault_->netDelay(c, b, /*response=*/true, at);
     if (arrive < last) {

@@ -22,11 +22,13 @@
 // right behind it must not be reordered. Because a pair's messages all
 // traverse the same stage chain and add the same base latency, per-pair
 // FIFO already follows from per-(endpoint, distance-class) monotonicity,
-// so the clamp state is two numBanks() x 3 arrays (requests keyed by
-// destination bank, responses by source bank) — O(cores + banks) instead
-// of the O(cores * banks) dense pair matrix, which at 4096 cores x 16384
-// banks would cost over a gigabyte. Debug builds on small geometries
-// cross-check every message against the dense per-pair clamp.
+// so the clamp state is two 3-entry floors per bank (requests in,
+// responses out). Each Bank owns its floors and its placement in a
+// BankLink, so only banks the System has built carry link state, and the
+// Network itself holds nothing per bank: it keeps the per-core placement
+// table and the shared stages. The retired dense per-pair matrices would
+// cost over a gigabyte at 4096 cores x 16384 banks. Debug builds on small
+// geometries cross-check every message against the dense per-pair clamp.
 //
 // Only the request direction contends for stage bandwidth; responses use
 // dedicated return paths (as in MemPool's full-duplex interconnect) with
@@ -64,24 +66,52 @@ struct NetworkStats {
   }
 };
 
+/// Where an endpoint sits: its tile and that tile's group.
+struct Placement {
+  TileId tile;
+  GroupId group;
+};
+
+/// One bank's side of the network: its placement and the FIFO clamps of
+/// the two streams it terminates, one floor per distance class. The Bank
+/// owns it; Network::bankLink makes one and the route calls update it.
+class BankLink {
+ public:
+  [[nodiscard]] BankId bank() const { return bank_; }
+
+ private:
+  friend class Network;
+  BankLink(BankId b, Placement p) : bank_(b), place_(p) {}
+
+  BankId bank_;
+  Placement place_;
+  std::array<Cycle, 3> lastRequestIn_{};    // by distance class
+  std::array<Cycle, 3> lastResponseOut_{};  // by distance class
+};
+
 class Network {
  public:
   explicit Network(const SystemConfig& cfg);
 
-  /// Route a request departing core `c` at cycle `at` towards bank `b`:
-  /// acquires the shared stages (link queueing), applies the per-pair FIFO
-  /// clamp, and counts stats. Returns the delivery cycle — the caller
-  /// schedules the arrival event itself. Calls per (c,b) pair must be in
-  /// send order.
+  /// The link state of bank `b` (placement computed here, clamps zero);
+  /// throws sim::InvariantViolation past the last bank.
+  [[nodiscard]] BankLink bankLink(BankId b) const;
+
+  /// Route a request departing core `c` at cycle `at` towards the bank
+  /// owning `dst`: acquires the shared stages (link queueing), applies the
+  /// per-pair FIFO clamp, and counts stats. Returns the delivery cycle —
+  /// the caller schedules the arrival event itself. Calls per (c, bank)
+  /// pair must be in send order.
   /// `holdSlots` >= 1 is the number of consecutive slots the message holds
   /// on each shared stage: >1 models backpressure from a backlogged
   /// destination (finite switch buffers, head-of-line blocking).
-  Cycle routeRequest(CoreId c, BankId b, Cycle at, std::uint32_t holdSlots = 1);
+  Cycle routeRequest(CoreId c, BankLink& dst, Cycle at,
+                     std::uint32_t holdSlots = 1);
 
-  /// Route a response departing bank `b` at cycle `at` towards core `c`:
-  /// pure latency plus the per-pair FIFO clamp, no shared stages. Returns
-  /// the delivery cycle.
-  Cycle routeResponse(BankId b, CoreId c, Cycle at);
+  /// Route a response departing the bank owning `src` at cycle `at`
+  /// towards core `c`: pure latency plus the per-pair FIFO clamp, no
+  /// shared stages. Returns the delivery cycle.
+  Cycle routeResponse(BankLink& src, CoreId c, Cycle at);
 
   /// One-way latency (without queueing) for a distance class.
   [[nodiscard]] Cycle baseLatency(Distance d) const {
@@ -105,22 +135,12 @@ class Network {
   /// indicator used by interference analyses).
   [[nodiscard]] std::uint64_t linkQueueingDelay() const;
 
-  /// Bytes of FIFO-clamp state actually allocated (the sparse per-bank
-  /// per-distance-class arrays; excludes the debug cross-check).
-  [[nodiscard]] std::size_t clampBytes() const;
-
   /// Bytes the retired dense per-pair clamp layout would need for `cfg`:
   /// two numCores * numBanks arrays of Cycle. Kept as a static formula so
   /// the 4k-core smoke test can assert the sparse layout's savings.
   [[nodiscard]] static std::size_t denseClampBytes(const SystemConfig& cfg);
 
  private:
-  /// Where an endpoint sits: its tile and that tile's group.
-  struct Placement {
-    TileId tile;
-    GroupId group;
-  };
-
   [[nodiscard]] static Distance distance(Placement src, Placement dst) {
     if (src.tile == dst.tile) {
       return Distance::kLocalTile;
@@ -139,11 +159,10 @@ class Network {
   std::uint32_t numCores_;
   std::uint32_t numBanks_;
   std::uint32_t numGroups_;
-  // Placement of every core and every bank and the latency of every
-  // distance class, precomputed from topo_ so routing a message is table
-  // lookups: no Topology division on the hot path.
+  // Placement of every core and the latency of every distance class,
+  // precomputed from topo_ so routing a message is table lookups: no
+  // Topology division on the hot path (a bank's placement is in its link).
   std::vector<Placement> corePlace_;
-  std::vector<Placement> bankPlace_;
   std::array<Cycle, 3> latency_;
   // Shared stages, each owned by exactly one distance class (see header
   // comment): same-group traffic uses the group's local router; remote
@@ -152,11 +171,6 @@ class Network {
   std::vector<sim::ThroughputResource> groupEgress_;   // one per group
   std::vector<sim::ThroughputResource> groupLinks_;    // numGroups^2, directed
   std::vector<sim::ThroughputResource> tileIngress_;   // one per tile, remote
-  // FIFO clamps: last scheduled delivery per (bank, distance class). The
-  // structural argument in the header comment makes these equivalent to
-  // the dense per-pair clamp at O(banks) memory; indexed [id * 3 + class].
-  std::vector<Cycle> lastRequestToBank_;    // requests, keyed by dst bank
-  std::vector<Cycle> lastResponseFromBank_; // responses, keyed by src bank
 #ifndef NDEBUG
   // Debug cross-check: the dense per-pair clamps, maintained alongside the
   // sparse ones on small geometries so every message's delivery can be

@@ -42,31 +42,19 @@ System::System(const SystemConfig& cfg)
       net_(cfg_),
       alloc_(cfg_),
       spm_(cfg_.numWords()),
-      banks_(cfg_.numBanks()) {
-  qnodes_.reserve(cfg_.numCores);
-  for (CoreId c = 0; c < cfg_.numCores; ++c) {
-    qnodes_.emplace_back(c);
-  }
-
-  coreHot_.resize(cfg_.numCores);
-  cores_.reserve(cfg_.numCores);
-  for (CoreId c = 0; c < cfg_.numCores; ++c) {
-    cores_.push_back(std::make_unique<Core>(*this, c, &coreHot_[c]));
-    if (cfg_.adapter == AdapterKind::kColibri) {
-      cores_[c]->qnode_ = &qnodes_[c];
-      qnodes_[c].setWakeUpSender(
-          [this, c](CoreId successor, bool successorIsMwait, sim::Addr a) {
-            MemRequest wake;
-            wake.kind = OpKind::kWakeUp;
-            wake.addr = a;
-            wake.value = static_cast<sim::Word>(successor);
-            wake.core = c;
-            wake.successorIsMwait = successorIsMwait;
-            injectRequest(c, wake);
-          });
-    }
-  }
-
+      banks_(cfg_.numBanks()),
+      qnodes_(cfg_.numCores,
+              [this](std::size_t c) {
+                const bool colibri = cfg_.adapter == AdapterKind::kColibri;
+                return atomics::Qnode(static_cast<CoreId>(c),
+                                      colibri ? this : nullptr);
+              }),
+      coreHot_(cfg_.numCores),
+      cores_(cfg_.numCores, [this](std::size_t c) {
+        const bool colibri = cfg_.adapter == AdapterKind::kColibri;
+        return Core(*this, static_cast<CoreId>(c), &coreHot_[c],
+                    colibri ? &qnodes_[c] : nullptr);
+      }) {
   if (cfg_.fault.enabled()) {
     fault::FaultConfig fc = cfg_.fault;
     if (fc.seed == 0) {
@@ -125,22 +113,22 @@ void System::attachObservability() {
   });
   reg.gauge("core.issuedOps", [this] {
     std::uint64_t n = 0;
-    for (const auto& c : cores_) {
-      n += c->stats().totalIssued();
+    for (const Core& c : cores_) {
+      n += c.stats().totalIssued();
     }
     return static_cast<double>(n);
   });
   reg.gauge("core.sleepCycles", [this] {
     std::uint64_t n = 0;
-    for (const auto& c : cores_) {
-      n += c->stats().sleepCycles;
+    for (const Core& c : cores_) {
+      n += c.stats().sleepCycles;
     }
     return static_cast<double>(n);
   });
   reg.gauge("core.stallCycles", [this] {
     std::uint64_t n = 0;
-    for (const auto& c : cores_) {
-      n += c->stats().stallCycles;
+    for (const Core& c : cores_) {
+      n += c.stats().stallCycles;
     }
     return static_cast<double>(n);
   });
@@ -229,8 +217,8 @@ void System::attachObservability() {
       faultPlan_->setTracer(tr);
     }
   }
-  for (auto& c : cores_) {
-    c->hooks_ = obsHooks_.get();
+  for (Core& c : cores_) {
+    c.hooks_ = obsHooks_.get();
   }
 }
 
@@ -245,8 +233,7 @@ System::~System() {
 }
 
 void System::spawn(CoreId c, sim::Task task) {
-  COLIBRI_CHECK(c < cores_.size());
-  cores_[c]->run(std::move(task));
+  core(c).run(std::move(task));
 }
 
 Bank& System::buildBank(BankId b) {
@@ -276,14 +263,14 @@ void System::at(sim::Cycle when, std::function<void()> fn) {
 }
 
 void System::rethrowFailures() const {
-  for (const auto& core : cores_) {
-    core->rethrowIfFailed();
+  for (const Core& core : cores_) {
+    core.rethrowIfFailed();
   }
 }
 
 bool System::allTasksDone() const {
-  for (const auto& core : cores_) {
-    if (core->task_.valid() && !core->task_.done()) {
+  for (const Core& core : cores_) {
+    if (core.task_.valid() && !core.task_.done()) {
       return false;
     }
   }
@@ -291,8 +278,7 @@ bool System::allTasksDone() const {
 }
 
 void System::injectRequest(CoreId from, const MemRequest& req) {
-  const BankId b = alloc_.map().bankOf(req.addr);
-  Bank* target = &bank(b);
+  Bank* target = &bankUnchecked(alloc_.map().bankOf(req.addr));
   auto arrive = [target, req] { target->receive(req); };
   static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
                 "request-injection closure must fit the inline event buffer");
@@ -305,13 +291,14 @@ void System::injectRequest(CoreId from, const MemRequest& req) {
     hold += static_cast<std::uint32_t>(
         backlog > cfg_.linkHoldMax ? cfg_.linkHoldMax : backlog);
   }
-  engine_.scheduleAt(net_.routeRequest(from, b, engine_.now(), hold),
-                     std::move(arrive));
+  engine_.scheduleAt(
+      net_.routeRequest(from, target->link(), engine_.now(), hold),
+      std::move(arrive));
 }
 
 void System::resetStats() {
-  for (auto& core : cores_) {
-    core->resetStats();
+  for (Core& core : cores_) {
+    core.resetStats();
   }
   for (Bank* b : built_) {
     b->resetStats();
@@ -337,7 +324,7 @@ std::string System::blameReport(sim::Cycle now) {
   std::size_t stuck = 0;
   std::size_t shown = 0;
   for (CoreId c = 0; c < cfg_.numCores; ++c) {
-    const Core& core = *cores_[c];
+    const Core& core = cores_[c];
     if (!core.task_.valid() || core.task_.done()) {
       continue;
     }
@@ -397,13 +384,24 @@ std::string System::blameReport(sim::Cycle now) {
 }
 
 void System::deliverResponse(CoreId c, const MemResponse& r) {
-  cores_[c]->complete(r);
+  cores_[c].complete(r);
 }
 
 void System::deliverSuccessorUpdate(CoreId c, CoreId successor, sim::Addr a,
                                     bool successorIsMwait) {
   (void)a;
   qnodes_[c].onSuccessorUpdate(successor, successorIsMwait);
+}
+
+void System::sendWakeUp(CoreId from, CoreId successor, bool successorIsMwait,
+                        sim::Addr addr) {
+  MemRequest wake;
+  wake.kind = OpKind::kWakeUp;
+  wake.addr = addr;
+  wake.value = static_cast<sim::Word>(successor);
+  wake.core = from;
+  wake.successorIsMwait = successorIsMwait;
+  injectRequest(from, wake);
 }
 
 }  // namespace colibri::arch

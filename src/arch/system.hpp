@@ -1,13 +1,16 @@
 // System: the whole modeled manycore — engine, network, banks (with their
-// atomic adapters), cores (with their Qnodes), and the SPM allocator.
+// atomic adapters and link state), cores (with their Qnodes), and the SPM
+// allocator.
 //
-// Construction wires everything except the banks: a bank and its adapter
-// are built the first time a request, a bank() call or a blame report
-// reaches it, so construction and teardown cost grows with the banks a
-// workload touches, not with the geometry. Workloads are attached per core
-// as coroutines and the simulation is driven with run()/runUntil().
-// Teardown clears the event queue before destroying coroutine frames so no
-// stale event can touch a dead frame.
+// Construction wires everything except the banks, in a constant number of
+// heap blocks: the cores, their hot state and their Qnodes are one array
+// each. A bank, its adapter and its network link state are built the first
+// time a request, a bank() call or a blame report reaches it, so
+// construction and teardown cost grows with the banks a workload touches,
+// not with the geometry. Workloads are attached per core as coroutines and
+// the simulation is driven with run()/runUntil(). Teardown clears the
+// event queue before destroying coroutine frames so no stale event can
+// touch a dead frame.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +29,9 @@
 #include "core/core.hpp"
 #include "fault/fault.hpp"
 #include "fault/watchdog.hpp"
+#include "sim/check.hpp"
 #include "sim/engine.hpp"
+#include "sim/fixed_array.hpp"
 #include "sim/task.hpp"
 
 namespace colibri::obs {
@@ -54,7 +59,7 @@ class SpmStorage {
   std::size_t bytes_;
 };
 
-class System final : public CoreSink {
+class System final : public CoreSink, public atomics::WakeUpSink {
  public:
   explicit System(const SystemConfig& cfg);
   ~System() override;
@@ -68,17 +73,24 @@ class System final : public CoreSink {
   [[nodiscard]] Allocator& allocator() { return alloc_; }
   [[nodiscard]] const Topology& topology() const { return net_.topology(); }
 
-  [[nodiscard]] Core& core(CoreId c) { return *cores_[c]; }
+  // The accessors throw sim::InvariantViolation past the last core/bank.
+  [[nodiscard]] Core& core(CoreId c) {
+    COLIBRI_CHECK_MSG(c < numCores(), "core " << c << " of " << numCores());
+    return cores_[c];
+  }
   /// Bank `b`, built here if nothing has reached it yet.
   [[nodiscard]] Bank& bank(BankId b) {
-    Bank* built = banks_[b].get();
-    return built != nullptr ? *built : buildBank(b);
+    COLIBRI_CHECK_MSG(b < numBanks(), "bank " << b << " of " << numBanks());
+    return bankUnchecked(b);
   }
   /// The banks built so far, in build order. A bank never built has
   /// served no request and holds no state, so sums over its counters are
   /// zero. The span is valid until the next bank is built.
   [[nodiscard]] std::span<Bank* const> builtBanks() const { return built_; }
-  [[nodiscard]] atomics::Qnode& qnode(CoreId c) { return qnodes_[c]; }
+  [[nodiscard]] atomics::Qnode& qnode(CoreId c) {
+    COLIBRI_CHECK_MSG(c < numCores(), "qnode " << c << " of " << numCores());
+    return qnodes_[c];
+  }
   [[nodiscard]] std::uint32_t numCores() const { return cfg_.numCores; }
   [[nodiscard]] std::uint32_t numBanks() const {
     return static_cast<std::uint32_t>(banks_.size());
@@ -147,9 +159,18 @@ class System final : public CoreSink {
   void deliverSuccessorUpdate(CoreId c, CoreId successor, sim::Addr a,
                               bool successorIsMwait) override;
 
+  // --- WakeUpSink --------------------------------------------------------
+  void sendWakeUp(CoreId from, CoreId successor, bool successorIsMwait,
+                  sim::Addr addr) override;
+
  private:
   /// Register metrics/probes and distribute hook pointers (recorder set).
   void attachObservability();
+  /// bank(b) without the range check, for ids from AddressMap::bankOf.
+  Bank& bankUnchecked(BankId b) {
+    Bank* built = banks_[b].get();
+    return built != nullptr ? *built : buildBank(b);
+  }
   /// Build bank `b` and its adapter; bank() calls this on first use.
   Bank& buildBank(BankId b);
 
@@ -160,9 +181,9 @@ class System final : public CoreSink {
   SpmStorage spm_;  // declared before banks_: it must outlive them
   std::vector<std::unique_ptr<Bank>> banks_;  // null until first use
   std::vector<Bank*> built_;                  // the non-null banks_
-  std::vector<atomics::Qnode> qnodes_;
+  sim::FixedArray<atomics::Qnode> qnodes_;  // wired only under Colibri
   std::vector<CoreHot> coreHot_;  // dense hot state, one slot per core
-  std::vector<std::unique_ptr<Core>> cores_;
+  sim::FixedArray<Core> cores_;   // built in place, one block
   // Hook bundle handed to cores/banks/sync; owned here so those raw
   // pointers stay valid for the System's whole lifetime. Banks built
   // later receive it (and the fault plan) at construction.

@@ -82,8 +82,8 @@ void Qnode::onSuccessorUpdate(CoreId successor, bool successorIsMwait) {
 
 void Qnode::dispatchWakeUp() {
   COLIBRI_CHECK(hasSuccessor());
-  COLIBRI_CHECK_MSG(static_cast<bool>(sendWakeUp_), "Qnode not wired");
-  sendWakeUp_(successor_, successorIsMwait_, addr_);
+  COLIBRI_CHECK_MSG(sink_ != nullptr, "Qnode not wired");
+  sink_->sendWakeUp(core_, successor_, successorIsMwait_, addr_);
   successor_ = sim::kNoCore;
   successorIsMwait_ = false;
 }

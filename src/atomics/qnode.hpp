@@ -12,13 +12,13 @@
 //     arrives), or *bounces* a late SuccessorUpdate straight back as a
 //     WakeUpRequest if the SCwait already went past (Section IV-A.1).
 //
-// The Qnode emits WakeUpRequests through a callback wired by the System to
-// the core's network request path, so protocol messages contend for the
-// same links and bank ports as ordinary traffic.
+// The Qnode emits WakeUpRequests through one call into its WakeUpSink (the
+// System), which injects them on the core's network request path, so
+// protocol messages contend for the same links and bank ports as ordinary
+// traffic.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "arch/memop.hpp"
 #include "sim/check.hpp"
@@ -27,6 +27,18 @@
 namespace colibri::atomics {
 
 using sim::CoreId;
+
+/// Where Qnodes send their WakeUpRequests.
+class WakeUpSink {
+ public:
+  /// Inject a kWakeUp request from core `from` naming `successor` towards
+  /// the bank owning `addr`.
+  virtual void sendWakeUp(CoreId from, CoreId successor,
+                          bool successorIsMwait, sim::Addr addr) = 0;
+
+ protected:
+  ~WakeUpSink() = default;
+};
 
 class Qnode {
  public:
@@ -37,13 +49,10 @@ class Qnode {
                   ///< controller as soon as the successor becomes known
   };
 
-  /// `sendWakeUp(successor, successorIsMwait, addr)` must inject a kWakeUp
-  /// request from this core towards the bank owning `addr`.
-  using WakeUpSender = std::function<void(CoreId, bool, sim::Addr)>;
-
-  explicit Qnode(CoreId core) : core_(core) {}
-
-  void setWakeUpSender(WakeUpSender s) { sendWakeUp_ = std::move(s); }
+  /// `sink` receives this Qnode's WakeUpRequests; a Qnode without one
+  /// (any adapter but Colibri) must never dispatch.
+  Qnode(CoreId core, WakeUpSink* sink)
+      : sink_(sink), core_(core) {}
 
   // --- Local core events -------------------------------------------------
   void onWaitIssued(sim::Addr addr, bool isMwait);
@@ -66,13 +75,13 @@ class Qnode {
  private:
   void dispatchWakeUp();
 
-  CoreId core_;
-  State state_ = State::kIdle;
+  WakeUpSink* sink_;
   sim::Addr addr_ = 0;
-  bool isMwait_ = false;
+  CoreId core_;
   CoreId successor_ = sim::kNoCore;
+  State state_ = State::kIdle;
+  bool isMwait_ = false;
   bool successorIsMwait_ = false;
-  WakeUpSender sendWakeUp_;
 };
 
 }  // namespace colibri::atomics

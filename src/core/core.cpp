@@ -10,8 +10,12 @@
 
 namespace colibri::arch {
 
-Core::Core(System& sys, CoreId id, CoreHot* hot)
-    : sys_(sys), id_(id), tile_(sys.topology().tileOfCore(id)), hot_(hot) {}
+Core::Core(System& sys, CoreId id, CoreHot* hot, atomics::Qnode* qnode)
+    : sys_(sys),
+      id_(id),
+      tile_(sys.topology().tileOfCore(id)),
+      qnode_(qnode),
+      hot_(hot) {}
 
 void Core::run(sim::Task task) {
   COLIBRI_CHECK_MSG(!task_.valid(), "core already has a task");

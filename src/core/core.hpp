@@ -79,7 +79,8 @@ struct CoreHot {
 
 class Core {
  public:
-  Core(System& sys, CoreId id, CoreHot* hot);
+  /// `qnode` is the core's Colibri Qnode, or null under other adapters.
+  Core(System& sys, CoreId id, CoreHot* hot, atomics::Qnode* qnode);
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
 
@@ -157,8 +158,8 @@ class Core {
   System& sys_;
   CoreId id_;
   TileId tile_;
-  atomics::Qnode* qnode_ = nullptr;  // set by System when Colibri is active
-  CoreHot* hot_;                     // slot in System's dense hot-state array
+  atomics::Qnode* qnode_;  // null unless Colibri is active
+  CoreHot* hot_;           // slot in System's dense hot-state array
   const obs::SimHooks* hooks_ = nullptr;  // set by System with a recorder
 
   sim::Task task_;

@@ -1,8 +1,9 @@
-// Banks are built on first use: constructing a System allocates the same
-// number of heap blocks whatever its bank count, because no Bank or
-// adapter exists until a request, a bank() call or a blame report reaches
-// it. This binary replaces the global operator new to count allocations,
-// so it is kept apart from the other suites.
+// Constructing a System allocates a constant number of heap blocks. Banks
+// are built on first use: no Bank, adapter or link state exists until a
+// request, a bank() call or a blame report reaches it, and the Network
+// holds nothing per bank. Cores and Qnodes are built in place in one array
+// each. This binary replaces the global operator new to count allocations
+// and their bytes, so it is kept apart from the other suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,9 +17,11 @@
 namespace {
 
 std::atomic<std::size_t> gAllocations{0};
+std::atomic<std::size_t> gBytes{0};
 
 void* countedAlloc(std::size_t n, std::size_t align) {
   gAllocations.fetch_add(1, std::memory_order_relaxed);
+  gBytes.fetch_add(n, std::memory_order_relaxed);
   n = n == 0 ? 1 : n;
   void* p = align <= alignof(std::max_align_t)
                 ? std::malloc(n)
@@ -54,10 +57,23 @@ SystemConfig withBanksPerTile(std::uint32_t banksPerTile, AdapterKind k) {
   return cfg;
 }
 
+SystemConfig withCores(std::uint32_t cores, AdapterKind k) {
+  SystemConfig cfg = SystemConfig::memPool();  // 4 cores per tile
+  cfg.numCores = cores;
+  cfg.adapter = k;
+  return cfg;
+}
+
 std::size_t allocationsToConstruct(const SystemConfig& cfg) {
   const std::size_t before = gAllocations.load();
   const System sys(cfg);
   return gAllocations.load() - before;
+}
+
+std::size_t bytesToConstructNetwork(const SystemConfig& cfg) {
+  const std::size_t before = gBytes.load();
+  const Network net(cfg);
+  return gBytes.load() - before;
 }
 
 class LazyBanks : public ::testing::TestWithParam<AdapterKind> {};
@@ -70,6 +86,29 @@ TEST_P(LazyBanks, ConstructionAllocatesIndependentlyOfBankCount) {
   const std::size_t many =
       allocationsToConstruct(withBanksPerTile(64, GetParam()));
   EXPECT_EQ(few, many);
+}
+
+// 256 vs 1024 cores: one heap block per Core (or per Qnode wake sender)
+// would differ by 768 blocks.
+TEST_P(LazyBanks, ConstructionAllocatesIndependentlyOfCoreCount) {
+  const std::size_t few = allocationsToConstruct(withCores(256, GetParam()));
+  const std::size_t many =
+      allocationsToConstruct(withCores(1024, GetParam()));
+  EXPECT_EQ(few, many);
+}
+
+// The network keeps per-core placement and per-group/tile stages, but
+// nothing per bank: 16384 vs 65536 banks at 4096 cores. (At this size
+// Debug builds skip the dense per-pair cross-check, which is O(cores x
+// banks) by design.)
+TEST(LazyBanksNetwork, HoldsNoStatePerBank) {
+  SystemConfig few = SystemConfig::memPool();
+  few.numCores = 4096;
+  few.tilesPerGroup = 64;  // 1024 tiles in 16 groups
+  few.banksPerTile = 16;
+  SystemConfig many = few;
+  many.banksPerTile = 64;
+  EXPECT_EQ(bytesToConstructNetwork(few), bytesToConstructNetwork(many));
 }
 
 TEST_P(LazyBanks, OneRequestBuildsOneBank) {

@@ -10,20 +10,27 @@ namespace colibri::atomics {
 namespace {
 
 struct SentWakeUp {
+  CoreId from;
   CoreId successor;
   bool isMwait;
   sim::Addr addr;
 };
 
+// Records the WakeUpRequests a Qnode dispatches instead of injecting them.
+struct FakeSink final : WakeUpSink {
+  void sendWakeUp(CoreId from, CoreId successor, bool successorIsMwait,
+                  sim::Addr addr) override {
+    sent.push_back({from, successor, successorIsMwait, addr});
+  }
+  std::vector<SentWakeUp> sent;
+};
+
 class QnodeTest : public ::testing::Test {
  protected:
-  QnodeTest() : q(/*core=*/0) {
-    q.setWakeUpSender([this](CoreId s, bool m, sim::Addr a) {
-      sent.push_back({s, m, a});
-    });
-  }
+  QnodeTest() : q(/*core=*/0, &sink) {}
+  FakeSink sink;
   Qnode q;
-  std::vector<SentWakeUp> sent;
+  std::vector<SentWakeUp>& sent = sink.sent;
 };
 
 TEST_F(QnodeTest, StartsIdle) {
@@ -36,6 +43,7 @@ TEST_F(QnodeTest, ScwaitWithKnownSuccessorDispatchesImmediately) {
   q.onSuccessorUpdate(3, false);
   q.onScWaitIssued();
   ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].from, 0u);
   EXPECT_EQ(sent[0].successor, 3u);
   EXPECT_EQ(sent[0].addr, 5u);
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
@@ -131,6 +139,13 @@ TEST_F(QnodeTest, SuccessorUpdateToIdleTripsInvariant) {
 }
 
 TEST_F(QnodeTest, ScwaitWithoutWaitTripsInvariant) {
+  EXPECT_THROW(q.onScWaitIssued(), sim::InvariantViolation);
+}
+
+TEST(Qnode, DispatchWithoutSinkTripsInvariant) {
+  Qnode q(/*core=*/2, /*sink=*/nullptr);
+  q.onWaitIssued(5, false);
+  q.onSuccessorUpdate(3, false);
   EXPECT_THROW(q.onScWaitIssued(), sim::InvariantViolation);
 }
 

@@ -101,8 +101,10 @@ TEST(System, FourKCoresRunSparseClampWithinMemoryBound) {
   // Dense clamp state would be 2 * cores * banks * 8 B = 1 GiB.
   EXPECT_GE(Network::denseClampBytes(cfg), std::size_t{512} << 20);
   System sys(cfg);
-  // Sparse clamp state: 2 * banks * 3 classes * 8 B, well under 1 MiB.
-  EXPECT_LE(sys.network().clampBytes(), std::size_t{1} << 20);
+  // The clamp state is two 3-entry floors in each built bank's BankLink;
+  // nothing is built before the first request.
+  EXPECT_EQ(sys.builtBanks().size(), 0u);
+  EXPECT_LE(sizeof(BankLink), 2 * 3 * sizeof(sim::Cycle) + 16);
   const auto a = sys.allocator().allocGlobal(1);
   for (sim::CoreId c = 0; c < cfg.numCores; ++c) {
     sys.spawn(c, incrementer(sys, sys.core(c), a, 2, sync::RmwFlavor::kAmo));
@@ -111,6 +113,26 @@ TEST(System, FourKCoresRunSparseClampWithinMemoryBound) {
   sys.rethrowFailures();
   EXPECT_TRUE(sys.allTasksDone());
   EXPECT_EQ(sys.peek(a), 4096u * 2u);
+  // 4096 cores hit one counter word: one bank, hence one BankLink, holds
+  // all the clamp state of the run.
+  EXPECT_EQ(sys.builtBanks().size(), 1u);
+}
+
+// The public accessors reject ids past the last core or bank instead of
+// indexing past their tables (bank(b) would also build a bank there).
+TEST(System, AccessorsRejectOutOfRangeIds) {
+  const auto cfg = withAdapter(AdapterKind::kColibri);
+  System sys(cfg);
+  EXPECT_THROW((void)sys.bank(cfg.numBanks()), sim::InvariantViolation);
+  EXPECT_THROW((void)sys.bank(~BankId{0}), sim::InvariantViolation);
+  EXPECT_THROW((void)sys.core(cfg.numCores), sim::InvariantViolation);
+  EXPECT_THROW((void)sys.qnode(cfg.numCores), sim::InvariantViolation);
+  EXPECT_THROW(sys.spawn(cfg.numCores, sim::Task{}), sim::InvariantViolation);
+  EXPECT_EQ(sys.builtBanks().size(), 0u);
+  EXPECT_EQ(sys.bank(cfg.numBanks() - 1).bankId(), cfg.numBanks() - 1);
+  EXPECT_EQ(sys.core(cfg.numCores - 1).id(), cfg.numCores - 1);
+  EXPECT_EQ(sys.qnode(cfg.numCores - 1).state(),
+            atomics::Qnode::State::kIdle);
 }
 
 // SPM storage is one address-indexed array shared by all banks, so each
