@@ -39,7 +39,8 @@ bool regenerating() {
   return v != nullptr && *v != '\0' && std::string(v) != "0";
 }
 
-/// The small deterministic geometry every golden case runs on.
+/// The small deterministic geometry every golden case but the 4096-core
+/// one runs on.
 std::vector<std::string> baseArgs() {
   return {"--cores",          "16", "--cores-per-tile", "4",
           "--tiles-per-group", "2",  "--banks-per-tile", "4",
@@ -93,6 +94,13 @@ std::vector<GoldenCase> goldenCases() {
     }
     cases.push_back({std::string("table__colibri__") + w + ".txt", args});
   }
+  // The scale point: 4096 cores in 16 groups of 64 tiles at the default
+  // bank geometry, so the layout of per-core and per-bank state is pinned
+  // where it is largest.
+  cases.push_back({"json__colibri__zipf_hot_4096.json",
+                   {"--adapter", "colibri", "--workload", "zipf_hot",
+                    "--cores", "4096", "--tiles-per-group", "64", "--warmup",
+                    "500", "--measure", "2000", "--json"}});
   // Determinism: re-run a cross-section of scenarios against the *same*
   // golden files, so a second run in this process must reproduce the
   // committed bytes. The two-rep JSON documents also run at one and at
