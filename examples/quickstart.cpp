@@ -59,7 +59,7 @@ int main() {
   std::uint64_t issued = 0;
   for (sim::CoreId c = 0; c < cfg.numCores; ++c) {
     sleep += sys.core(c).stats().sleepCycles;
-    issued += sys.core(c).stats().totalIssued();
+    issued += sys.core(c).stats().issued;
   }
   std::cout << "memory ops issued: " << issued
             << " (2 per increment + queue-full retries)\n";

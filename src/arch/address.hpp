@@ -35,6 +35,9 @@ class AddressMap {
   [[nodiscard]] TileId tileOfBank(BankId b) const { return b / banksPerTile_; }
   [[nodiscard]] TileId tileOf(Addr a) const { return tileOfBank(bankOf(a)); }
 
+  [[nodiscard]] std::uint32_t numBanks() const { return numBanks_; }
+  [[nodiscard]] std::uint32_t banksPerTile() const { return banksPerTile_; }
+  [[nodiscard]] std::uint32_t wordsPerBank() const { return wordsPerBank_; }
   [[nodiscard]] std::uint64_t numWords() const {
     return static_cast<std::uint64_t>(numBanks_) * wordsPerBank_;
   }
@@ -55,10 +58,7 @@ class AddressMap {
 /// simulator is single-threaded by design).
 class Allocator {
  public:
-  explicit Allocator(const SystemConfig& cfg)
-      : map_(cfg),
-        nextOffsetPerBank_(cfg.numBanks(), 0),
-        cfg_(cfg) {}
+  explicit Allocator(const SystemConfig& cfg) : map_(cfg) {}
 
   /// Allocate `n` consecutive word addresses (interleaved across banks).
   [[nodiscard]] Addr allocGlobal(std::uint64_t n);
@@ -74,9 +74,12 @@ class Allocator {
 
  private:
   AddressMap map_;
-  std::uint64_t nextGlobalOffset_ = 0;  // in units of full rows (numBanks words)
-  std::vector<std::uint64_t> nextOffsetPerBank_;
-  SystemConfig cfg_;
+  // Offsets count whole interleaving rows (numBanks words). Global regions
+  // take the rows below nextGlobalRow_; bank b's next free word sits at
+  // max(cursors_[b], nextGlobalRow_), and highWater_ is the largest cursor.
+  std::uint64_t nextGlobalRow_ = 0;
+  std::uint64_t highWater_ = 0;
+  std::vector<std::uint64_t> cursors_;  // empty until the first allocInBank
 };
 
 }  // namespace colibri::arch

@@ -90,7 +90,7 @@ struct SystemConfig {
   fault::FaultConfig fault;
 
   /// Watchdog: if no core retires a productive operation (see
-  /// CoreHot::lastProductive) for this many cycles while tasks are still
+  /// Core::lastProductive_) for this many cycles while tasks are still
   /// pending, the run stops with a structured blame report. 0 disables.
   /// The default is far beyond any healthy workload's longest quiet gap
   /// but small enough to bound hang diagnosis time.

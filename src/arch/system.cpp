@@ -42,17 +42,16 @@ System::System(const SystemConfig& cfg)
       net_(cfg_),
       alloc_(cfg_),
       spm_(cfg_.numWords()),
-      banks_(cfg_.numBanks()),
+      banks_(std::make_unique<Bank*[]>(cfg_.numBanks())),
       qnodes_(cfg_.numCores,
               [this](std::size_t c) {
                 const bool colibri = cfg_.adapter == AdapterKind::kColibri;
                 return atomics::Qnode(static_cast<CoreId>(c),
                                       colibri ? this : nullptr);
               }),
-      coreHot_(cfg_.numCores),
       cores_(cfg_.numCores, [this](std::size_t c) {
         const bool colibri = cfg_.adapter == AdapterKind::kColibri;
-        return Core(*this, static_cast<CoreId>(c), &coreHot_[c],
+        return Core(*this, static_cast<CoreId>(c),
                     colibri ? &qnodes_[c] : nullptr);
       }) {
   if (cfg_.fault.enabled()) {
@@ -72,13 +71,7 @@ System::System(const SystemConfig& cfg)
 
   if (cfg_.watchdogCycles > 0) {
     fault::Watchdog::Hooks hooks;
-    hooks.lastProgress = [this] {
-      sim::Cycle last = 0;
-      for (const CoreHot& h : coreHot_) {
-        last = std::max(last, h.lastProductive);
-      }
-      return last;
-    };
+    hooks.lastProgress = [this] { return lastProductive(); };
     hooks.allDone = [this] { return allTasksDone(); };
     hooks.blame = [this](sim::Cycle at) { return blameReport(at); };
     watchdog_ =
@@ -114,7 +107,7 @@ void System::attachObservability() {
   reg.gauge("core.issuedOps", [this] {
     std::uint64_t n = 0;
     for (const Core& c : cores_) {
-      n += c.stats().totalIssued();
+      n += c.stats().issued;
     }
     return static_cast<double>(n);
   });
@@ -151,7 +144,7 @@ void System::attachObservability() {
     for (const Bank* b : built_) {
       sum += static_cast<double>(b->backlog());
     }
-    return sum / static_cast<double>(banks_.size());
+    return sum / static_cast<double>(numBanks());
   });
   reg.gauge("net.msgsLocalTile", [this] {
     return static_cast<double>(net_.stats().messagesByDistance[0]);
@@ -230,6 +223,9 @@ System::~System() {
   // Drop queued events first: they may capture awaiter state living inside
   // coroutine frames that the Core destructors are about to destroy.
   engine_.clear();
+  for (Bank* b : built_) {
+    delete b;
+  }
 }
 
 void System::spawn(CoreId c, sim::Task task) {
@@ -237,10 +233,11 @@ void System::spawn(CoreId c, sim::Task task) {
 }
 
 Bank& System::buildBank(BankId b) {
-  banks_[b] = std::make_unique<Bank>(engine_, net_, *this, cfg_, b,
+  auto bank = std::make_unique<Bank>(engine_, net_, *this, cfg_, b,
                                      spm_.data(), faultPlan_.get(),
                                      obsHooks_.get());
-  built_.push_back(banks_[b].get());
+  built_.push_back(bank.get());
+  banks_[b] = bank.release();  // built_ owns it from here
   return *banks_[b];
 }
 
@@ -309,16 +306,20 @@ void System::resetStats() {
   }
 }
 
+sim::Cycle System::lastProductive() const {
+  sim::Cycle last = 0;
+  for (const Core& c : cores_) {
+    last = std::max(last, c.lastProductive_);
+  }
+  return last;
+}
+
 std::string System::blameReport(sim::Cycle now) {
   constexpr std::size_t kMaxBlamedCores = 16;
   std::ostringstream os;
-  sim::Cycle lastAny = 0;
-  for (const CoreHot& h : coreHot_) {
-    lastAny = std::max(lastAny, h.lastProductive);
-  }
   os << "blame report at cycle " << now << " (adapter "
      << toString(cfg_.adapter) << ", last productive retirement system-wide at "
-     << lastAny << "):\n";
+     << lastProductive() << "):\n";
 
   std::vector<BankId> blamedBanks;
   std::size_t stuck = 0;
@@ -333,13 +334,12 @@ std::string System::blameReport(sim::Cycle now) {
       continue;  // keep counting, stop printing
     }
     ++shown;
-    const CoreHot& h = coreHot_[c];
     os << "  core " << c << ": ";
-    if (h.pendingHandle != nullptr) {
-      const BankId b = alloc_.map().bankOf(h.pendingAddr);
-      os << "waiting on " << toString(h.pendingKind) << " to addr "
-         << h.pendingAddr << " (bank " << b << ") since cycle "
-         << h.pendingSince;
+    if (core.pendingHandle_ != nullptr) {
+      const BankId b = alloc_.map().bankOf(core.pendingAddr_);
+      os << "waiting on " << toString(core.pendingKind_) << " to addr "
+         << core.pendingAddr_ << " (bank " << b << ") since cycle "
+         << core.pendingSince_;
       if (std::find(blamedBanks.begin(), blamedBanks.end(), b) ==
           blamedBanks.end()) {
         blamedBanks.push_back(b);
@@ -347,7 +347,7 @@ std::string System::blameReport(sim::Cycle now) {
     } else {
       os << "no outstanding request";
     }
-    os << ", last productive retirement at " << h.lastProductive;
+    os << ", last productive retirement at " << core.lastProductive_;
     if (cfg_.adapter == AdapterKind::kColibri) {
       const atomics::Qnode& q = qnodes_[c];
       os << ", qnode ";

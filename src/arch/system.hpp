@@ -3,11 +3,11 @@
 // allocator.
 //
 // Construction wires everything except the banks, in a constant number of
-// heap blocks: the cores, their hot state and their Qnodes are one array
-// each. A bank, its adapter and its network link state are built the first
-// time a request, a bank() call or a blame report reaches it, so
-// construction and teardown cost grows with the banks a workload touches,
-// not with the geometry. Workloads are attached per core as coroutines and
+// heap blocks: one record per core, one Qnode per core and one pointer per
+// bank, each kind in one array. A bank, its adapter and its network link
+// state are built the first time a request, a bank() call or a blame
+// report reaches it, so construction and teardown cost grows with the
+// banks a workload touches, not with the geometry. Workloads are attached per core as coroutines and
 // the simulation is driven with run()/runUntil(). Teardown clears the
 // event queue before destroying coroutine frames so no stale event can
 // touch a dead frame.
@@ -92,9 +92,7 @@ class System final : public CoreSink, public atomics::WakeUpSink {
     return qnodes_[c];
   }
   [[nodiscard]] std::uint32_t numCores() const { return cfg_.numCores; }
-  [[nodiscard]] std::uint32_t numBanks() const {
-    return static_cast<std::uint32_t>(banks_.size());
-  }
+  [[nodiscard]] std::uint32_t numBanks() const { return cfg_.numBanks(); }
 
   /// Attach a workload coroutine to a core and start it at the current time.
   void spawn(CoreId c, sim::Task task);
@@ -168,22 +166,23 @@ class System final : public CoreSink, public atomics::WakeUpSink {
   void attachObservability();
   /// bank(b) without the range check, for ids from AddressMap::bankOf.
   Bank& bankUnchecked(BankId b) {
-    Bank* built = banks_[b].get();
+    Bank* built = banks_[b];
     return built != nullptr ? *built : buildBank(b);
   }
   /// Build bank `b` and its adapter; bank() calls this on first use.
   Bank& buildBank(BankId b);
+  /// Latest productive retirement of any core (the watchdog's signal).
+  [[nodiscard]] sim::Cycle lastProductive() const;
 
   SystemConfig cfg_;
   sim::Engine engine_;
   Network net_;
   Allocator alloc_;
   SpmStorage spm_;  // declared before banks_: it must outlive them
-  std::vector<std::unique_ptr<Bank>> banks_;  // null until first use
-  std::vector<Bank*> built_;                  // the non-null banks_
+  std::unique_ptr<Bank*[]> banks_;  // by id; null until first use
+  std::vector<Bank*> built_;  // owns the non-null banks_, in build order
   sim::FixedArray<atomics::Qnode> qnodes_;  // wired only under Colibri
-  std::vector<CoreHot> coreHot_;  // dense hot state, one slot per core
-  sim::FixedArray<Core> cores_;   // built in place, one block
+  sim::FixedArray<Core> cores_;             // built in place, one block
   // Hook bundle handed to cores/banks/sync; owned here so those raw
   // pointers stay valid for the System's whole lifetime. Banks built
   // later receive it (and the fault plan) at construction.

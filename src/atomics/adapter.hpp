@@ -93,9 +93,6 @@ class AtomicAdapter {
   /// Process one request that has cleared the bank port.
   virtual void handle(const MemRequest& req) = 0;
 
-  /// Drop all reservation state (between benchmark phases).
-  virtual void reset() { stats_.reset(); }
-
   /// One-line reservation/queue state summary for watchdog blame reports
   /// (e.g. which core owns the slot). Default: no interesting state.
   virtual void describeState(std::ostream& os) const;

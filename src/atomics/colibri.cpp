@@ -202,13 +202,6 @@ std::optional<CoreId> ColibriAdapter::grantedCore(Addr a) const {
   return std::nullopt;
 }
 
-void ColibriAdapter::reset() {
-  AtomicAdapter::reset();
-  for (Slot& s : slots_) {
-    s = Slot{};
-  }
-}
-
 namespace {
 const char* toString(ColibriAdapter::SlotState s) {
   switch (s) {

@@ -36,7 +36,6 @@ class ColibriAdapter final : public AtomicAdapter {
       : AtomicAdapter(ctx), slots_(queuesPerController) {}
 
   void handle(const MemRequest& req) override;
-  void reset() override;
   void describeState(std::ostream& os) const override;
 
   // --- Introspection for tests & invariant checks -----------------------

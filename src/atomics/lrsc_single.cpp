@@ -77,12 +77,6 @@ void LrscSingleAdapter::onWrite(Addr a) {
   }
 }
 
-void LrscSingleAdapter::reset() {
-  AtomicAdapter::reset();
-  valid_ = false;
-  core_ = sim::kNoCore;
-}
-
 void LrscSingleAdapter::describeState(std::ostream& os) const {
   if (valid_) {
     os << "reservation slot held by core " << core_ << " on addr " << addr_;

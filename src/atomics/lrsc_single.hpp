@@ -19,7 +19,6 @@ class LrscSingleAdapter final : public AtomicAdapter {
   using AtomicAdapter::AtomicAdapter;
 
   void handle(const MemRequest& req) override;
-  void reset() override;
   void describeState(std::ostream& os) const override;
 
   /// Owner of the reservation slot, if valid (for tests).

@@ -80,11 +80,6 @@ void LrscTableAdapter::onWrite(Addr a) {
   std::erase_if(held_, [a](const Entry& e) { return e.addr == a; });
 }
 
-void LrscTableAdapter::reset() {
-  AtomicAdapter::reset();
-  held_.clear();
-}
-
 void LrscTableAdapter::describeState(std::ostream& os) const {
   os << held_.size() << " of " << ctx_.numCores()
      << " reservation entries held";

@@ -22,7 +22,6 @@ class LrscTableAdapter final : public AtomicAdapter {
   explicit LrscTableAdapter(BankContext& ctx) : AtomicAdapter(ctx) {}
 
   void handle(const MemRequest& req) override;
-  void reset() override;
   void describeState(std::ostream& os) const override;
 
  private:

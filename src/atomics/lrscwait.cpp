@@ -172,9 +172,4 @@ bool LrscWaitAdapter::holdsGrant(CoreId core, Addr a) const {
   });
 }
 
-void LrscWaitAdapter::reset() {
-  AtomicAdapter::reset();
-  queue_.clear();
-}
-
 }  // namespace colibri::atomics

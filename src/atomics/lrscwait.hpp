@@ -26,7 +26,6 @@ class LrscWaitAdapter final : public AtomicAdapter {
       : AtomicAdapter(ctx), capacity_(capacity) {}
 
   void handle(const MemRequest& req) override;
-  void reset() override;
   void describeState(std::ostream& os) const override;
 
   [[nodiscard]] std::uint32_t capacity() const { return capacity_; }

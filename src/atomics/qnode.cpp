@@ -88,10 +88,4 @@ void Qnode::dispatchWakeUp() {
   successorIsMwait_ = false;
 }
 
-void Qnode::reset() {
-  state_ = State::kIdle;
-  successor_ = sim::kNoCore;
-  successorIsMwait_ = false;
-}
-
 }  // namespace colibri::atomics

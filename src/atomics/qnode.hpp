@@ -70,8 +70,6 @@ class Qnode {
   }
   [[nodiscard]] CoreId successor() const { return successor_; }
 
-  void reset();
-
  private:
   void dispatchWakeUp();
 

@@ -10,13 +10,6 @@
 
 namespace colibri::arch {
 
-Core::Core(System& sys, CoreId id, CoreHot* hot, atomics::Qnode* qnode)
-    : sys_(sys),
-      id_(id),
-      tile_(sys.topology().tileOfCore(id)),
-      qnode_(qnode),
-      hot_(hot) {}
-
 void Core::run(sim::Task task) {
   COLIBRI_CHECK_MSG(!task_.valid(), "core already has a task");
   task_ = std::move(task);
@@ -25,22 +18,22 @@ void Core::run(sim::Task task) {
 
 sim::Cycle Core::nextIssueCycle() const {
   const Cycle now = sys_.engine().now();
-  if (!hot_->hasIssued) {
+  if (!hasIssued_) {
     return now;
   }
-  const Cycle earliest = hot_->lastIssue + sys_.config().issueInterval;
+  const Cycle earliest = lastIssue_ + sys_.config().issueInterval;
   return earliest > now ? earliest : now;
 }
 
 void Core::issue(const MemRequest& req, std::coroutine_handle<> h,
                  MemResponse* out) {
-  COLIBRI_CHECK_MSG(hot_->pendingHandle == nullptr,
+  COLIBRI_CHECK_MSG(pendingHandle_ == nullptr,
                     "core " << id_ << " has an outstanding op (single-issue)");
-  stats_.issuedByKind[static_cast<std::size_t>(req.kind)]++;
+  ++stats_.issued;
 
   const Cycle depart = nextIssueCycle();
-  hot_->hasIssued = true;
-  hot_->lastIssue = depart;
+  hasIssued_ = true;
+  lastIssue_ = depart;
 
   // Tracing happens here, at issue time, never inside the departure
   // closures below — they must stay within the inline event buffer.
@@ -65,13 +58,13 @@ void Core::issue(const MemRequest& req, std::coroutine_handle<> h,
     return;
   }
 
-  hot_->pendingHandle = h;
-  hot_->pendingOut = out;
-  hot_->pendingKind = req.kind;
-  hot_->pendingAddr = req.addr;
+  pendingHandle_ = h;
+  pendingOut_ = out;
+  pendingKind_ = req.kind;
+  pendingAddr_ = req.addr;
 
   auto depart_ev = [this, req] {
-    hot_->pendingSince = sys_.engine().now();
+    pendingSince_ = sys_.engine().now();
     // The request passes the core's Qnode on its way out (Colibri only).
     // Wait registration happens before injection; the SCwait hook runs
     // *after* injection because it may dispatch a WakeUpRequest that must
@@ -91,11 +84,11 @@ void Core::issue(const MemRequest& req, std::coroutine_handle<> h,
 }
 
 void Core::complete(const MemResponse& r) {
-  COLIBRI_CHECK_MSG(hot_->pendingHandle != nullptr,
+  COLIBRI_CHECK_MSG(pendingHandle_ != nullptr,
                     "response delivered to core " << id_
                                                   << " with no pending op");
-  const Cycle waited = sys_.engine().now() - hot_->pendingSince;
-  if (arch::isSleepingWait(hot_->pendingKind)) {
+  const Cycle waited = sys_.engine().now() - pendingSince_;
+  if (arch::isSleepingWait(pendingKind_)) {
     stats_.sleepCycles += waited;
   } else {
     stats_.stallCycles += waited;
@@ -108,7 +101,7 @@ void Core::complete(const MemResponse& r) {
   }
 
   if (qnode_ != nullptr) {
-    switch (hot_->pendingKind) {
+    switch (pendingKind_) {
       case OpKind::kLrWait:
         qnode_->onLrWaitResponse(r.ok);
         break;
@@ -126,18 +119,18 @@ void Core::complete(const MemResponse& r) {
   // Productive-retirement bookkeeping for the watchdog: reservation
   // acquires (LR/LRwait) and failed SC/SCwait are the ops a livelocked
   // retry loop retires forever, so they do not count as progress.
-  const OpKind k = hot_->pendingKind;
+  const OpKind k = pendingKind_;
   const bool productive =
       k != OpKind::kLr && k != OpKind::kLrWait &&
       ((k != OpKind::kSc && k != OpKind::kScWait) || r.ok);
   if (productive) {
-    hot_->lastProductive = sys_.engine().now();
+    lastProductive_ = sys_.engine().now();
   }
 
-  auto h = hot_->pendingHandle;
-  *hot_->pendingOut = r;
-  hot_->pendingHandle = nullptr;
-  hot_->pendingOut = nullptr;
+  auto h = pendingHandle_;
+  *pendingOut_ = r;
+  pendingHandle_ = nullptr;
+  pendingOut_ = nullptr;
   h.resume();
   task_.rethrowIfFailed();
 }
@@ -149,9 +142,9 @@ void Core::delayed(Cycle n, std::coroutine_handle<> h) {
   const Cycle done = sys_.engine().now() + n;
   const Cycle interval = sys_.config().issueInterval;
   const Cycle issueMark = done > interval ? done - interval : 0;
-  if (!hot_->hasIssued || hot_->lastIssue < issueMark) {
-    hot_->hasIssued = true;
-    hot_->lastIssue = issueMark;
+  if (!hasIssued_ || lastIssue_ < issueMark) {
+    hasIssued_ = true;
+    lastIssue_ = issueMark;
   }
   auto resume_ev = [this, h] {
     h.resume();

@@ -16,7 +16,6 @@
 // Qnode (at request departure), matching the Colibri protocol ordering.
 #pragma once
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
 
@@ -36,56 +35,28 @@ namespace colibri::arch {
 class System;
 
 using sim::Cycle;
-using sim::TileId;
 
 struct CoreStats {
-  std::array<std::uint64_t, 16> issuedByKind{};  // indexed by OpKind
-  std::uint64_t computeCycles = 0;               ///< explicit delay() cycles
-  std::uint64_t sleepCycles = 0;                 ///< LRwait/Mwait waits
-  std::uint64_t stallCycles = 0;                 ///< load/AMO/SC waits
+  std::uint64_t issued = 0;         ///< memory operations issued
+  std::uint64_t computeCycles = 0;  ///< explicit delay() cycles
+  std::uint64_t sleepCycles = 0;    ///< LRwait/Mwait waits
+  std::uint64_t stallCycles = 0;    ///< load/AMO/SC waits
 
-  [[nodiscard]] std::uint64_t issued(OpKind k) const {
-    return issuedByKind[static_cast<std::size_t>(k)];
-  }
-  [[nodiscard]] std::uint64_t totalIssued() const {
-    std::uint64_t n = 0;
-    for (auto v : issuedByKind) {
-      n += v;
-    }
-    return n;
-  }
   void reset() { *this = CoreStats{}; }
 };
 
-/// Hot per-core pipeline state, structure-of-arrays style: System owns one
-/// contiguous vector of these (one per core) so the dispatch loop touching
-/// many cores per cycle walks a dense array instead of chasing per-Core
-/// heap objects — the Core object itself keeps only cold identity, stats,
-/// and the task handle.
-struct CoreHot {
-  std::coroutine_handle<> pendingHandle{};
-  MemResponse* pendingOut = nullptr;
-  Cycle pendingSince = 0;
-  Cycle lastIssue = 0;
-  /// Last cycle this core retired a *productive* operation: anything but a
-  /// reservation acquire (LR/LRwait) or a failed SC/SCwait. A core spinning
-  /// in an acquire-fail-retry loop never advances this — exactly the signal
-  /// the watchdog needs to tell livelock/deadlock from slow progress.
-  Cycle lastProductive = 0;
-  sim::Addr pendingAddr = 0;
-  OpKind pendingKind = OpKind::kLoad;
-  bool hasIssued = false;
-};
-
+/// One core's whole record: System keeps all of them in one array, so a
+/// core's identity, pipeline state and stats share its own cache lines
+/// (`sizeof(Core)` is checked below; construction writes only this).
 class Core {
  public:
   /// `qnode` is the core's Colibri Qnode, or null under other adapters.
-  Core(System& sys, CoreId id, CoreHot* hot, atomics::Qnode* qnode);
+  Core(System& sys, CoreId id, atomics::Qnode* qnode)
+      : sys_(sys), qnode_(qnode), id_(id) {}
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
 
   [[nodiscard]] CoreId id() const { return id_; }
-  [[nodiscard]] TileId tile() const { return tile_; }
 
   // --- Workload-facing awaitables ---------------------------------------
   struct [[nodiscard]] MemAwait {
@@ -136,7 +107,7 @@ class Core {
   void rethrowIfFailed() const { task_.rethrowIfFailed(); }
   [[nodiscard]] bool taskDone() const { return task_.done(); }
   [[nodiscard]] bool hasOutstandingOp() const {
-    return hot_->pendingHandle != nullptr;
+    return pendingHandle_ != nullptr;
   }
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
@@ -156,16 +127,31 @@ class Core {
   [[nodiscard]] Cycle nextIssueCycle() const;
 
   System& sys_;
-  CoreId id_;
-  TileId tile_;
-  atomics::Qnode* qnode_;  // null unless Colibri is active
-  CoreHot* hot_;           // slot in System's dense hot-state array
+  atomics::Qnode* qnode_;                 // null unless Colibri is active
   const obs::SimHooks* hooks_ = nullptr;  // set by System with a recorder
-
   sim::Task task_;
+
+  // Pipeline state of the one outstanding operation; System reads it for
+  // the watchdog and blame reports.
+  std::coroutine_handle<> pendingHandle_{};
+  MemResponse* pendingOut_ = nullptr;
+  Cycle pendingSince_ = 0;
+  sim::Addr pendingAddr_ = 0;
+  Cycle lastIssue_ = 0;
+  /// Last cycle this core retired a *productive* operation: anything but a
+  /// reservation acquire (LR/LRwait) or a failed SC/SCwait. A core spinning
+  /// in an acquire-fail-retry loop never advances this — exactly the signal
+  /// the watchdog needs to tell livelock/deadlock from slow progress.
+  Cycle lastProductive_ = 0;
   CoreStats stats_;
+  CoreId id_;
+  OpKind pendingKind_ = OpKind::kLoad;
+  bool hasIssued_ = false;
 
   friend class System;
 };
+
+// Construction writes one record per core; keep it at two cache lines.
+static_assert(sizeof(Core) <= 128);
 
 }  // namespace colibri::arch

@@ -35,7 +35,7 @@ SystemCounters snapshotCounters(arch::System& sys, Cycle windowCycles,
   s.activeCores = participants;
   for (sim::CoreId c = 0; c < sys.numCores(); ++c) {
     const auto& cs = sys.core(c).stats();
-    s.instructions += cs.totalIssued();
+    s.instructions += cs.issued;
     s.computeCycles += cs.computeCycles;
     s.sleepCycles += cs.sleepCycles;
     s.stallCycles += cs.stallCycles;

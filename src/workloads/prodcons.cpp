@@ -108,7 +108,7 @@ ProdConsResult runProdCons(arch::System& sys, const ProdConsParams& p) {
   std::uint64_t consumerIssued = 0;
   for (const auto c : consumerCores) {
     consumerSleep += sys.core(c).stats().sleepCycles;
-    consumerIssued += sys.core(c).stats().totalIssued();
+    consumerIssued += sys.core(c).stats().issued;
   }
   const std::uint64_t windowItems = ctx.consumedInWindow;
   const SystemCounters windowCounters =

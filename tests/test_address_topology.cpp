@@ -1,7 +1,12 @@
 // Address map, allocator and topology unit tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "arch/address.hpp"
 #include "arch/topology.hpp"
@@ -83,6 +88,64 @@ TEST(Allocator, BankExhaustionThrows) {
     (void)alloc.allocInBank(0);
   }
   EXPECT_THROW((void)alloc.allocInBank(0), sim::InvariantViolation);
+}
+
+// The allocator as it was first written: one cursor per bank, raised to
+// the global row mark on every global allocation. The O(1) allocator must
+// hand out exactly its addresses.
+class ReferenceAllocator {
+ public:
+  explicit ReferenceAllocator(const SystemConfig& c)
+      : map_(c), cursors_(c.numBanks(), 0) {}
+
+  sim::Addr allocGlobal(std::uint64_t n) {
+    const std::uint64_t numBanks = map_.numBanks();
+    for (const auto cursor : cursors_) {
+      nextRow_ = std::max(nextRow_, cursor);
+    }
+    const sim::Addr base = nextRow_ * numBanks;
+    COLIBRI_CHECK(base + n <= map_.numWords());
+    nextRow_ += (n + numBanks - 1) / numBanks;
+    for (auto& cursor : cursors_) {
+      cursor = std::max(cursor, nextRow_);
+    }
+    return base;
+  }
+
+  sim::Addr allocInBank(sim::BankId b) {
+    std::uint64_t& cursor = cursors_[b];
+    COLIBRI_CHECK(cursor < map_.wordsPerBank());
+    return map_.compose(b, cursor++);
+  }
+
+ private:
+  AddressMap map_;
+  std::uint64_t nextRow_ = 0;
+  std::vector<std::uint64_t> cursors_;
+};
+
+TEST(Allocator, MatchesPerBankCursorReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Allocator alloc(cfg());
+    ReferenceAllocator ref(cfg());
+    std::mt19937_64 rng(seed);
+    for (int step = 0; step < 200; ++step) {
+      const bool global = rng() % 4 == 0;
+      const std::uint64_t n = rng() % 40;
+      const auto b = static_cast<sim::BankId>(rng() % 16);
+      std::optional<sim::Addr> got;
+      std::optional<sim::Addr> want;
+      try {
+        got = global ? alloc.allocGlobal(n) : alloc.allocInBank(b);
+      } catch (const sim::InvariantViolation&) {
+      }
+      try {
+        want = global ? ref.allocGlobal(n) : ref.allocInBank(b);
+      } catch (const sim::InvariantViolation&) {
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 TEST(Topology, DistanceClasses) {

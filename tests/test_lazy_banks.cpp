@@ -1,9 +1,11 @@
-// Constructing a System allocates a constant number of heap blocks. Banks
-// are built on first use: no Bank, adapter or link state exists until a
-// request, a bank() call or a blame report reaches it, and the Network
-// holds nothing per bank. Cores and Qnodes are built in place in one array
-// each. This binary replaces the global operator new to count allocations
-// and their bytes, so it is kept apart from the other suites.
+// Constructing a System allocates a constant number of heap blocks and a
+// bounded number of bytes per core and per bank. Banks are built on first
+// use: no Bank, adapter or link state exists until a request, a bank()
+// call or a blame report reaches it, and the Network holds nothing per
+// bank. Cores and Qnodes are built in place in one array each, and a bank
+// costs one pointer until it is built. This binary replaces the global
+// operator new to count allocations and their bytes, so it is kept apart
+// from the other suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -64,10 +66,27 @@ SystemConfig withCores(std::uint32_t cores, AdapterKind k) {
   return cfg;
 }
 
+/// 4096 cores in 1024 tiles of 16 groups, 16 banks per tile. At this size
+/// Debug builds skip the Network's dense per-pair cross-check, which is
+/// O(cores x banks) by design, so Debug and Release count the same bytes.
+SystemConfig fourK(AdapterKind k) {
+  SystemConfig cfg = SystemConfig::memPool();
+  cfg.numCores = 4096;
+  cfg.tilesPerGroup = 64;
+  cfg.adapter = k;
+  return cfg;
+}
+
 std::size_t allocationsToConstruct(const SystemConfig& cfg) {
   const std::size_t before = gAllocations.load();
   const System sys(cfg);
   return gAllocations.load() - before;
+}
+
+std::size_t bytesToConstruct(const SystemConfig& cfg) {
+  const std::size_t before = gBytes.load();
+  const System sys(cfg);
+  return gBytes.load() - before;
 }
 
 std::size_t bytesToConstructNetwork(const SystemConfig& cfg) {
@@ -97,15 +116,36 @@ TEST_P(LazyBanks, ConstructionAllocatesIndependentlyOfCoreCount) {
   EXPECT_EQ(few, many);
 }
 
+// Byte budget: a core costs one Core record, one Qnode and its network
+// placement. 1024 vs 4096 cores on the same 1024 tiles and 16384 banks.
+TEST_P(LazyBanks, ConstructionBytesPerCoreStayWithinBudget) {
+  SystemConfig few = fourK(GetParam());
+  few.numCores = 1024;
+  few.coresPerTile = 1;
+  const SystemConfig many = fourK(GetParam());
+  const std::size_t extraCores = many.numCores - few.numCores;
+  EXPECT_LE(bytesToConstruct(many) - bytesToConstruct(few),
+            200 * extraCores);
+}
+
+// An unbuilt bank costs one pointer: 16384 vs 65536 banks at 4096 cores.
+TEST_P(LazyBanks, ConstructionBytesPerBankStayWithinBudget) {
+  const SystemConfig few = fourK(GetParam());
+  SystemConfig many = few;
+  many.banksPerTile = 64;
+  const std::size_t extraBanks = many.numBanks() - few.numBanks();
+  EXPECT_LE(bytesToConstruct(many) - bytesToConstruct(few), 8 * extraBanks);
+}
+
+// The whole 4096-core, 16384-bank System stays under 0.95 MB.
+TEST_P(LazyBanks, FourKCoreConstructionFitsTheBudget) {
+  EXPECT_LE(bytesToConstruct(fourK(GetParam())), 950'000u);
+}
+
 // The network keeps per-core placement and per-group/tile stages, but
-// nothing per bank: 16384 vs 65536 banks at 4096 cores. (At this size
-// Debug builds skip the dense per-pair cross-check, which is O(cores x
-// banks) by design.)
+// nothing per bank: 16384 vs 65536 banks at 4096 cores.
 TEST(LazyBanksNetwork, HoldsNoStatePerBank) {
-  SystemConfig few = SystemConfig::memPool();
-  few.numCores = 4096;
-  few.tilesPerGroup = 64;  // 1024 tiles in 16 groups
-  few.banksPerTile = 16;
+  const SystemConfig few = fourK(AdapterKind::kColibri);
   SystemConfig many = few;
   many.banksPerTile = 64;
   EXPECT_EQ(bytesToConstructNetwork(few), bytesToConstructNetwork(many));

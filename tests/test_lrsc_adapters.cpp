@@ -189,8 +189,6 @@ TEST(LrscTable, DescribeStateListsHeldCoresInOrder) {
   EXPECT_EQ(state(), "3 of 8 reservation entries held (cores: 2 5 7)");
   a.handle(store(4, 1, 0));
   EXPECT_EQ(state(), "1 of 8 reservation entries held (cores: 7)");
-  a.reset();
-  EXPECT_EQ(state(), "0 of 8 reservation entries held");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "arch/system.hpp"
@@ -238,6 +239,53 @@ INSTANTIATE_TEST_SUITE_P(Kinds, WaitAdapters,
                          ::testing::Values(AdapterKind::kLrscWait,
                                            AdapterKind::kColibri),
                          [](const auto& info) { return test::paramName(toString(info.param)); });
+
+// Core 0 takes the LRwait grant and then computes past the horizon; core 1
+// queues behind it and sleeps. The blame report lists both cores and the
+// bank's queue state in the adapter's own words.
+sim::Task holdGrant(Core& core, sim::Addr a) {
+  const auto r = co_await core.lrWait(a);
+  EXPECT_TRUE(r.ok);
+  co_await core.delay(1'000'000);
+}
+
+sim::Task queueBehind(Core& core, sim::Addr a) {
+  (void)co_await core.lrWait(a);
+}
+
+std::string blameWithQueuedWaiter(AdapterKind k) {
+  System sys(withAdapter(k));
+  const auto a = sys.allocator().allocGlobal(1);
+  sys.spawn(0, holdGrant(sys.core(0), a));
+  sys.runUntil(50);  // core 0 holds the grant before core 1 asks
+  sys.spawn(1, queueBehind(sys.core(1), a));
+  sys.runUntil(200);
+  return sys.blameReport(sys.now());
+}
+
+TEST(System, BlameReportDescribesColibriQueue) {
+  EXPECT_EQ(blameWithQueuedWaiter(AdapterKind::kColibri),
+            "blame report at cycle 200 (adapter colibri, last productive "
+            "retirement system-wide at 0):\n"
+            "  core 0: no outstanding request, last productive retirement "
+            "at 0, qnode queued (successor core 1)\n"
+            "  core 1: waiting on lrwait to addr 0 (bank 0) since cycle 50, "
+            "last productive retirement at 0, qnode queued\n"
+            "  bank 0: 1 of 4 queue slots busy; slot 0: granted addr 0 head "
+            "0 tail 1 (reservation valid)\n");
+}
+
+TEST(System, BlameReportDescribesLrscWaitQueue) {
+  EXPECT_EQ(blameWithQueuedWaiter(AdapterKind::kLrscWait),
+            "blame report at cycle 200 (adapter lrscwait, last productive "
+            "retirement system-wide at 0):\n"
+            "  core 0: no outstanding request, last productive retirement "
+            "at 0\n"
+            "  core 1: waiting on lrwait to addr 0 (bank 0) since cycle 50, "
+            "last productive retirement at 0\n"
+            "  bank 0: 2 of 8 queue entries used; grants: core 0 on addr "
+            "0\n");
+}
 
 TEST(System, PostedStoreDoesNotBlockTheCore) {
   System sys(withAdapter(AdapterKind::kAmoOnly));
