@@ -127,21 +127,21 @@ void System::attachObservability() {
   });
   reg.gauge("bank.requests", [this] {
     std::uint64_t n = 0;
-    for (const Bank* b : built_) {
+    for (const auto& b : built_) {
       n += b->stats().requests;
     }
     return static_cast<double>(n);
   });
   reg.gauge("bank.backlogMax", [this] {
     sim::Cycle mx = 0;
-    for (const Bank* b : built_) {
+    for (const auto& b : built_) {
       mx = std::max(mx, b->backlog());
     }
     return static_cast<double>(mx);
   });
   reg.gauge("bank.backlogMean", [this] {
     double sum = 0;
-    for (const Bank* b : built_) {
+    for (const auto& b : built_) {
       sum += static_cast<double>(b->backlog());
     }
     return sum / static_cast<double>(numBanks());
@@ -165,7 +165,7 @@ void System::attachObservability() {
                                          AdapterCounter field) {
     reg.gauge(std::move(name), [this, field] {
       std::uint64_t n = 0;
-      for (const Bank* b : built_) {
+      for (const auto& b : built_) {
         n += b->adapter().stats().*field;
       }
       return static_cast<double>(n);
@@ -223,9 +223,6 @@ System::~System() {
   // Drop queued events first: they may capture awaiter state living inside
   // coroutine frames that the Core destructors are about to destroy.
   engine_.clear();
-  for (Bank* b : built_) {
-    delete b;
-  }
 }
 
 void System::spawn(CoreId c, sim::Task task) {
@@ -233,11 +230,10 @@ void System::spawn(CoreId c, sim::Task task) {
 }
 
 Bank& System::buildBank(BankId b) {
-  auto bank = std::make_unique<Bank>(engine_, net_, *this, cfg_, b,
-                                     spm_.data(), faultPlan_.get(),
-                                     obsHooks_.get());
-  built_.push_back(bank.get());
-  banks_[b] = bank.release();  // built_ owns it from here
+  built_.push_back(std::make_unique<Bank>(engine_, net_, *this, cfg_, b,
+                                         spm_.data(), faultPlan_.get(),
+                                         obsHooks_.get()));
+  banks_[b] = built_.back().get();
   return *banks_[b];
 }
 
@@ -297,7 +293,7 @@ void System::resetStats() {
   for (Core& core : cores_) {
     core.resetStats();
   }
-  for (Bank* b : built_) {
+  for (const auto& b : built_) {
     b->resetStats();
   }
   net_.resetStats();

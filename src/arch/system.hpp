@@ -7,10 +7,10 @@
 // bank, each kind in one array. A bank, its adapter and its network link
 // state are built the first time a request, a bank() call or a blame
 // report reaches it, so construction and teardown cost grows with the
-// banks a workload touches, not with the geometry. Workloads are attached per core as coroutines and
-// the simulation is driven with run()/runUntil(). Teardown clears the
-// event queue before destroying coroutine frames so no stale event can
-// touch a dead frame.
+// banks a workload touches, not with the geometry. Workloads are attached
+// per core as coroutines and the simulation is driven with
+// run()/runUntil(). Teardown clears the event queue before destroying
+// coroutine frames so no stale event can touch a dead frame.
 #pragma once
 
 #include <cstddef>
@@ -86,13 +86,17 @@ class System final : public CoreSink, public atomics::WakeUpSink {
   /// The banks built so far, in build order. A bank never built has
   /// served no request and holds no state, so sums over its counters are
   /// zero. The span is valid until the next bank is built.
-  [[nodiscard]] std::span<Bank* const> builtBanks() const { return built_; }
+  [[nodiscard]] std::span<const std::unique_ptr<Bank>> builtBanks() const {
+    return built_;
+  }
   [[nodiscard]] atomics::Qnode& qnode(CoreId c) {
     COLIBRI_CHECK_MSG(c < numCores(), "qnode " << c << " of " << numCores());
     return qnodes_[c];
   }
   [[nodiscard]] std::uint32_t numCores() const { return cfg_.numCores; }
-  [[nodiscard]] std::uint32_t numBanks() const { return cfg_.numBanks(); }
+  [[nodiscard]] std::uint32_t numBanks() const {
+    return alloc_.map().numBanks();
+  }
 
   /// Attach a workload coroutine to a core and start it at the current time.
   void spawn(CoreId c, sim::Task task);
@@ -180,7 +184,7 @@ class System final : public CoreSink, public atomics::WakeUpSink {
   Allocator alloc_;
   SpmStorage spm_;  // declared before banks_: it must outlive them
   std::unique_ptr<Bank*[]> banks_;  // by id; null until first use
-  std::vector<Bank*> built_;  // owns the non-null banks_, in build order
+  std::vector<std::unique_ptr<Bank>> built_;  // owns them, in build order
   sim::FixedArray<atomics::Qnode> qnodes_;  // wired only under Colibri
   sim::FixedArray<Core> cores_;             // built in place, one block
   // Hook bundle handed to cores/banks/sync; owned here so those raw

@@ -45,9 +45,8 @@ struct CoreStats {
   void reset() { *this = CoreStats{}; }
 };
 
-/// One core's whole record: System keeps all of them in one array, so a
-/// core's identity, pipeline state and stats share its own cache lines
-/// (`sizeof(Core)` is checked below; construction writes only this).
+/// One core's whole record (identity, pipeline state, stats): System keeps
+/// all of them in one array, and a core is nothing more.
 class Core {
  public:
   /// `qnode` is the core's Colibri Qnode, or null under other adapters.
@@ -151,7 +150,7 @@ class Core {
   friend class System;
 };
 
-// Construction writes one record per core; keep it at two cache lines.
+// System construction writes one record per core; keep it within 128 B.
 static_assert(sizeof(Core) <= 128);
 
 }  // namespace colibri::arch

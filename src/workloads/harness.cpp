@@ -40,7 +40,7 @@ SystemCounters snapshotCounters(arch::System& sys, Cycle windowCycles,
     s.sleepCycles += cs.sleepCycles;
     s.stallCycles += cs.stallCycles;
   }
-  for (const arch::Bank* b : sys.builtBanks()) {
+  for (const auto& b : sys.builtBanks()) {
     s.bankAccesses += b->stats().requests;
   }
   s.netMessages = sys.network().stats().messagesByDistance;

@@ -170,7 +170,7 @@ TEST_P(LazyBanks, OneRequestBuildsOneBank) {
   sys.run();
   sys.rethrowFailures();
   ASSERT_EQ(sys.builtBanks().size(), 1u);
-  EXPECT_EQ(sys.builtBanks()[0], &sys.bank(37));
+  EXPECT_EQ(sys.builtBanks()[0].get(), &sys.bank(37));
   EXPECT_EQ(sys.bank(37).stats().requests, 1u);
   EXPECT_EQ(sys.builtBanks().size(), 1u);  // bank(37) was already built
 
