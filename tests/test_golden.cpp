@@ -1,8 +1,9 @@
 // Golden-output corpus: every supported CLI scenario (all adapters x all
 // registered workloads, including the eight wgen presets and the three
-// data-structure workloads), the litmus tables, the scenario listing, and
-// a sample of --json documents are compared byte-for-byte against files
-// committed under tests/golden/.
+// data-structure workloads), the litmus tables, the scenario listing, a
+// sample of --json documents, and the histogram's lock modes (run through
+// exp::runOne, since the CLI picks only the RMW mode) are compared
+// byte-for-byte against files committed under tests/golden/.
 //
 // The simulator is bit-deterministic, so any diff here is a real output
 // change: either a regression (fix the code) or an intended change —
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "cli/driver.hpp"
+#include "exp/json.hpp"
 #include "exp/scenario.hpp"
 
 namespace colibri {
@@ -143,6 +145,52 @@ std::vector<GoldenCase> goldenCases() {
   return cases;
 }
 
+/// One histogram lock mode on one adapter, run through exp::runOne on the
+/// golden geometry. The CLI's histogram always runs the adapter's RMW
+/// mode, so these pin the lock kernels Fig. 4 and Table II use.
+struct LockModeCase {
+  std::string adapter;
+  std::string lock;  ///< "tas" or "mcs"
+  workloads::HistogramMode mode;
+
+  /// File name under tests/golden/.
+  [[nodiscard]] std::string name() const {
+    return "json__" + adapter + "__histogram_" + lock + ".json";
+  }
+};
+
+std::vector<LockModeCase> lockModeCases() {
+  using workloads::HistogramMode;
+  return {
+      {"amo", "tas", HistogramMode::kAmoLock},
+      {"lrsc_single", "tas", HistogramMode::kLrscLock},
+      {"colibri", "tas", HistogramMode::kLrwaitLock},
+      {"colibri", "mcs", HistogramMode::kMcsMwaitLock},
+      {"lrsc_table", "mcs", HistogramMode::kMcsPollLock},
+  };
+}
+
+std::string runLockModeCase(const LockModeCase& c) {
+  const auto adapter = exp::findAdapter(c.adapter);
+  EXPECT_TRUE(adapter.has_value()) << c.adapter;
+  exp::RunSpec spec;
+  spec.label = c.adapter + "/histogram-" + c.lock;
+  spec.config = exp::configFor(*adapter, 8, arch::SystemConfig::smallTest());
+  workloads::HistogramParams p;
+  p.mode = c.mode;
+  spec.params = p;
+  spec.window = workloads::MeasureWindow{500, 2000};
+  exp::SweepResult res;
+  res.reps.push_back(exp::runOne(spec));
+  const auto& r = res.reps.front();
+  res.opsPerCycle = exp::Stats::of({r.rate.opsPerCycle});
+  res.energyPerOpPj = exp::Stats::of({r.energyPerOpPj});
+  res.allVerified = r.verified;
+  std::ostringstream out;
+  exp::writeJson(out, {spec}, {res});
+  return out.str();
+}
+
 std::string readFile(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
   std::ostringstream ss;
@@ -177,6 +225,21 @@ TEST(Golden, EveryScenarioMatchesItsCommittedOutput) {
   }
 }
 
+TEST(Golden, HistogramLockModesMatchTheirCommittedOutput) {
+  for (const auto& c : lockModeCases()) {
+    const auto out = runLockModeCase(c);
+    const auto path = kGoldenDir / c.name();
+    if (regenerating()) {
+      std::ofstream f(path, std::ios::binary);
+      f << out;
+      continue;
+    }
+    ASSERT_TRUE(fs::exists(path))
+        << path << " missing — run with COLIBRI_GOLDEN_REGEN=1 and commit";
+    EXPECT_EQ(out, readFile(path)) << c.name();
+  }
+}
+
 TEST(Golden, CorpusHasNoStaleFiles) {
   if (regenerating()) {
     GTEST_SKIP();
@@ -185,6 +248,9 @@ TEST(Golden, CorpusHasNoStaleFiles) {
   std::vector<std::string> expected;
   for (const auto& c : goldenCases()) {
     expected.push_back(c.name);
+  }
+  for (const auto& c : lockModeCases()) {
+    expected.push_back(c.name());
   }
   for (const auto& entry : fs::directory_iterator(kGoldenDir)) {
     const auto name = entry.path().filename().string();
