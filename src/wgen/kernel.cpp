@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "arch/system.hpp"
 #include "obs/hooks.hpp"
 #include "sim/check.hpp"
 #include "sim/random.hpp"
 #include "sync/atomic.hpp"
+#include "sync/mcs.hpp"
 #include "sync/spinlock.hpp"
 
 namespace colibri::wgen {
@@ -22,6 +24,8 @@ struct WgenCtx {
   sync::RmwFlavor rmwFlavor = sync::RmwFlavor::kLrsc;
   sync::RmwFlavor casFlavor = sync::RmwFlavor::kLrsc;
   sync::SpinLockKind lockKind = sync::SpinLockKind::kLrscTas;
+  sync::WaitKind mcsWait = sync::WaitKind::kPoll;
+  std::optional<sync::McsNodes> mcs;  // kMcsLock phases only
   bool stop = false;
   sim::Cycle windowStart = 0;
   sim::Cycle windowEnd = 0;
@@ -115,15 +119,26 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
           }
           break;
         }
-        case OpClass::kLock: {
-          co_await sync::acquireLock(core, ctx.lockKind, region.locks[idx],
-                                     backoff);
+        case OpClass::kLock:
+        case OpClass::kMcsLock: {
+          const sim::Addr lockWord = region.locks[idx];
+          std::optional<sync::McsLock> mcs;
+          if (phase.op == OpClass::kMcsLock) {
+            mcs.emplace(lockWord, *ctx.mcs, ctx.casFlavor, ctx.mcsWait);
+            co_await mcs->acquire(core, backoff);
+          } else {
+            co_await sync::acquireLock(core, ctx.lockKind, lockWord, backoff);
+          }
           const auto v = co_await core.load(a);
           co_await core.delay(phase.csCycles);
           // Acked store: the data update must commit before the release
           // store can be observed (see spinlock.hpp on ordering).
           (void)co_await core.amoSwap(a, v.value + 1);
-          co_await sync::releaseLock(core, region.locks[idx]);
+          if (mcs) {
+            co_await mcs->release(core, backoff);
+          } else {
+            co_await sync::releaseLock(core, lockWord);
+          }
           performed = modified = true;
           break;
         }
@@ -162,7 +177,7 @@ std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
   std::vector<bool> needsLocks(spec.regions.size(), false);
   for (const auto& role : spec.roles) {
     for (const auto& ph : role.phases) {
-      if (ph.op == OpClass::kLock) {
+      if (ph.op == OpClass::kLock || ph.op == OpClass::kMcsLock) {
         needsLocks[ph.region] = true;
       }
     }
@@ -235,6 +250,13 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
                       ? sync::RmwFlavor::kLrsc  // unreachable (checked above)
                       : ctx.rmwFlavor;
   ctx.lockKind = workloads::lockKindFor(adapter);
+  ctx.mcsWait = ctx.rmwFlavor == sync::RmwFlavor::kLrscWait
+                    ? sync::WaitKind::kMwait
+                    : sync::WaitKind::kPoll;
+  if (usesOp(p.kernel, OpClass::kMcsLock)) {
+    // After the regions, so their addresses do not depend on the lock.
+    ctx.mcs = sync::McsNodes::create(sys);
+  }
   ctx.windowStart = p.window.warmup;
   ctx.windowEnd = p.window.horizon();
   ctx.perCoreTotal.assign(participants, 0);

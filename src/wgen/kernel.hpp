@@ -34,7 +34,8 @@ struct WgenParams {
 };
 
 /// A Region instantiated on a System: the address table (index →
-/// simulated word), the parallel lock words (kLock phases only), and the
+/// simulated word), the parallel lock words (lock phases only; an MCS
+/// lock's word is its queue tail), and the
 /// sampled CDF (kZipfian only). Exposed for tests.
 struct ResolvedRegion {
   std::vector<sim::Addr> addrs;

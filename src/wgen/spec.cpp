@@ -31,6 +31,8 @@ const char* toString(OpClass o) {
       return "cas";
     case OpClass::kLock:
       return "lock";
+    case OpClass::kMcsLock:
+      return "mcs-lock";
   }
   return "?";
 }
@@ -66,15 +68,19 @@ void validate(const KernelSpec& spec) {
                     "kernel '" << spec.name << "' has zero total share");
 }
 
-bool needsReservations(const KernelSpec& spec) {
+bool usesOp(const KernelSpec& spec, OpClass op) {
   for (const auto& role : spec.roles) {
     for (const auto& ph : role.phases) {
-      if (ph.op == OpClass::kCas) {
+      if (ph.op == op) {
         return true;
       }
     }
   }
   return false;
+}
+
+bool needsReservations(const KernelSpec& spec) {
+  return usesOp(spec, OpClass::kCas) || usesOp(spec, OpClass::kMcsLock);
 }
 
 std::vector<std::uint32_t> assignRoles(const KernelSpec& spec,

@@ -23,7 +23,10 @@
 //     kCas   compare-and-swap loop over the reservation pair (not
 //            runnable on the AMO-only adapter),
 //     kLock  lock-protected critical section via sync::acquireLock
-//            (TAS flavor matched to the adapter).
+//            (TAS flavor matched to the adapter),
+//     kMcsLock  the kLock critical section under an MCS queue lock whose
+//               waiters sleep in Mwait on wait-capable adapters and poll
+//               elsewhere (its release CAS needs reservations, like kCas).
 //
 // Every modifying op adds exactly 1 to one region word, so a run
 // self-checks like the histogram: Σ region words == performed increments.
@@ -39,7 +42,7 @@ enum class AddrDist : std::uint8_t { kUniform, kZipfian, kHotspot, kStrided };
 
 [[nodiscard]] const char* toString(AddrDist d);
 
-enum class OpClass : std::uint8_t { kLoad, kRmw, kCas, kLock };
+enum class OpClass : std::uint8_t { kLoad, kRmw, kCas, kLock, kMcsLock };
 
 [[nodiscard]] const char* toString(OpClass o);
 
@@ -69,7 +72,7 @@ struct Phase {
   std::uint32_t opsPerVisit = 1;
   std::uint32_t thinkCycles = 4;
   std::uint32_t gapCycles = 0;
-  /// kLock: extra compute inside the critical section.
+  /// kLock, kMcsLock: extra compute inside the critical section.
   std::uint32_t csCycles = 1;
 };
 
@@ -92,8 +95,12 @@ struct KernelSpec {
 /// range, sane distribution parameters). Throws sim::InvariantViolation.
 void validate(const KernelSpec& spec);
 
-/// True iff the kernel issues reservation-based CAS loops, which the
-/// AMO-only adapter cannot run (mirrors the amo × prodcons rule).
+/// True iff some phase of some role issues `op`.
+[[nodiscard]] bool usesOp(const KernelSpec& spec, OpClass op);
+
+/// True iff the kernel issues reservation-based CAS loops (kCas, or the
+/// MCS release), which the AMO-only adapter cannot run (mirrors the
+/// amo × prodcons rule).
 [[nodiscard]] bool needsReservations(const KernelSpec& spec);
 
 /// Deterministic role assignment: participant i (position in the core
