@@ -34,14 +34,14 @@ int main() {
     for (const auto b : bins) {
       specs.push_back(bench::histogramSpec(pol.name + "/" +
                                                std::to_string(b),
-                                           lrscCfg, b, HistogramMode::kLrsc,
+                                           lrscCfg, b, HistogramMode::kRmw,
                                            pol.policy));
     }
   }
   // Colibri reference (no backoff needed).
   specs.push_back(bench::histogramSpec(
       "colibri/1", exp::configFor(bench::namedAdapter("colibri")), 1,
-      HistogramMode::kLrscWait, sync::BackoffPolicy::none()));
+      HistogramMode::kRmw, sync::BackoffPolicy::none()));
   exp::SweepRunner runner;
   const auto results = runner.run(specs);
   const auto rateAt = [&](std::size_t i) {

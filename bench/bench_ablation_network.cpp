@@ -11,7 +11,6 @@
 #include "common.hpp"
 
 using namespace colibri;
-using workloads::HistogramMode;
 
 int main() {
   struct Variant {
@@ -39,12 +38,10 @@ int main() {
     };
     specs.push_back(bench::histogramSpec(
         v.name + "/colibri",
-        withFabric(exp::configFor(bench::namedAdapter("colibri"))), 1,
-        HistogramMode::kLrscWait));
+        withFabric(exp::configFor(bench::namedAdapter("colibri"))), 1));
     specs.push_back(bench::histogramSpec(
         v.name + "/lrsc",
-        withFabric(exp::configFor(bench::namedAdapter("lrsc_single"))), 1,
-        HistogramMode::kLrsc));
+        withFabric(exp::configFor(bench::namedAdapter("lrsc_single"))), 1));
   }
   exp::SweepRunner runner;
   const auto results = runner.run(specs);

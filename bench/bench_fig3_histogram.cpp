@@ -19,33 +19,25 @@
 #include "common.hpp"
 
 using namespace colibri;
-using workloads::HistogramMode;
 
 namespace {
 
 struct Curve {
   std::string name;
   arch::SystemConfig cfg;
-  HistogramMode mode;
 };
 
 }  // namespace
 
 int main() {
   const std::vector<Curve> curves = {
-      {"AtomicAdd", exp::configFor(bench::namedAdapter("amo")),
-       HistogramMode::kAmoAdd},
+      {"AtomicAdd", exp::configFor(bench::namedAdapter("amo"))},
       {"LRSCwait_ideal",
-       exp::configFor(bench::namedAdapter("lrscwait_ideal")),
-       HistogramMode::kLrscWait},
-      {"LRSCwait_128", exp::configFor(bench::namedAdapter("lrscwait"), 128),
-       HistogramMode::kLrscWait},
-      {"LRSCwait_1", exp::configFor(bench::namedAdapter("lrscwait"), 1),
-       HistogramMode::kLrscWait},
-      {"Colibri", exp::configFor(bench::namedAdapter("colibri")),
-       HistogramMode::kLrscWait},
-      {"LRSC", exp::configFor(bench::namedAdapter("lrsc_single")),
-       HistogramMode::kLrsc},
+       exp::configFor(bench::namedAdapter("lrscwait_ideal"))},
+      {"LRSCwait_128", exp::configFor(bench::namedAdapter("lrscwait"), 128)},
+      {"LRSCwait_1", exp::configFor(bench::namedAdapter("lrscwait"), 1)},
+      {"Colibri", exp::configFor(bench::namedAdapter("colibri"))},
+      {"LRSC", exp::configFor(bench::namedAdapter("lrsc_single"))},
   };
   const auto bins = bench::binSeries();
 
@@ -53,7 +45,7 @@ int main() {
   for (const auto& curve : curves) {
     for (const auto b : bins) {
       specs.push_back(bench::histogramSpec(
-          curve.name + "/" + std::to_string(b), curve.cfg, b, curve.mode));
+          curve.name + "/" + std::to_string(b), curve.cfg, b));
     }
   }
   exp::SweepRunner runner;

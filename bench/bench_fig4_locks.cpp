@@ -33,13 +33,13 @@ int main() {
   const auto colibriCfg = exp::configFor(bench::namedAdapter("colibri"));
   const auto lrscCfg = exp::configFor(bench::namedAdapter("lrsc_single"));
   const std::vector<Curve> curves = {
-      {"Colibri", colibriCfg, HistogramMode::kLrscWait},
-      {"ColibriLock", colibriCfg, HistogramMode::kLrwaitLock},
-      {"MwaitLock", colibriCfg, HistogramMode::kMcsMwaitLock},
-      {"LRSC", lrscCfg, HistogramMode::kLrsc},
-      {"LRSCLock", lrscCfg, HistogramMode::kLrscLock},
+      {"Colibri", colibriCfg, HistogramMode::kRmw},
+      {"ColibriLock", colibriCfg, HistogramMode::kTasLock},
+      {"MwaitLock", colibriCfg, HistogramMode::kMcsLock},
+      {"LRSC", lrscCfg, HistogramMode::kRmw},
+      {"LRSCLock", lrscCfg, HistogramMode::kTasLock},
       {"AmoAddLock", exp::configFor(bench::namedAdapter("amo")),
-       HistogramMode::kAmoLock},
+       HistogramMode::kTasLock},
   };
   const auto bins = bench::binSeries();
 

@@ -17,7 +17,6 @@
 #include "common.hpp"
 
 using namespace colibri;
-using workloads::HistogramMode;
 using workloads::InterferenceParams;
 using workloads::MatmulParams;
 
@@ -25,8 +24,7 @@ namespace {
 
 struct Series {
   std::string name;
-  std::string adapter;
-  HistogramMode mode;
+  std::string adapter;  ///< its RMW flavor drives the pollers
   std::uint32_t workers;
 };
 
@@ -46,11 +44,9 @@ MatmulParams matmulFor(std::uint32_t workers) {
 
 int main() {
   const std::vector<Series> series = {
-      {"Colibri 252:4", "colibri", HistogramMode::kLrscWait, 4},
-      {"LRSC 128:128", "lrsc_single", HistogramMode::kLrsc, 128},
-      {"LRSC 192:64", "lrsc_single", HistogramMode::kLrsc, 64},
-      {"LRSC 248:8", "lrsc_single", HistogramMode::kLrsc, 8},
-      {"LRSC 252:4", "lrsc_single", HistogramMode::kLrsc, 4},
+      {"Colibri 252:4", "colibri", 4},   {"LRSC 128:128", "lrsc_single", 128},
+      {"LRSC 192:64", "lrsc_single", 64}, {"LRSC 248:8", "lrsc_single", 8},
+      {"LRSC 252:4", "lrsc_single", 4},
   };
   const std::vector<std::uint32_t> bins = {1, 4, 8, 12, 16};
 
@@ -71,7 +67,6 @@ int main() {
       InterferenceParams ip;
       ip.matmul = matmulFor(s.workers);
       ip.bins = b;
-      ip.pollerMode = s.mode;
       ip.pollerBackoff = sync::BackoffPolicy::fixed(128);
       for (sim::CoreId c = s.workers; c < 256; ++c) {
         ip.pollers.push_back(c);

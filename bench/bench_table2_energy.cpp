@@ -29,10 +29,10 @@ struct Row {
 
 int main() {
   const std::vector<Row> rows = {
-      {"Atomic Add", "amo", HistogramMode::kAmoAdd, 0, 175.0, 29.0},
-      {"Colibri", "colibri", HistogramMode::kLrscWait, 0, 169.0, 124.0},
-      {"LRSC", "lrsc_single", HistogramMode::kLrsc, 128, 186.0, 884.0},
-      {"Atomic Add lock", "amo", HistogramMode::kAmoLock, 128, 188.0,
+      {"Atomic Add", "amo", HistogramMode::kRmw, 0, 175.0, 29.0},
+      {"Colibri", "colibri", HistogramMode::kRmw, 0, 169.0, 124.0},
+      {"LRSC", "lrsc_single", HistogramMode::kRmw, 128, 186.0, 884.0},
+      {"Atomic Add lock", "amo", HistogramMode::kTasLock, 128, 188.0,
        1092.0},
   };
 

@@ -48,7 +48,7 @@ inline exp::AdapterSpec namedAdapter(const std::string& name) {
 /// One histogram sweep point on the paper's MemPool geometry.
 inline exp::RunSpec histogramSpec(
     std::string label, arch::SystemConfig cfg, std::uint32_t bins,
-    workloads::HistogramMode mode,
+    workloads::HistogramMode mode = workloads::HistogramMode::kRmw,
     sync::BackoffPolicy backoff = sync::BackoffPolicy::fixed(128)) {
   workloads::HistogramParams p;
   p.bins = bins;

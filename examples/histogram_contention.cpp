@@ -14,18 +14,17 @@
 #include "workloads/histogram.hpp"
 
 using namespace colibri;
-using workloads::HistogramMode;
 using workloads::HistogramParams;
 
 namespace {
 
-double run(arch::AdapterKind kind, HistogramMode mode, std::uint32_t bins) {
+/// The adapter's own RMW flavor: LRwait/SCwait, LR/SC or an AMO add.
+double run(arch::AdapterKind kind, std::uint32_t bins) {
   auto cfg = arch::SystemConfig::memPool();
   cfg.adapter = kind;
   arch::System sys(cfg);
   HistogramParams p;
   p.bins = bins;
-  p.mode = mode;
   p.window = workloads::MeasureWindow{1000, 8000};
   p.backoff = sync::BackoffPolicy::fixed(128);
   const auto r = workloads::runHistogram(sys, p);
@@ -43,12 +42,9 @@ int main(int argc, char** argv) {
   report::Table table(
       {"#Bins", "Colibri", "LRSC", "AtomicAdd", "Colibri/LRSC"});
   for (std::uint32_t bins = 1; bins <= maxBins; bins *= 4) {
-    const double colibri =
-        run(arch::AdapterKind::kColibri, HistogramMode::kLrscWait, bins);
-    const double lrsc =
-        run(arch::AdapterKind::kLrscSingle, HistogramMode::kLrsc, bins);
-    const double amo =
-        run(arch::AdapterKind::kAmoOnly, HistogramMode::kAmoAdd, bins);
+    const double colibri = run(arch::AdapterKind::kColibri, bins);
+    const double lrsc = run(arch::AdapterKind::kLrscSingle, bins);
+    const double amo = run(arch::AdapterKind::kAmoOnly, bins);
     table.addRow({std::to_string(bins), report::fmt(colibri, 4),
                   report::fmt(lrsc, 4), report::fmt(amo, 4),
                   report::fmtSpeedup(colibri / lrsc)});

@@ -11,7 +11,6 @@
 #include "workloads/matmul.hpp"
 
 using namespace colibri;
-using workloads::HistogramMode;
 
 namespace {
 
@@ -29,13 +28,13 @@ sim::Cycle baseline() {
   return workloads::runMatmul(sys, p).duration;
 }
 
-sim::Cycle withPollers(arch::AdapterKind kind, HistogramMode mode) {
+/// The pollers run the adapter's own RMW flavor.
+sim::Cycle withPollers(arch::AdapterKind kind) {
   arch::System sys(bench_cfg(kind));
   workloads::InterferenceParams ip;
   ip.matmul.n = 24;
   ip.matmul.workers = {0, 1, 2, 3};
   ip.bins = 1;
-  ip.pollerMode = mode;
   ip.pollerBackoff = sync::BackoffPolicy::fixed(128);
   for (sim::CoreId c = 4; c < 256; ++c) {
     ip.pollers.push_back(c);
@@ -49,10 +48,8 @@ int main() {
   std::cout << "4 matmul workers vs 252 atomic pollers on one counter "
                "(poller:worker = 252:4).\n";
   const auto alone = baseline();
-  const auto colibri =
-      withPollers(arch::AdapterKind::kColibri, HistogramMode::kLrscWait);
-  const auto lrsc =
-      withPollers(arch::AdapterKind::kLrscSingle, HistogramMode::kLrsc);
+  const auto colibri = withPollers(arch::AdapterKind::kColibri);
+  const auto lrsc = withPollers(arch::AdapterKind::kLrscSingle);
 
   report::Table table({"Scenario", "matmul cycles", "relative throughput"});
   table.addRow({"no pollers (baseline)", std::to_string(alone), "1.000"});

@@ -263,8 +263,9 @@ const std::vector<WorkloadEntry>& workloadTable() {
       {"histogram",
        [](const exp::RunSpec& s) {
          const auto& p = std::get<workloads::HistogramParams>(s.params);
-         return "histogram (" + std::string(workloads::toString(p.mode)) +
-                ", " + std::to_string(p.bins) + " bins)";
+         const auto flavor = workloads::rmwFlavorFor(s.config.adapter);
+         return "histogram (" + std::string(sync::toString(flavor)) + ", " +
+                std::to_string(p.bins) + " bins)";
        },
        [](const Options& o, const Adapter& a) -> exp::WorkloadParams {
          workloads::HistogramParams p;

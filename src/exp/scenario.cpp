@@ -136,14 +136,8 @@ std::string joinNames(const Specs& specs) {
 std::string adapterNameList() { return joinNames(adapters()); }
 std::string workloadNameList() { return joinNames(workloads()); }
 
-workloads::HistogramMode histogramModeFor(const AdapterSpec& adapter) {
-  if (adapter.waitCapable) {
-    return workloads::HistogramMode::kLrscWait;
-  }
-  if (adapter.kind == arch::AdapterKind::kAmoOnly) {
-    return workloads::HistogramMode::kAmoAdd;
-  }
-  return workloads::HistogramMode::kLrsc;
+workloads::HistogramMode histogramModeFor(const AdapterSpec& /*adapter*/) {
+  return workloads::HistogramMode::kRmw;
 }
 
 workloads::QueueVariant queueVariantFor(const AdapterSpec& adapter) {

@@ -7,8 +7,9 @@
 // The registry is the single source of truth shared by the CLI driver,
 // the figure benches, and the tests: all of them name scenarios instead
 // of hand-building SystemConfigs. `configFor` turns an AdapterSpec into a
-// ready SystemConfig; `histogramModeFor` / `queueVariantFor` encode which
-// RMW flavor each adapter actually implements.
+// ready SystemConfig; `queueVariantFor` encodes which queue each adapter
+// actually runs. The histogram needs no such rule: `histogramModeFor`
+// always picks the RMW kernel and the adapter selects its flavor.
 #pragma once
 
 #include <optional>
@@ -74,7 +75,8 @@ struct Scenario {
 [[nodiscard]] std::string adapterNameList();
 [[nodiscard]] std::string workloadNameList();
 
-/// The histogram RMW flavor each adapter actually implements.
+/// The histogram mode the registry runs on an adapter: its RMW, whose
+/// flavor (AMO, LR/SC or LRwait/SCwait) the adapter itself selects.
 [[nodiscard]] workloads::HistogramMode histogramModeFor(
     const AdapterSpec& adapter);
 

@@ -2,16 +2,20 @@
 //
 // Every participating core repeatedly picks a random bin and atomically
 // increments it. The bin count sets the contention level: 1 bin = all
-// cores on one address/bank; 1024 bins spread across every bank. Modes
-// cover all curves of both figures:
+// cores on one address/bank; 1024 bins spread across every bank. The mode
+// names only the kernel's shape; the flavor comes from the system's
+// adapter, so the modes cover all curves of both figures:
 //
-//   Fig. 3 (RMW flavors):  kAmoAdd, kLrsc, kLrscWait  (the LRSCwait curve
-//     family — ideal/128/1/Colibri — comes from the system's adapter
-//     configuration, not the mode)
-//   Fig. 4 (lock flavors): kAmoLock, kLrscLock, kLrwaitLock (spin locks,
-//     128-cycle backoff) and kMcsMwaitLock / kMcsPollLock (MCS).
+//   Fig. 3 (RMW):  kRmw — an AMO add, an LR/SC loop or LRwait/SCwait (the
+//     LRSCwait curve family — ideal/128/1/Colibri — comes from the
+//     adapter configuration too)
+//   Fig. 4 (locks): kTasLock — the adapter's TAS spin lock (AMO, LR/SC or
+//     LRwait); kMcsLock — an MCS lock whose waiters Mwait on wait-capable
+//     adapters (the paper's MwaitLock) and poll on the others.
 //
-// The run self-checks: the sum over all bins must equal the number of
+// The histogram is a one-region, one-role wgen kernel (wgen::runKernel):
+// uniform over `bins` words, with `iterDelay` of think time per op. The
+// run self-checks: the sum over all bins must equal the number of
 // increments performed.
 #pragma once
 
@@ -23,26 +27,14 @@
 
 namespace colibri::workloads {
 
-enum class HistogramMode : std::uint8_t {
-  kAmoAdd,
-  kLrsc,
-  kLrscWait,
-  kAmoLock,
-  kLrscLock,
-  kLrwaitLock,
-  kMcsMwaitLock,
-  kMcsPollLock,
-};
+enum class HistogramMode : std::uint8_t { kRmw, kTasLock, kMcsLock };
 
 [[nodiscard]] const char* toString(HistogramMode m);
-
-/// Does this mode require a wait-capable adapter (LrscWait or Colibri)?
-[[nodiscard]] bool needsWaitSupport(HistogramMode m);
 
 struct HistogramParams {
   static constexpr const char* kName = "histogram";  ///< the reported name
   std::uint32_t bins = 16;
-  HistogramMode mode = HistogramMode::kAmoAdd;
+  HistogramMode mode = HistogramMode::kRmw;
   sync::BackoffPolicy backoff = sync::BackoffPolicy::fixed(128);
   MeasureWindow window{};
   /// Per-iteration non-atomic work: bin selection, loop overhead.
@@ -57,11 +49,10 @@ struct HistogramResult {
   RateResult rate;
   std::uint64_t totalUpdates = 0;  ///< all increments, incl. outside window
   bool sumVerified = false;        ///< Σ bins == totalUpdates
-  sim::Cycle drainCycles = 0;      ///< cycles from stop flag to full drain
 };
 
-/// Run the histogram on a fresh system. The system's adapter must support
-/// the mode's operations (checked).
+/// Run the histogram on a fresh system. The MCS lock needs an adapter with
+/// reservations (checked).
 HistogramResult runHistogram(arch::System& sys, const HistogramParams& p);
 
 }  // namespace colibri::workloads

@@ -122,11 +122,7 @@ sim::Task pollerTask(arch::System& sys, arch::Core& core, MatmulCtx& ctx,
                      const InterferenceParams& p, std::uint64_t* updates) {
   auto rng = sim::Xoshiro256::forStream(sys.config().seed, 0x9011 + core.id());
   sync::Backoff backoff(p.pollerBackoff, rng);
-  const auto flavor = p.pollerMode == HistogramMode::kAmoAdd
-                          ? sync::RmwFlavor::kAmo
-                          : (p.pollerMode == HistogramMode::kLrsc
-                                 ? sync::RmwFlavor::kLrsc
-                                 : sync::RmwFlavor::kLrscWait);
+  const auto flavor = rmwFlavorFor(sys.config().adapter);
   while (!ctx.pollersStop) {
     co_await core.delay(4);
     const sim::Addr bin = bins[rng.below(bins.size())];
@@ -143,10 +139,6 @@ sim::Task pollerTask(arch::System& sys, arch::Core& core, MatmulCtx& ctx,
 
 InterferenceResult runInterference(arch::System& sys,
                                    const InterferenceParams& p) {
-  COLIBRI_CHECK_MSG(p.pollerMode == HistogramMode::kAmoAdd ||
-                        p.pollerMode == HistogramMode::kLrsc ||
-                        p.pollerMode == HistogramMode::kLrscWait,
-                    "interference pollers use direct RMW modes");
   MatmulCtx ctx = setupMatmul(sys, p.matmul);
   // One bin per bank, starting mid-machine: the hot banks must not be
   // co-located with the worker cores' tiles (local-tile accesses bypass

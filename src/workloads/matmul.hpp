@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sync/backoff.hpp"
 #include "workloads/harness.hpp"
-#include "workloads/histogram.hpp"
 
 namespace colibri::workloads {
 
@@ -35,9 +35,9 @@ MatmulResult runMatmul(arch::System& sys, const MatmulParams& p);
 struct InterferenceParams {
   static constexpr const char* kName = "interference";
   MatmulParams matmul{};
-  /// Histogram pollers running beside the workers.
+  /// Histogram pollers running beside the workers, with the adapter's
+  /// RMW flavor.
   std::uint32_t bins = 1;
-  HistogramMode pollerMode = HistogramMode::kLrsc;
   sync::BackoffPolicy pollerBackoff = sync::BackoffPolicy::fixed(128);
   std::vector<sim::CoreId> pollers;
 };

@@ -330,7 +330,6 @@ TEST(ExpJson, InterferenceRunWritesItsExtrasInOrder) {
   workloads::InterferenceParams p;
   p.matmul.n = 8;
   p.matmul.workers = {0, 1, 2, 3};
-  p.pollerMode = workloads::HistogramMode::kLrscWait;
   for (sim::CoreId c = 4; c < 16; ++c) {
     p.pollers.push_back(c);
   }
@@ -369,12 +368,10 @@ TEST(ExpJson, WriterEscapesAndBalances) {
 }
 
 TEST(ExpScenario, HelpersMatchTheAdapterContract) {
-  EXPECT_EQ(histogramModeFor(*findAdapter("colibri")),
-            workloads::HistogramMode::kLrscWait);
-  EXPECT_EQ(histogramModeFor(*findAdapter("amo")),
-            workloads::HistogramMode::kAmoAdd);
-  EXPECT_EQ(histogramModeFor(*findAdapter("lrsc_single")),
-            workloads::HistogramMode::kLrsc);
+  // Every adapter runs the RMW kernel; the adapter picks its flavor.
+  for (const auto& a : adapters()) {
+    EXPECT_EQ(histogramModeFor(a), workloads::HistogramMode::kRmw) << a.name;
+  }
   EXPECT_EQ(queueVariantFor(*findAdapter("amo")),
             workloads::QueueVariant::kLock);
 

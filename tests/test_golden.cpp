@@ -162,11 +162,11 @@ struct LockModeCase {
 std::vector<LockModeCase> lockModeCases() {
   using workloads::HistogramMode;
   return {
-      {"amo", "tas", HistogramMode::kAmoLock},
-      {"lrsc_single", "tas", HistogramMode::kLrscLock},
-      {"colibri", "tas", HistogramMode::kLrwaitLock},
-      {"colibri", "mcs", HistogramMode::kMcsMwaitLock},
-      {"lrsc_table", "mcs", HistogramMode::kMcsPollLock},
+      {"amo", "tas", HistogramMode::kTasLock},
+      {"lrsc_single", "tas", HistogramMode::kTasLock},
+      {"colibri", "tas", HistogramMode::kTasLock},
+      {"colibri", "mcs", HistogramMode::kMcsLock},
+      {"lrsc_table", "mcs", HistogramMode::kMcsLock},
   };
 }
 

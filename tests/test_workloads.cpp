@@ -50,16 +50,16 @@ TEST_P(HistogramModes, RunsAndVerifiesSum) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, HistogramModes,
     ::testing::Values(
-        HistCase{AdapterKind::kAmoOnly, HistogramMode::kAmoAdd},
-        HistCase{AdapterKind::kLrscSingle, HistogramMode::kLrsc},
-        HistCase{AdapterKind::kLrscTable, HistogramMode::kLrsc},
-        HistCase{AdapterKind::kLrscWait, HistogramMode::kLrscWait},
-        HistCase{AdapterKind::kColibri, HistogramMode::kLrscWait},
-        HistCase{AdapterKind::kAmoOnly, HistogramMode::kAmoLock},
-        HistCase{AdapterKind::kLrscTable, HistogramMode::kLrscLock},
-        HistCase{AdapterKind::kColibri, HistogramMode::kLrwaitLock},
-        HistCase{AdapterKind::kColibri, HistogramMode::kMcsMwaitLock},
-        HistCase{AdapterKind::kColibri, HistogramMode::kMcsPollLock}),
+        HistCase{AdapterKind::kAmoOnly, HistogramMode::kRmw},
+        HistCase{AdapterKind::kLrscSingle, HistogramMode::kRmw},
+        HistCase{AdapterKind::kLrscTable, HistogramMode::kRmw},
+        HistCase{AdapterKind::kLrscWait, HistogramMode::kRmw},
+        HistCase{AdapterKind::kColibri, HistogramMode::kRmw},
+        HistCase{AdapterKind::kAmoOnly, HistogramMode::kTasLock},
+        HistCase{AdapterKind::kLrscTable, HistogramMode::kTasLock},
+        HistCase{AdapterKind::kColibri, HistogramMode::kTasLock},
+        HistCase{AdapterKind::kColibri, HistogramMode::kMcsLock},
+        HistCase{AdapterKind::kLrscTable, HistogramMode::kMcsLock}),
     [](const auto& info) {
       return test::paramName(std::string(arch::toString(info.param.adapter)) +
                                "_" + toString(info.param.mode));
@@ -69,7 +69,6 @@ TEST(Histogram, SingleBinFullContention) {
   System sys(withAdapter(AdapterKind::kColibri));
   HistogramParams p;
   p.bins = 1;
-  p.mode = HistogramMode::kLrscWait;
   p.window = shortWindow();
   const auto r = runHistogram(sys, p);
   EXPECT_TRUE(r.sumVerified);
@@ -77,10 +76,11 @@ TEST(Histogram, SingleBinFullContention) {
   EXPECT_GT(r.rate.opsPerCycle, 0.01);
 }
 
-TEST(Histogram, WaitModeOnPlainLrscAdapterIsRejected) {
-  System sys(withAdapter(AdapterKind::kLrscSingle));
+TEST(Histogram, McsLockOnAmoAdapterIsRejected) {
+  // The MCS release is a CAS over the reservation pair.
+  System sys(withAdapter(AdapterKind::kAmoOnly));
   HistogramParams p;
-  p.mode = HistogramMode::kLrscWait;
+  p.mode = HistogramMode::kMcsLock;
   EXPECT_THROW((void)runHistogram(sys, p), sim::InvariantViolation);
 }
 
@@ -88,7 +88,6 @@ TEST(Histogram, SubsetOfCoresOnlyCountsParticipants) {
   System sys(withAdapter(AdapterKind::kColibri));
   HistogramParams p;
   p.bins = 4;
-  p.mode = HistogramMode::kLrscWait;
   p.window = shortWindow();
   p.cores = {0, 5, 10};
   const auto r = runHistogram(sys, p);
@@ -101,7 +100,6 @@ TEST(Histogram, LowContentionIsFasterThanHighContention) {
     System sys(withAdapter(AdapterKind::kColibri));
     HistogramParams p;
     p.bins = bins;
-    p.mode = HistogramMode::kLrscWait;
     p.window = MeasureWindow{500, 6000};
     return runHistogram(sys, p).rate.opsPerCycle;
   };
@@ -115,9 +113,7 @@ TEST(Histogram, ColibriBeatsLrscAtHighContention) {
   HistogramParams p;
   p.bins = 1;
   p.window = MeasureWindow{500, 8000};
-  p.mode = HistogramMode::kLrscWait;
   const auto colibri = runHistogram(colibriSys, p);
-  p.mode = HistogramMode::kLrsc;
   const auto lrsc = runHistogram(lrscSys, p);
   // On this 16-core test system the margin is modest; the full 256-core
   // gap (the paper's 6.5x) is reproduced by bench_fig3_histogram.
@@ -253,11 +249,9 @@ TEST(Interference, LrscPollersSlowWorkersMoreThanColibri) {
     ip.pollers.push_back(c);
   }
 
-  ip.pollerMode = HistogramMode::kLrscWait;
   System colibriSys(congestible(AdapterKind::kColibri));
   const auto withColibri = runInterference(colibriSys, ip).matmul.duration;
 
-  ip.pollerMode = HistogramMode::kLrsc;
   ip.pollerBackoff = sync::BackoffPolicy::none();  // worst-case retry storm
   System lrscSys(congestible(AdapterKind::kLrscSingle));
   const auto withLrsc = runInterference(lrscSys, ip).matmul.duration;
