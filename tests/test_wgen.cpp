@@ -174,6 +174,34 @@ TEST(WgenRun, CasPresetRejectedOnAmoEverywhere) {
   EXPECT_THROW((void)exp::runOne(spec), sim::InvariantViolation);
 }
 
+TEST(WgenRun, McsLockPhaseSelfChecksAndNeedsReservations) {
+  KernelSpec k;
+  k.name = "mcs_hot";
+  k.regions = {Region{.dist = AddrDist::kHotspot, .range = 4}};
+  k.roles = {Role{"worker", 1.0, {Phase{.op = OpClass::kMcsLock}}}};
+  EXPECT_TRUE(needsReservations(k));
+  // Mwait waiters on colibri, polling waiters on lrsc_single; the sum
+  // check also requires every queue tail to be free after the drain.
+  for (const auto kind :
+       {arch::AdapterKind::kColibri, arch::AdapterKind::kLrscSingle}) {
+    auto cfg = arch::SystemConfig::smallTest();
+    cfg.adapter = kind;
+    arch::System sys(cfg);
+    WgenParams p;
+    p.kernel = k;
+    p.window = kTestWindow;
+    const auto r = runKernel(sys, p);
+    EXPECT_TRUE(r.sumVerified) << arch::toString(kind);
+    EXPECT_GT(r.rate.opsInWindow, 0u) << arch::toString(kind);
+  }
+  auto cfg = arch::SystemConfig::smallTest();
+  cfg.adapter = arch::AdapterKind::kAmoOnly;
+  arch::System amo(cfg);
+  WgenParams p;
+  p.kernel = k;
+  EXPECT_THROW((void)runKernel(amo, p), sim::InvariantViolation);
+}
+
 TEST(WgenRun, StaysOnTheInlineEventFastPath) {
   // A full generated run — warmup, window, drain — must not fall back to
   // heap-allocated events (the PR 3 invariant extends to wgen closures).
