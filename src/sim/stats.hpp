@@ -63,12 +63,13 @@ class WindowedCounter {
 
 /// Exact multiset of non-negative integer cycle counts (per-op latencies).
 /// Values below kDenseLimit are counted in a dense array grown lazily to
-/// the largest value seen; values at or above it are counted in an ordered
-/// map. Memory is the dense range plus one map node per distinct tail
-/// value, however many samples the measurement window adds.
+/// the largest value seen (at most 512 KiB), so recording a latency is
+/// O(1) however long ops wait; values at or above it are counted in an
+/// ordered map. Memory is the dense range plus one map node per distinct
+/// tail value, however many samples the measurement window adds.
 class CycleHistogram {
  public:
-  static constexpr std::uint64_t kDenseLimit = 256;
+  static constexpr std::uint64_t kDenseLimit = std::uint64_t{1} << 16;
 
   void add(std::uint64_t v) {
     if (v < kDenseLimit) {

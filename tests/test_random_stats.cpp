@@ -255,11 +255,11 @@ TEST(CycleHistogram, HeavilyRepeatedTailMatchesSummary) {
   // 98999.01. The counts put each interpolated pair (lo, lo + 1) across
   // a boundary: p50 across dense -> tail, p95 and p99 across tail entries.
   const std::vector<std::pair<std::uint64_t, std::size_t>> runs{
-      {10, 30000},          // ranks 0..29999
-      {kLimit - 1, 20000},  // ..49999, the last dense rank
-      {kLimit, 45000},      // 50000..94999
-      {1000, 4000},         // 95000..98999
-      {52227, 1000},        // 99000..99999
+      {10, 30000},              // ranks 0..29999
+      {kLimit - 1, 20000},      // ..49999, the last dense rank
+      {kLimit, 45000},          // 50000..94999
+      {kLimit + 1000, 4000},    // 95000..98999
+      {kLimit + 52227, 1000},   // 99000..99999
   };
   std::vector<std::uint64_t> xs;
   for (const auto& [v, n] : runs) {
@@ -278,9 +278,9 @@ TEST(CycleHistogram, HeavilyRepeatedTailMatchesSummary) {
   const auto s = Summary::ofHistogram(h);
   EXPECT_EQ(s.p50, (kLimit - 1 + kLimit) / 2.0);
   EXPECT_GT(s.p95, static_cast<double>(kLimit));
-  EXPECT_LT(s.p95, 1000.0);
-  EXPECT_GT(s.p99, 1000.0);
-  EXPECT_LT(s.p99, 52227.0);
+  EXPECT_LT(s.p95, static_cast<double>(kLimit + 1000));
+  EXPECT_GT(s.p99, static_cast<double>(kLimit + 1000));
+  EXPECT_LT(s.p99, static_cast<double>(kLimit + 52227));
 }
 
 }  // namespace
