@@ -416,6 +416,30 @@ const std::vector<WorkloadEntry>& workloadTable() {
   return table;
 }
 
+/// The histogram's bins, or a wgen kernel's regions and lock words, must
+/// fit in the SPM; otherwise the allocator would stop the run as a failed
+/// simulation invariant (exit 1) instead of a usage error.
+Error spmError(const exp::RunSpec& spec) {
+  std::optional<wgen::KernelSpec> kernel;
+  if (const auto* h = std::get_if<workloads::HistogramParams>(&spec.params)) {
+    kernel = workloads::histogramKernel(*h);
+  } else if (const auto* w = std::get_if<wgen::WgenParams>(&spec.params)) {
+    kernel = w->kernel;
+  }
+  const auto& cfg = spec.config;
+  const auto banks = cfg.numBanks();
+  const auto rows =
+      kernel ? wgen::interleavedRows(*kernel, cfg.numCores, banks) : 0;
+  if (rows <= cfg.wordsPerBank) {
+    return std::nullopt;
+  }
+  return spec.workload + " needs " + std::to_string(rows * banks) +
+         " SPM words, more than the " + std::to_string(cfg.numWords()) +
+         " the system has (" + std::to_string(banks) +
+         " banks x --words-per-bank " + std::to_string(cfg.wordsPerBank) +
+         ")";
+}
+
 const WorkloadEntry* findEntry(const std::string& workload) {
   for (const auto& e : workloadTable()) {
     if (e.name != nullptr ? workload == e.name
@@ -728,6 +752,10 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     // empty window would print 0 ops/cycle as a verified result.
     err << "colibri-sim: --measure must be >= 1 for workload '"
         << opts.workload << "'\n";
+    return 2;
+  }
+  if (const auto e = spmError(spec)) {
+    err << "colibri-sim: " << *e << "\n";
     return 2;
   }
   if (opts.hotFraction > 1.0) {

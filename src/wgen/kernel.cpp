@@ -168,12 +168,8 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
   }
 }
 
-}  // namespace
-
-std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
-                                           const KernelSpec& spec,
-                                           std::uint32_t participants) {
-  validate(spec);
+/// needsLocks[i]: some lock phase (TAS or MCS) uses region i.
+std::vector<bool> lockedRegions(const KernelSpec& spec) {
   std::vector<bool> needsLocks(spec.regions.size(), false);
   for (const auto& role : spec.roles) {
     for (const auto& ph : role.phases) {
@@ -182,12 +178,41 @@ std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
       }
     }
   }
+  return needsLocks;
+}
+
+std::uint32_t rangeOf(const Region& def, std::uint32_t participants) {
+  return def.range != 0 ? def.range : std::max(1u, participants);
+}
+
+}  // namespace
+
+std::uint64_t interleavedRows(const KernelSpec& spec,
+                              std::uint32_t participants,
+                              std::uint32_t numBanks) {
+  const auto needsLocks = lockedRegions(spec);
+  std::uint64_t rows = 0;
+  for (std::size_t i = 0; i < spec.regions.size(); ++i) {
+    // A strided region's own words are bank-local; lock words never are.
+    const std::uint64_t allocations =
+        (spec.regions[i].dist == AddrDist::kStrided ? 0 : 1) +
+        (needsLocks[i] ? 1 : 0);
+    const std::uint64_t range = rangeOf(spec.regions[i], participants);
+    rows += allocations * ((range + numBanks - 1) / numBanks);
+  }
+  return rows;
+}
+
+std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
+                                           const KernelSpec& spec,
+                                           std::uint32_t participants) {
+  validate(spec);
+  const auto needsLocks = lockedRegions(spec);
 
   std::vector<ResolvedRegion> out(spec.regions.size());
   for (std::size_t i = 0; i < spec.regions.size(); ++i) {
     const Region& def = spec.regions[i];
-    const std::uint32_t range =
-        def.range != 0 ? def.range : std::max(1u, participants);
+    const std::uint32_t range = rangeOf(def, participants);
     ResolvedRegion& region = out[i];
     region.addrs.reserve(range);
     if (def.dist == AddrDist::kStrided) {

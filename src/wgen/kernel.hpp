@@ -48,6 +48,14 @@ struct ResolvedRegion {
 [[nodiscard]] std::vector<ResolvedRegion> resolveRegions(
     arch::System& sys, const KernelSpec& spec, std::uint32_t participants);
 
+/// Interleaved SPM rows (one word in each of `numBanks` banks) that
+/// resolveRegions takes: the words of every non-strided region, and the
+/// lock words of each region a lock phase uses, are rounded up to whole
+/// rows. The regions fit only if this is at most the words per bank.
+[[nodiscard]] std::uint64_t interleavedRows(const KernelSpec& spec,
+                                            std::uint32_t participants,
+                                            std::uint32_t numBanks);
+
 struct WgenResult {
   workloads::RateResult rate;
   /// Latency (cycles, think time excluded) of every op that completed

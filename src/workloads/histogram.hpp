@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "sync/backoff.hpp"
+#include "wgen/spec.hpp"
 #include "workloads/harness.hpp"
 
 namespace colibri::workloads {
@@ -50,6 +51,10 @@ struct HistogramResult {
   std::uint64_t totalUpdates = 0;  ///< all increments, incl. outside window
   bool sumVerified = false;        ///< Σ bins == totalUpdates
 };
+
+/// The wgen kernel a histogram runs: one uniform region of `p.bins` words
+/// and one role whose single phase is the mode's op class.
+[[nodiscard]] wgen::KernelSpec histogramKernel(const HistogramParams& p);
 
 /// Run the histogram on a fresh system. The MCS lock needs an adapter with
 /// reservations (checked).

@@ -308,6 +308,17 @@ TEST(CliDriver, WorkloadFlagChecksAreUsableErrors) {
        "--producers and --consumers must be >= 1"},
       {{"--workload", "prodcons", "--producers", "10", "--consumers", "8"},
        "--producers + --consumers (10 + 8) exceeds --cores (16)"},
+      // 16 banks x 64 words; each allocation takes whole 16-word rows.
+      {{"--bins", "1025"},
+       "histogram needs 1040 SPM words, more than the 1024 the system has "
+       "(16 banks x --words-per-bank 64)"},
+      {{"--workload", "uniform_fa", "--wgen-words", "1025"},
+       "uniform_fa needs 1040 SPM words, more than the 1024 the system has "
+       "(16 banks x --words-per-bank 64)"},
+      // 600 words fit; with their 600 lock words they do not.
+      {{"--workload", "lock_zipf", "--wgen-words", "600"},
+       "lock_zipf needs 1216 SPM words, more than the 1024 the system has "
+       "(16 banks x --words-per-bank 64)"},
   };
   for (const auto& [extra, message] : cases) {
     std::ostringstream out, err;
