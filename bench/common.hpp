@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,12 +27,7 @@ inline std::vector<std::uint32_t> binSeries() {
 
 /// Measurement window used by the figure benches: long enough for steady
 /// state at 256 cores, short enough to keep the whole sweep in seconds.
-/// COLIBRI_BENCH_QUICK=1 shrinks it to a smoke-test window (CI runs every
-/// bench this way; the numbers are noisy but every code path executes).
 inline workloads::MeasureWindow benchWindow() {
-  if (std::getenv("COLIBRI_BENCH_QUICK") != nullptr) {
-    return workloads::MeasureWindow{200, 1000};
-  }
   return workloads::MeasureWindow{2000, 20000};
 }
 
