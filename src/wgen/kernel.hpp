@@ -35,8 +35,8 @@ struct WgenParams {
 
 /// A Region instantiated on a System: the address table (index →
 /// simulated word), the parallel lock words (lock phases only; an MCS
-/// lock's word is its queue tail), and the
-/// sampled CDF (kZipfian only). Exposed for tests.
+/// lock's word is its queue tail), and the sampled CDF (kZipfian only).
+/// Exposed for tests.
 struct ResolvedRegion {
   std::vector<sim::Addr> addrs;
   std::vector<sim::Addr> locks;
