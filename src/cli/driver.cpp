@@ -417,8 +417,9 @@ const std::vector<WorkloadEntry>& workloadTable() {
 }
 
 /// The histogram's bins, or a wgen kernel's regions and lock words, must
-/// fit in the SPM; otherwise the allocator would stop the run as a failed
-/// simulation invariant (exit 1) instead of a usage error.
+/// fit in the SPM; otherwise the run would stop at the first allocation
+/// that does not fit, as a failed simulation invariant (exit 1) instead of
+/// a usage error. A dry run on a scratch allocator finds out first.
 Error spmError(const exp::RunSpec& spec) {
   std::optional<wgen::KernelSpec> kernel;
   if (const auto* h = std::get_if<workloads::HistogramParams>(&spec.params)) {
@@ -426,18 +427,20 @@ Error spmError(const exp::RunSpec& spec) {
   } else if (const auto* w = std::get_if<wgen::WgenParams>(&spec.params)) {
     kernel = w->kernel;
   }
-  const auto& cfg = spec.config;
-  const auto banks = cfg.numBanks();
-  const auto rows =
-      kernel ? wgen::interleavedRows(*kernel, cfg.numCores, banks) : 0;
-  if (rows <= cfg.wordsPerBank) {
+  if (!kernel) {
     return std::nullopt;
   }
-  return spec.workload + " needs " + std::to_string(rows * banks) +
-         " SPM words, more than the " + std::to_string(cfg.numWords()) +
-         " the system has (" + std::to_string(banks) +
-         " banks x --words-per-bank " + std::to_string(cfg.wordsPerBank) +
-         ")";
+  const auto& cfg = spec.config;
+  arch::Allocator dryRun(cfg);
+  try {
+    (void)wgen::allocateRegions(dryRun, *kernel, cfg.numCores);
+    return std::nullopt;
+  } catch (const sim::InvariantViolation&) {
+    return spec.workload + " does not fit in the " +
+           std::to_string(cfg.numWords()) + "-word SPM (" +
+           std::to_string(cfg.numBanks()) + " banks x --words-per-bank " +
+           std::to_string(cfg.wordsPerBank) + ")";
+  }
 }
 
 const WorkloadEntry* findEntry(const std::string& workload) {

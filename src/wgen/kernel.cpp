@@ -168,8 +168,11 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
   }
 }
 
-/// needsLocks[i]: some lock phase (TAS or MCS) uses region i.
-std::vector<bool> lockedRegions(const KernelSpec& spec) {
+}  // namespace
+
+std::vector<ResolvedRegion> allocateRegions(arch::Allocator& alloc,
+                                            const KernelSpec& spec,
+                                            std::uint32_t participants) {
   std::vector<bool> needsLocks(spec.regions.size(), false);
   for (const auto& role : spec.roles) {
     for (const auto& ph : role.phases) {
@@ -178,45 +181,16 @@ std::vector<bool> lockedRegions(const KernelSpec& spec) {
       }
     }
   }
-  return needsLocks;
-}
-
-std::uint32_t rangeOf(const Region& def, std::uint32_t participants) {
-  return def.range != 0 ? def.range : std::max(1u, participants);
-}
-
-}  // namespace
-
-std::uint64_t interleavedRows(const KernelSpec& spec,
-                              std::uint32_t participants,
-                              std::uint32_t numBanks) {
-  const auto needsLocks = lockedRegions(spec);
-  std::uint64_t rows = 0;
-  for (std::size_t i = 0; i < spec.regions.size(); ++i) {
-    // A strided region's own words are bank-local; lock words never are.
-    const std::uint64_t allocations =
-        (spec.regions[i].dist == AddrDist::kStrided ? 0 : 1) +
-        (needsLocks[i] ? 1 : 0);
-    const std::uint64_t range = rangeOf(spec.regions[i], participants);
-    rows += allocations * ((range + numBanks - 1) / numBanks);
-  }
-  return rows;
-}
-
-std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
-                                           const KernelSpec& spec,
-                                           std::uint32_t participants) {
-  validate(spec);
-  const auto needsLocks = lockedRegions(spec);
 
   std::vector<ResolvedRegion> out(spec.regions.size());
   for (std::size_t i = 0; i < spec.regions.size(); ++i) {
     const Region& def = spec.regions[i];
-    const std::uint32_t range = rangeOf(def, participants);
+    const std::uint32_t range =
+        def.range != 0 ? def.range : std::max(1u, participants);
     ResolvedRegion& region = out[i];
-    region.addrs.reserve(range);
     if (def.dist == AddrDist::kStrided) {
-      const auto banks = sys.numBanks();
+      const auto banks = alloc.map().numBanks();
+      region.addrs.reserve(range);
       for (std::uint32_t j = 0; j < range; ++j) {
         const sim::BankId b =
             def.strideBanks == 0
@@ -224,27 +198,41 @@ std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
                 : static_cast<sim::BankId>(
                       (static_cast<std::uint64_t>(j) * def.strideBanks) %
                       banks);
-        region.addrs.push_back(sys.allocator().allocInBank(b));
+        region.addrs.push_back(alloc.allocInBank(b));
       }
     } else {
-      const sim::Addr base = sys.allocator().allocGlobal(range);
-      for (std::uint32_t j = 0; j < range; ++j) {
-        region.addrs.push_back(base + j);
-      }
+      // Allocate before sizing the table: a range past the SPM throws
+      // here instead of reserving host memory for it.
+      const sim::Addr base = alloc.allocGlobal(range);
+      region.addrs.resize(range);
+      std::iota(region.addrs.begin(), region.addrs.end(), base);
     }
+    if (needsLocks[i]) {
+      const sim::Addr base = alloc.allocGlobal(range);
+      region.locks.resize(range);
+      std::iota(region.locks.begin(), region.locks.end(), base);
+    }
+  }
+  return out;
+}
+
+std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
+                                           const KernelSpec& spec,
+                                           std::uint32_t participants) {
+  validate(spec);
+  auto out = allocateRegions(sys.allocator(), spec, participants);
+  for (std::size_t i = 0; i < spec.regions.size(); ++i) {
+    ResolvedRegion& region = out[i];
     for (const auto a : region.addrs) {
       sys.poke(a, 0);
     }
-    if (needsLocks[i]) {
-      const sim::Addr base = sys.allocator().allocGlobal(range);
-      region.locks.reserve(range);
-      for (std::uint32_t j = 0; j < range; ++j) {
-        region.locks.push_back(base + j);
-        sys.poke(base + j, 0);
-      }
+    for (const auto l : region.locks) {
+      sys.poke(l, 0);
     }
+    const Region& def = spec.regions[i];
     if (def.dist == AddrDist::kZipfian) {
-      region.cdf = zipfCdf(range, def.zipfTheta);
+      region.cdf = zipfCdf(static_cast<std::uint32_t>(region.addrs.size()),
+                           def.zipfTheta);
     }
   }
   return out;

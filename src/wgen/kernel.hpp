@@ -48,13 +48,13 @@ struct ResolvedRegion {
 [[nodiscard]] std::vector<ResolvedRegion> resolveRegions(
     arch::System& sys, const KernelSpec& spec, std::uint32_t participants);
 
-/// Interleaved SPM rows (one word in each of `numBanks` banks) that
-/// resolveRegions takes: the words of every non-strided region, and the
-/// lock words of each region a lock phase uses, are rounded up to whole
-/// rows. The regions fit only if this is at most the words per bank.
-[[nodiscard]] std::uint64_t interleavedRows(const KernelSpec& spec,
-                                            std::uint32_t participants,
-                                            std::uint32_t numBanks);
+/// The allocation half of resolveRegions: the address and lock-word
+/// tables, taken from `alloc` in the same order, with no CDF and nothing
+/// written. On a scratch Allocator it is a dry run that tells whether a
+/// kernel fits the SPM; throws sim::InvariantViolation when it does not.
+[[nodiscard]] std::vector<ResolvedRegion> allocateRegions(
+    arch::Allocator& alloc, const KernelSpec& spec,
+    std::uint32_t participants);
 
 struct WgenResult {
   workloads::RateResult rate;

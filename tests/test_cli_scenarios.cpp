@@ -308,17 +308,20 @@ TEST(CliDriver, WorkloadFlagChecksAreUsableErrors) {
        "--producers and --consumers must be >= 1"},
       {{"--workload", "prodcons", "--producers", "10", "--consumers", "8"},
        "--producers + --consumers (10 + 8) exceeds --cores (16)"},
-      // 16 banks x 64 words; each allocation takes whole 16-word rows.
       {{"--bins", "1025"},
-       "histogram needs 1040 SPM words, more than the 1024 the system has "
-       "(16 banks x --words-per-bank 64)"},
+       "histogram does not fit in the 1024-word SPM (16 banks x "
+       "--words-per-bank 64)"},
       {{"--workload", "uniform_fa", "--wgen-words", "1025"},
-       "uniform_fa needs 1040 SPM words, more than the 1024 the system has "
-       "(16 banks x --words-per-bank 64)"},
+       "uniform_fa does not fit in the 1024-word SPM (16 banks x "
+       "--words-per-bank 64)"},
       // 600 words fit; with their 600 lock words they do not.
       {{"--workload", "lock_zipf", "--wgen-words", "600"},
-       "lock_zipf needs 1216 SPM words, more than the 1024 the system has "
-       "(16 banks x --words-per-bank 64)"},
+       "lock_zipf does not fit in the 1024-word SPM (16 banks x "
+       "--words-per-bank 64)"},
+      // One word per core, all in bank 0: 16 words in an 8-word bank.
+      {{"--workload", "stride_fs", "--words-per-bank", "8"},
+       "stride_fs does not fit in the 128-word SPM (16 banks x "
+       "--words-per-bank 8)"},
   };
   for (const auto& [extra, message] : cases) {
     std::ostringstream out, err;
