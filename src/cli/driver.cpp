@@ -757,12 +757,12 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
         << opts.workload << "'\n";
     return 2;
   }
-  if (const auto e = spmError(spec)) {
-    err << "colibri-sim: " << *e << "\n";
-    return 2;
-  }
   if (opts.hotFraction > 1.0) {
     err << "colibri-sim: --hot-fraction must be <= 1\n";
+    return 2;
+  }
+  if (const auto e = spmError(spec)) {
+    err << "colibri-sim: " << *e << "\n";
     return 2;
   }
   if (opts.csv && opts.json) {

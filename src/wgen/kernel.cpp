@@ -173,6 +173,7 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
 std::vector<ResolvedRegion> allocateRegions(arch::Allocator& alloc,
                                             const KernelSpec& spec,
                                             std::uint32_t participants) {
+  validate(spec);
   std::vector<bool> needsLocks(spec.regions.size(), false);
   for (const auto& role : spec.roles) {
     for (const auto& ph : role.phases) {
@@ -219,7 +220,6 @@ std::vector<ResolvedRegion> allocateRegions(arch::Allocator& alloc,
 std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
                                            const KernelSpec& spec,
                                            std::uint32_t participants) {
-  validate(spec);
   auto out = allocateRegions(sys.allocator(), spec, participants);
   for (std::size_t i = 0; i < spec.regions.size(); ++i) {
     ResolvedRegion& region = out[i];

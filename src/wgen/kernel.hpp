@@ -51,7 +51,8 @@ struct ResolvedRegion {
 /// The allocation half of resolveRegions: the address and lock-word
 /// tables, taken from `alloc` in the same order, with no CDF and nothing
 /// written. On a scratch Allocator it is a dry run that tells whether a
-/// kernel fits the SPM; throws sim::InvariantViolation when it does not.
+/// kernel fits the SPM. Throws sim::InvariantViolation when it does not,
+/// or when `spec` fails validate.
 [[nodiscard]] std::vector<ResolvedRegion> allocateRegions(
     arch::Allocator& alloc, const KernelSpec& spec,
     std::uint32_t participants);
