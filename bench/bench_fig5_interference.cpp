@@ -44,8 +44,10 @@ MatmulParams matmulFor(std::uint32_t workers) {
 
 int main() {
   const std::vector<Series> series = {
-      {"Colibri 252:4", "colibri", 4},   {"LRSC 128:128", "lrsc_single", 128},
-      {"LRSC 192:64", "lrsc_single", 64}, {"LRSC 248:8", "lrsc_single", 8},
+      {"Colibri 252:4", "colibri", 4},
+      {"LRSC 128:128", "lrsc_single", 128},
+      {"LRSC 192:64", "lrsc_single", 64},
+      {"LRSC 248:8", "lrsc_single", 8},
       {"LRSC 252:4", "lrsc_single", 4},
   };
   const std::vector<std::uint32_t> bins = {1, 4, 8, 12, 16};
