@@ -96,6 +96,9 @@ sim::Task tableWorker(arch::System& sys, arch::Core& core, TableCtx& ctx,
 
   while (!ctx.stop) {
     co_await core.delay(ctx.params->iterDelay);
+    if (ctx.stop) {
+      break;  // the window closed during the delay: start no late op
+    }
     if (mine.size() < ctx.insertBudget) {
       const sim::Word key =
           (static_cast<sim::Word>(idx + 1) << kWorkerShift) | (++seq);

@@ -107,6 +107,9 @@ sim::Task queueWorker(arch::System& sys, arch::Core& core, QueueCtx& ctx) {
 
   while (!ctx.stop) {
     co_await core.delay(ctx.params.iterDelay);
+    if (ctx.stop) {
+      break;  // the window closed during the delay: start no late op
+    }
     const sim::Word v = (core.id() << kProducerShift) | (++seqNo);
     sim::Word ticket = 0;
     sim::Word got = 0;
