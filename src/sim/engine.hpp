@@ -105,6 +105,11 @@ class Engine {
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pendingEvents() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
+  /// Queue nodes allocated so far (EventQueue::allocatedNodes); steady
+  /// state stops moving it.
+  [[nodiscard]] std::size_t allocatedEventNodes() const {
+    return queue_.allocatedNodes();
+  }
 
   /// Advance now() to `when` without running anything (only legal when no
   /// earlier event is pending). Lets drivers account for idle gaps.

@@ -1,6 +1,8 @@
-// Engine unit tests: time ordering, FIFO tie-break, horizons and teardown.
+// Engine unit tests: time ordering, FIFO tie-break, horizons, teardown and
+// the progress-probe contract.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -122,6 +124,69 @@ TEST(Engine, CountsExecutedEvents) {
   }
   e.run();
   EXPECT_EQ(e.executedEvents(), 7u);
+}
+
+// One log of probe firings ('P', boundary, now() at the firing) and event
+// executions ('E', cycle, cycle), in the order the engine produced them.
+struct Mark {
+  char kind;
+  Cycle at;
+  Cycle now;
+  friend bool operator==(const Mark&, const Mark&) = default;
+};
+
+class ListProbe final : public ProgressProbe {
+ public:
+  ListProbe(Engine& e, std::vector<Cycle> boundaries, std::vector<Mark>& log)
+      : e_(e), boundaries_(std::move(boundaries)), log_(log) {}
+  [[nodiscard]] Cycle nextProbeAt() const override {
+    return next_ < boundaries_.size() ? boundaries_[next_] : kCycleNever;
+  }
+  void onProbe(Cycle at) override {
+    log_.push_back({'P', at, e_.now()});
+    ++next_;
+  }
+
+ private:
+  Engine& e_;
+  std::vector<Cycle> boundaries_;
+  std::vector<Mark>& log_;
+  std::size_t next_ = 0;
+};
+
+TEST(Engine, ProgressProbeFiresEveryBoundaryBeforeTheEventsAtOrPastIt) {
+  Engine e;
+  std::vector<Mark> log;
+  ListProbe probe(e, {5, 6, 7, 10, 11, 20, 45, 55, 100}, log);
+  e.setProgressProbe(&probe);
+  auto mark = [&] { log.push_back({'E', e.now(), e.now()}); };
+  e.scheduleAt(4, [&] {
+    mark();
+    e.scheduleAt(12, mark);  // scheduled mid-run, past boundaries 5..11
+  });
+  e.scheduleAt(10, mark);  // on a boundary: fires after it
+  e.scheduleAt(10, mark);
+  e.scheduleAt(25, mark);
+  e.scheduleAt(60, mark);  // past the horizon of the first runUntil
+
+  EXPECT_EQ(e.runUntil(50), 5u);
+  const std::vector<Mark> first{
+      {'E', 4, 4},   {'P', 5, 4},   {'P', 6, 4},   {'P', 7, 4},
+      {'P', 10, 4},  {'E', 10, 10}, {'E', 10, 10}, {'P', 11, 10},
+      {'E', 12, 12}, {'P', 20, 12}, {'E', 25, 25}};
+  // Boundary 45 lies below the horizon, but no event at or past it runs
+  // before the horizon, so neither it nor 55 fires yet.
+  EXPECT_EQ(log, first);
+  EXPECT_EQ(e.now(), 50u);
+
+  EXPECT_EQ(e.run(), 1u);
+  std::vector<Mark> all = first;
+  all.push_back({'P', 45, 50});
+  all.push_back({'P', 55, 50});
+  all.push_back({'E', 60, 60});
+  // 100 never fires: no event reaches it.
+  EXPECT_EQ(log, all);
+  EXPECT_EQ(probe.nextProbeAt(), 100u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -153,6 +154,57 @@ TEST(EngineEvents, RunDestroysEachEventExactlyOnce) {
   EXPECT_EQ(c.constructed, c.destroyed);
 }
 
+struct Thrower {
+  Counters* c;
+  explicit Thrower(Counters* counters) : c(counters) { ++c->constructed; }
+  Thrower(Thrower&& o) noexcept : c(o.c) {
+    ++c->constructed;
+    ++c->moved;
+  }
+  Thrower(const Thrower&) = delete;
+  Thrower& operator=(const Thrower&) = delete;
+  Thrower& operator=(Thrower&&) = delete;
+  ~Thrower() { ++c->destroyed; }
+  void operator()() const {
+    ++c->invoked;
+    throw std::runtime_error("event failed");
+  }
+};
+static_assert(InlineEvent::fitsInline<Thrower>);
+
+TEST(EngineEvents, ThrowingEventIsDestroyedOnceAndDispatchContinues) {
+  Counters thrown;
+  Counters rest;
+  Engine e;
+  e.scheduleAt(3, Probe(&rest));
+  e.scheduleAt(5, Thrower(&thrown));
+  e.scheduleAt(5, Probe(&rest));  // same cycle, behind the thrower
+  e.scheduleAt(9, Probe(&rest));
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(thrown.invoked, 1);
+  EXPECT_EQ(thrown.constructed, thrown.destroyed);  // destroyed exactly once
+  EXPECT_EQ(rest.invoked, 1);
+  EXPECT_EQ(e.now(), 5u);
+  EXPECT_EQ(e.pendingEvents(), 2u);
+
+  // The engine keeps dispatching, and the thrower's node went back to the
+  // pool: a long one-event-at-a-time chain allocates no further node.
+  const std::size_t nodes = e.allocatedEventNodes();
+  std::uint64_t chained = 0;
+  std::function<void()> link = [&] {
+    if (++chained < 5000) {
+      e.scheduleAfter(1, [&link] { link(); });
+    }
+  };
+  e.scheduleAt(6, [&link] { link(); });
+  e.run();
+  EXPECT_EQ(rest.invoked, 3);
+  EXPECT_EQ(chained, 5000u);
+  EXPECT_EQ(e.allocatedEventNodes(), nodes);
+  EXPECT_EQ(rest.constructed, rest.destroyed);
+  EXPECT_EQ(thrown.constructed, thrown.destroyed);
+}
+
 TEST(EngineEvents, ClearDestroysPendingEventsWithoutRunningThem) {
   Counters c;
   Engine e;
@@ -278,11 +330,19 @@ class ReferenceEngine {
 // Randomized self-expanding workload. Children are derived purely from the
 // parent's id, so the two engines diverge immediately if their execution
 // orders ever differ.
+//
+// Some events also spawn a child at the fixed cycle kMeet. A child spawned
+// more than a bucket window before kMeet parks in the overflow heap; one
+// spawned later lands in kMeet's bucket, so the two kinds tie on kMeet.
 template <typename EngineT>
 struct Script {
+  static constexpr Cycle kMeet = 2600;
+
   EngineT& e;
   std::vector<std::pair<Cycle, int>> order;
   int nextId = 0;
+  int farMeets = 0;   ///< kMeet children spawned >= a window ahead
+  int nearMeets = 0;  ///< kMeet children spawned within a window
 
   void spawn(Cycle when, int depth) {
     const int id = nextId++;
@@ -300,6 +360,10 @@ struct Script {
       }
       if (h % 5 == 0) {
         spawn(e.now(), depth + 1);  // same cycle: pure seq tie-break
+      }
+      if (h % 4 == 1 && e.now() < kMeet) {
+        ++(kMeet - e.now() >= EventQueue::kBucketCount ? farMeets : nearMeets);
+        spawn(kMeet, depth + 1);  // overflow/bucket tie on one cycle
       }
     });
   }
@@ -332,6 +396,9 @@ TEST(EventQueue, GoldenOrderMatchesReferenceBinaryHeap) {
 
   ASSERT_GT(realScript.order.size(), 300u);
   EXPECT_EQ(realScript.order, refScript.order);
+  // Both kinds of kMeet entry were made, so the tie was exercised.
+  EXPECT_GT(realScript.farMeets, 0);
+  EXPECT_GT(realScript.nearMeets, 0);
 }
 
 TEST(EventQueue, GoldenOrderAcrossClear) {
