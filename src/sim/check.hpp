@@ -20,8 +20,10 @@ class InvariantViolation : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] inline void checkFailed(const char* expr, const char* file,
-                                     int line, const std::string& msg) {
+/// Throws the InvariantViolation for a failed check. Out of line and cold,
+/// so a check costs its caller only the test and a never-taken branch.
+[[noreturn, gnu::noinline, gnu::cold]] inline void checkFailed(
+    const char* expr, const char* file, int line, const std::string& msg) {
   std::ostringstream os;
   os << "invariant violated: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) {
@@ -35,17 +37,22 @@ namespace detail {
 
 #define COLIBRI_CHECK(expr)                                              \
   do {                                                                   \
-    if (!(expr)) {                                                       \
+    if (!(expr)) [[unlikely]] {                                          \
       ::colibri::sim::detail::checkFailed(#expr, __FILE__, __LINE__, ""); \
     }                                                                    \
   } while (false)
 
+// The message is formatted inside an out-of-line cold lambda, so the
+// ostringstream stays out of the caller: a checked function stays small
+// enough to inline.
 #define COLIBRI_CHECK_MSG(expr, msg)                                     \
   do {                                                                   \
-    if (!(expr)) {                                                       \
-      std::ostringstream os_;                                            \
-      os_ << msg;                                                        \
-      ::colibri::sim::detail::checkFailed(#expr, __FILE__, __LINE__,     \
-                                          os_.str());                    \
+    if (!(expr)) [[unlikely]] {                                          \
+      [&]() __attribute__((noinline, cold, noreturn)) {                  \
+        std::ostringstream os_;                                          \
+        os_ << msg;                                                      \
+        ::colibri::sim::detail::checkFailed(#expr, __FILE__, __LINE__,   \
+                                            os_.str());                  \
+      }();                                                               \
     }                                                                    \
   } while (false)

@@ -1,7 +1,8 @@
-// Engine unit tests: time ordering, FIFO tie-break, horizons, teardown and
-// the progress-probe contract.
+// Engine unit tests: time ordering, FIFO tie-break, horizons, teardown,
+// the progress-probe contract and the invariant-check diagnostics.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -187,6 +188,43 @@ TEST(Engine, ProgressProbeFiresEveryBoundaryBeforeTheEventsAtOrPastIt) {
   // 100 never fires: no event reaches it.
   EXPECT_EQ(log, all);
   EXPECT_EQ(probe.nextProbeAt(), 100u);
+}
+
+// A failing check reports the expression, file:line and the streamed
+// message, although the message is formatted out of line.
+TEST(Check, FailedCheckReportsExpressionLocationAndMessage) {
+  const int when = 7;
+  const int limit = 3;
+  std::string what;
+  const int line = __LINE__ + 2;
+  try {
+    COLIBRI_CHECK_MSG(when < limit, "when=" << when << " limit=" << limit);
+  } catch (const InvariantViolation& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "invariant violated: when < limit at " +
+                      std::string(__FILE__) + ':' + std::to_string(line) +
+                      " — when=7 limit=3");
+}
+
+TEST(Check, FailedCheckWithoutMessageReportsExpressionAndLocation) {
+  const int n = 0;
+  std::string what;
+  const int line = __LINE__ + 2;
+  try {
+    COLIBRI_CHECK(n > 0);
+  } catch (const InvariantViolation& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "invariant violated: n > 0 at " + std::string(__FILE__) +
+                      ':' + std::to_string(line));
+}
+
+TEST(Check, PassingCheckEvaluatesTheMessageNever) {
+  int formatted = 0;
+  auto count = [&formatted] { return ++formatted; };
+  COLIBRI_CHECK_MSG(true, "never formatted " << count());
+  EXPECT_EQ(formatted, 0);
 }
 
 }  // namespace
