@@ -62,13 +62,16 @@ enum class OpKind : std::uint8_t {
 /// Apply an AMO to a memory word; returns the new memory value.
 [[nodiscard]] Word applyAmo(OpKind k, Word mem, Word operand);
 
+/// Fields run from widest to narrowest, so the request packs into 24 bytes
+/// and the core's issue closure (this + request + coroutine handle) fits
+/// sim::InlineEvent's 40-byte buffer.
 struct MemRequest {
-  OpKind kind = OpKind::kLoad;
   Addr addr = 0;
   /// Store data / AMO operand / SCwait data / Mwait expected value /
   /// WakeUpRequest successor id.
   Word value = 0;
   CoreId core = sim::kNoCore;
+  OpKind kind = OpKind::kLoad;
   /// kWakeUp only: whether the successor's queued operation is an Mwait
   /// (vs. an LRwait). The bit originates at the controller (which saw the
   /// successor's request) and travels via SuccessorUpdate through the
@@ -76,6 +79,7 @@ struct MemRequest {
   /// storing per-waiter state.
   bool successorIsMwait = false;
 };
+static_assert(sizeof(MemRequest) == 24, "MemRequest must stay 24 bytes");
 
 struct MemResponse {
   /// Loaded value / old value (AMO) / reserved value (LR, LRwait) /

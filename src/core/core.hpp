@@ -76,7 +76,7 @@ class Core {
   };
 
   MemAwait op(OpKind k, sim::Addr a, sim::Word v = 0) {
-    return MemAwait{*this, MemRequest{k, a, v, id_, false}, {}};
+    return MemAwait{*this, MemRequest{a, v, id_, k, false}, {}};
   }
   MemAwait load(sim::Addr a) { return op(OpKind::kLoad, a); }
   MemAwait store(sim::Addr a, sim::Word v) { return op(OpKind::kStore, a, v); }

@@ -7,44 +7,41 @@ bool Engine::dispatchOne(Cycle horizon) {
   // the callable may schedule new events — which mutates the queue — while
   // it executes, and dispatch pays no event move.
   return queue_.runEarliestIfAtMost(
-      horizon, [this](Cycle when, std::uint64_t seq, Event& ev) {
-        now_ = when;
-        if (trace_ != nullptr) {
-          trace_->push_back({when, seq});
-        }
-        ev();
-        ++executed_;
-      });
+      horizon, [this](Cycle when, std::uint64_t seq) { onDispatch(when, seq); });
 }
 
 std::size_t Engine::runUntil(Cycle horizon) {
   std::size_t ran = 0;
-  auto dispatch = [this](Cycle when, std::uint64_t seq, Event& ev) {
-    now_ = when;
-    if (trace_ != nullptr) {
-      trace_->push_back({when, seq});
+  auto before = [this](Cycle when, std::uint64_t seq) { onDispatch(when, seq); };
+  auto drain = [&](Cycle limit) {
+    while (const std::size_t n = queue_.runBatchIfAtMost(limit, before)) {
+      ran += n;
     }
-    ev();
-    ++executed_;
   };
   for (;;) {
-    if (probe_ != nullptr) {
-      // Fire every probe boundary at or below the next event's cycle
-      // before that cycle's batch executes — the probe then sees exactly
-      // the events before its boundary applied.
-      const Cycle next = queue_.minWhen();
-      if (next != kCycleNever && next <= horizon) {
-        for (Cycle p = probe_->nextProbeAt(); p != kCycleNever && p <= next;
-             p = probe_->nextProbeAt()) {
-          probe_->onProbe(p);
-        }
-      }
-    }
-    const std::size_t n = queue_.runBatchIfAtMost(horizon, dispatch);
-    if (n == 0) {
+    const Cycle p =
+        probe_ != nullptr ? probe_->nextProbeAt() : kCycleNever;
+    if (p == kCycleNever || p > horizon) {
+      drain(horizon);  // no boundary left within the horizon
       break;
     }
-    ran += n;
+    // Every batch strictly before the next boundary runs without a probe
+    // check.
+    if (p > 0) {
+      drain(p - 1);
+    }
+    // Fire every boundary at or below the next event's cycle before that
+    // cycle's batch executes — the probe then sees exactly the events
+    // before its boundary applied. A boundary with no event at or past it
+    // within the horizon does not fire.
+    const Cycle next = queue_.minWhen();
+    if (next == kCycleNever || next > horizon) {
+      break;
+    }
+    for (Cycle q = p; q != kCycleNever && q <= next;
+         q = probe_->nextProbeAt()) {
+      probe_->onProbe(q);
+    }
   }
   if (horizon != kCycleNever && now_ < horizon) {
     now_ = horizon;

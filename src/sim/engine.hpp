@@ -6,13 +6,17 @@
 // modeling: two messages injected into the network in some order on the
 // same cycle must not be reordered spontaneously.
 //
-// The hot path is allocation-free: events are sim::InlineEvent (48-byte
-// inline capture buffer, event.hpp) and the pending set is a two-level
-// calendar queue (per-cycle FIFO buckets over pooled nodes with an
-// overflow heap, eventqueue.hpp), so the steady-state schedule/dispatch
-// cycle costs no heap traffic and no O(log n) sift. Dispatch drains whole
-// cycles at a time (EventQueue::runBatchIfAtMost), touching the queue's
-// minimum probe once per cycle instead of once per event.
+// The hot path is allocation-free: events are sim::InlineEvent (40-byte
+// inline capture buffer and one thunk pointer, event.hpp) and the pending
+// set is a two-level calendar queue (per-cycle FIFO buckets over pooled
+// 64-byte nodes with an overflow heap, eventqueue.hpp), so the
+// steady-state schedule/dispatch cycle costs no heap traffic and no
+// O(log n) sift. Dispatch drains whole cycles at a time
+// (EventQueue::runBatchIfAtMost), touching the queue's minimum probe once
+// per cycle instead of once per event, and runs and destroys each closure
+// with one indirect call. runUntil() consults the progress probe only when
+// the next cycle reaches its boundary: batches below the boundary run
+// without it.
 //
 // The engine is single-threaded and fully deterministic: the dispatch
 // order is a pure function of the scheduled (when, seq) keys. Host
@@ -47,13 +51,15 @@ struct DispatchRecord {
 /// Simulated-cycle progress probe (e.g. the fault-layer watchdog). The
 /// engine fires onProbe(p) for every boundary p = nextProbeAt() before
 /// executing any event at cycle >= p, so a probe observes the state with
-/// exactly the events before p applied. Probes never execute events, never
-/// consume sequence numbers and never advance now(); onProbe may throw to
-/// abort the run.
+/// exactly the events before p applied. A boundary fires only once an event
+/// at or past it is due within the run's horizon. Probes never execute
+/// events, never consume sequence numbers and never advance now(); onProbe
+/// may throw to abort the run.
 class ProgressProbe {
  public:
   virtual ~ProgressProbe() = default;
-  /// Next boundary to fire at (kCycleNever = no more probes).
+  /// Next boundary to fire at (kCycleNever = no more probes). May change
+  /// only inside onProbe: the engine reads it once per boundary.
   [[nodiscard]] virtual Cycle nextProbeAt() const = 0;
   /// Fired at boundary `at`; must advance nextProbeAt() past `at`.
   virtual void onProbe(Cycle at) = 0;
@@ -104,6 +110,7 @@ class Engine {
 
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pendingEvents() const { return queue_.size(); }
+  /// Events dispatched so far (an event that throws counts).
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
   /// Queue nodes allocated so far (EventQueue::allocatedNodes); steady
   /// state stops moving it.
@@ -129,6 +136,15 @@ class Engine {
   /// Pop and run the earliest event if its cycle is <= horizon. Returns
   /// whether an event ran. The dispatch body behind step().
   bool dispatchOne(Cycle horizon);
+
+  /// Bookkeeping just before an event runs.
+  void onDispatch(Cycle when, std::uint64_t seq) {
+    now_ = when;
+    if (trace_ != nullptr) {
+      trace_->push_back({when, seq});
+    }
+    ++executed_;
+  }
 
   EventQueue queue_;
   Cycle now_ = 0;

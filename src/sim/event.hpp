@@ -2,11 +2,17 @@
 //
 // Every simulated memory operation schedules several events; with
 // std::function each closure that outgrew the 16-byte SSO buffer cost a
-// heap allocation on the per-op hot path. InlineEvent reserves 48 bytes
-// of inline storage — enough for every closure the simulator schedules
-// (asserted with static_asserts at each scheduling site via fitsInline) —
-// and falls back to the heap only for oversized callables (test drivers,
-// user callbacks routed through System::at).
+// heap allocation on the per-op hot path. InlineEvent reserves 40 bytes
+// of 8-aligned inline storage — enough for every closure the simulator
+// schedules (asserted with static_asserts at each scheduling site via
+// fitsInline) — and falls back to the heap only for oversized callables
+// (test drivers, user callbacks routed through System::at).
+//
+// One function pointer (the closure type's thunk) does every operation on
+// the stored callable: invoke, run-and-destroy, destroy and relocate. A
+// dispatched event pays one indirect call for running and destroying its
+// closure together (run()), so buffer plus thunk fill 48 bytes and a queue
+// node stays within one cache line (eventqueue.hpp).
 //
 // Heap fallbacks are counted in a process-wide counter (aggregated across
 // SweepRunner's worker threads) so tests can assert that a
@@ -17,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -28,10 +35,11 @@ namespace colibri::sim {
 class InlineEvent {
  public:
   /// Inline capture budget. Sized for the largest hot-path closure
-  /// (core issue: this + MemRequest + coroutine handle = 40 bytes) with
-  /// headroom; grow deliberately — every node in the event queue pays it.
-  static constexpr std::size_t kInlineSize = 48;
-  static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
+  /// (core issue: this + MemRequest + coroutine handle = 40 bytes); grow
+  /// deliberately — every node in the event queue pays it, and a node is
+  /// one 64-byte cache line.
+  static constexpr std::size_t kInlineSize = 40;
+  static constexpr std::size_t kInlineAlign = 8;
 
   /// True iff a callable of type F is stored inline (no heap allocation).
   /// Scheduling sites on the per-op path static_assert this.
@@ -62,12 +70,12 @@ class InlineEvent {
     construct(std::forward<F>(f));
   }
 
-  InlineEvent(InlineEvent&& other) noexcept { moveFrom(std::move(other)); }
+  InlineEvent(InlineEvent&& other) noexcept { moveFrom(other); }
 
   InlineEvent& operator=(InlineEvent&& other) noexcept {
     if (this != &other) {
       reset();
-      moveFrom(std::move(other));
+      moveFrom(other);
     }
     return *this;
   }
@@ -77,22 +85,32 @@ class InlineEvent {
 
   ~InlineEvent() { reset(); }
 
+  /// Invoke the held callable; it stays held (an event may run twice).
   void operator()() {
-    COLIBRI_CHECK_MSG(vtable_ != nullptr, "invoking an empty InlineEvent");
-    vtable_->invoke(buf_);
+    COLIBRI_CHECK_MSG(thunk_ != nullptr, "invoking an empty InlineEvent");
+    thunk_(Op::kInvoke, buf_, nullptr);
+  }
+
+  /// Invoke the held callable once and destroy it, in one thunk call; the
+  /// event is empty afterwards. If the callable throws, it is still
+  /// destroyed (exactly once) before the exception leaves.
+  void run() {
+    COLIBRI_CHECK_MSG(thunk_ != nullptr, "invoking an empty InlineEvent");
+    Thunk* const t = thunk_;
+    thunk_ = nullptr;
+    t(Op::kRun, buf_, nullptr);
   }
 
   [[nodiscard]] explicit operator bool() const noexcept {
-    return vtable_ != nullptr;
+    return thunk_ != nullptr;
   }
 
   /// Destroy the held callable (if any); the event becomes empty.
   void reset() noexcept {
-    if (vtable_ != nullptr) {
-      if (vtable_->destroy != nullptr) {
-        vtable_->destroy(buf_);
-      }
-      vtable_ = nullptr;
+    if (thunk_ != nullptr) {
+      Thunk* const t = thunk_;
+      thunk_ = nullptr;
+      t(Op::kDestroy, buf_, nullptr);
     }
   }
 
@@ -107,83 +125,102 @@ class InlineEvent {
   }
 
  private:
-  struct VTable {
-    void (*invoke)(void* obj);
-    /// nullptr => trivially destructible (or heap: never null there).
-    void (*destroy)(void* obj) noexcept;
-    /// Move the representation from one buffer to another and destroy the
-    /// source representation. nullptr => the representation is trivially
-    /// relocatable and a buffer memcpy suffices (covers trivially movable
-    /// inline callables and the heap case, which relocates its pointer).
-    /// Either way an InlineEvent move never allocates.
-    void (*relocate)(void* from, void* to) noexcept;
+  enum class Op : std::uint8_t {
+    kRun,       ///< invoke, then destroy (also when the invocation throws)
+    kInvoke,    ///< invoke only
+    kDestroy,   ///< destroy only
+    kRelocate,  ///< move-construct into `to`, then destroy the source
+  };
+  /// The one per-type operation: `obj` is the buffer the callable (or, for
+  /// a heap fallback, the pointer to it) lives in; `to` is the target
+  /// buffer of kRelocate and unused otherwise. Only kRun and kInvoke may
+  /// throw (whatever the callable throws).
+  using Thunk = void(Op op, void* obj, void* to);
+
+  /// Destroys `*d` when it leaves scope, so kRun destroys a callable that
+  /// throws exactly once.
+  template <typename D>
+  struct DestroyOnExit {
+    D* d;
+    ~DestroyOnExit() { d->~D(); }
   };
 
   template <typename D>
-  static void inlineInvoke(void* p) {
-    (*std::launder(static_cast<D*>(p)))();
-  }
-  template <typename D>
-  static void inlineDestroy(void* p) noexcept {
-    std::launder(static_cast<D*>(p))->~D();
-  }
-  template <typename D>
-  static void inlineRelocate(void* from, void* to) noexcept {
-    D* src = std::launder(static_cast<D*>(from));
-    ::new (to) D(std::move(*src));
-    src->~D();
+  static void inlineThunk(Op op, void* obj, void* to) {
+    D* d = std::launder(static_cast<D*>(obj));
+    switch (op) {
+      case Op::kRun:
+        if constexpr (std::is_trivially_destructible_v<D>) {
+          (*d)();
+        } else {
+          DestroyOnExit<D> guard{d};
+          (*d)();
+        }
+        return;
+      case Op::kInvoke:
+        (*d)();
+        return;
+      case Op::kDestroy:
+        d->~D();
+        return;
+      case Op::kRelocate:
+        if constexpr (std::is_trivially_copyable_v<D>) {
+          std::memcpy(to, obj, sizeof(D));
+        } else {
+          ::new (to) D(std::move(*d));
+          d->~D();
+        }
+        return;
+    }
   }
 
+  /// Heap fallback: the buffer holds a D*. Relocation moves the pointer.
   template <typename D>
-  static void heapInvoke(void* p) {
-    (**std::launder(static_cast<D**>(p)))();
+  static void heapThunk(Op op, void* obj, void* to) {
+    D* d = *std::launder(static_cast<D**>(obj));
+    switch (op) {
+      case Op::kRun: {
+        const std::unique_ptr<D> owner(d);
+        (*d)();
+        return;
+      }
+      case Op::kInvoke:
+        (*d)();
+        return;
+      case Op::kDestroy:
+        delete d;
+        return;
+      case Op::kRelocate:
+        ::new (to) D*(d);
+        return;
+    }
   }
-  template <typename D>
-  static void heapDestroy(void* p) noexcept {
-    delete *std::launder(static_cast<D**>(p));
-  }
-
-  template <typename D>
-  static constexpr VTable kInlineVTable{
-      &inlineInvoke<D>,
-      std::is_trivially_destructible_v<D> ? nullptr : &inlineDestroy<D>,
-      std::is_trivially_move_constructible_v<D> &&
-              std::is_trivially_destructible_v<D>
-          ? nullptr
-          : &inlineRelocate<D>};
-  template <typename D>
-  static constexpr VTable kHeapVTable{&heapInvoke<D>, &heapDestroy<D>,
-                                      nullptr};
 
   template <typename F>
   void construct(F&& f) {
     using D = std::decay_t<F>;
     if constexpr (fitsInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      vtable_ = &kInlineVTable<D>;
+      thunk_ = &inlineThunk<D>;
     } else {
-      ::new (static_cast<void*>(buf_)) void*(new D(std::forward<F>(f)));
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
       heapFallbacks_.fetch_add(1, std::memory_order_relaxed);
-      vtable_ = &kHeapVTable<D>;
+      thunk_ = &heapThunk<D>;
     }
   }
 
-  void moveFrom(InlineEvent&& other) noexcept {
-    vtable_ = other.vtable_;
-    if (vtable_ != nullptr) {
-      if (vtable_->relocate != nullptr) {
-        vtable_->relocate(other.buf_, buf_);
-      } else {
-        std::memcpy(buf_, other.buf_, kInlineSize);
-      }
-      other.vtable_ = nullptr;
+  void moveFrom(InlineEvent& other) noexcept {
+    if (other.thunk_ != nullptr) {
+      other.thunk_(Op::kRelocate, other.buf_, buf_);
+      thunk_ = other.thunk_;
+      other.thunk_ = nullptr;
     }
   }
 
   inline static std::atomic<std::uint64_t> heapFallbacks_{0};
 
   alignas(kInlineAlign) std::byte buf_[kInlineSize];
-  const VTable* vtable_ = nullptr;
+  Thunk* thunk_ = nullptr;
 };
 
 }  // namespace colibri::sim

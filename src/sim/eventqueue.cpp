@@ -32,9 +32,9 @@ void EventQueue::clear() noexcept {
     }
     occupied_[w] = 0;
   }
-  for (Node* n : overflow_) {
-    n->ev.reset();
-    freeNode(n);
+  for (const Far& f : overflow_) {
+    f.node->ev.reset();
+    freeNode(f.node);
   }
   overflow_.clear();
   size_ = 0;

@@ -8,12 +8,18 @@
 // event lands in this window: schedule and dispatch are O(1) and touch no
 // allocator (nodes come from a free-list refilled in chunks).
 //
-// Events beyond the window go to an overflow binary heap ordered by
-// (when, seq). Overflow entries are never migrated; dispatch compares the
-// earliest bucket head against the heap top — ties on `when` are broken by
-// the global sequence number, so the execution order is exactly the
-// (when, seq) total order a single binary heap would produce. That makes
-// the queue swap bit-transparent to every simulation.
+// A node is one 64-byte cache line: {next, seq, InlineEvent}. A bucket
+// node's cycle is its bucket's, so only overflow entries carry `when`.
+//
+// Events beyond the window go to an overflow binary heap of {when, node}
+// ordered by (when, seq). Overflow entries are never migrated; dispatch
+// compares the earliest bucket cycle against the heap top. On a tie the
+// overflow entry runs first: it was scheduled while the cursor was at
+// least kBucketCount cycles behind its cycle, every bucket entry of that
+// cycle was scheduled later (the cursor never moves back), so the overflow
+// entry has the lower sequence number. The execution order is therefore
+// exactly the (when, seq) total order a single binary heap would produce,
+// which makes the queue swap bit-transparent to every simulation.
 #pragma once
 
 #include <algorithm>
@@ -54,22 +60,22 @@ class EventQueue {
   bool popIfAtMost(Cycle horizon, Cycle& when, InlineEvent& ev);
 
   /// Like popIfAtMost, but runs the event in place inside its (already
-  /// unlinked) node via `fn(when, seq, ev)` — the dispatch path pays no
-  /// event move. The node returns to the free-list even if the callable
-  /// throws.
+  /// unlinked) node: calls `before(when, seq)`, then runs and destroys the
+  /// closure with one InlineEvent::run() — the dispatch path pays no event
+  /// move. The node returns to the free-list even if the callable throws.
   template <typename F>
-  bool runEarliestIfAtMost(Cycle horizon, F&& fn);
+  bool runEarliestIfAtMost(Cycle horizon, F&& before);
 
   /// Batched dispatch: run every event of the earliest pending cycle (if
-  /// <= horizon) via `fn(when, seq, ev)`, touching the occupancy bitmap
-  /// and the bucket-minimum probe once per cycle instead of once per
+  /// <= horizon) as runEarliestIfAtMost does, touching the occupancy
+  /// bitmap and the bucket-minimum probe once per cycle instead of once per
   /// event. Events the callables schedule for the same cycle join the
   /// drain (FIFO). Returns how many events ran (0 if none were due).
   /// Execution order is exactly the (when, seq) order of the one-event
-  /// path — when the cycle ties with an overflow entry, the batch falls
-  /// back to one-event dispatch to keep the seq interleave.
+  /// path — while the earliest cycle has overflow entries, the batch runs
+  /// one of them through the one-event path (they precede the bucket).
   template <typename F>
-  std::size_t runBatchIfAtMost(Cycle horizon, F&& fn);
+  std::size_t runBatchIfAtMost(Cycle horizon, F&& before);
 
   /// Cycle of the earliest pending event; kCycleNever when empty.
   [[nodiscard]] Cycle minWhen() const;
@@ -94,24 +100,39 @@ class EventQueue {
   }
 
  private:
-  struct Node {
-    Cycle when = 0;
-    std::uint64_t seq = 0;
+  /// One cache line; chunks of them are 64-byte aligned.
+  struct alignas(64) Node {
     Node* next = nullptr;
+    std::uint64_t seq = 0;
     InlineEvent ev;
   };
+  static_assert(sizeof(Node) == 64, "an event node is one cache line");
+
   struct Bucket {
     Node* head = nullptr;
     Node* tail = nullptr;
+  };
+  /// Overflow-heap entry: a node beyond the window and its cycle.
+  struct Far {
+    Cycle when;
+    Node* node;
   };
 
   static constexpr std::size_t kBitmapWords = kBucketCount / 64;
 
   /// Later-first comparison, i.e. `overflow_` is a max-heap of "later"
   /// so its front is the earliest (when, seq).
-  static bool later(const Node* a, const Node* b) noexcept {
-    return a->when != b->when ? a->when > b->when : a->seq > b->seq;
+  static bool later(const Far& a, const Far& b) noexcept {
+    return a.when != b.when ? a.when > b.when : a.node->seq > b.node->seq;
   }
+
+  /// Returns an unlinked node to the free-list when it leaves scope, also
+  /// when the event running in it throws.
+  struct NodeReturn {
+    EventQueue* q;
+    Node* n;
+    ~NodeReturn() { q->freeNode(n); }
+  };
 
   Node* allocNode() {
     if (freeList_ == nullptr) {
@@ -131,12 +152,13 @@ class EventQueue {
   [[nodiscard]] Cycle bucketMinWhen() const;
 
   /// Unlink and return the earliest (when, seq) node if its cycle is
-  /// <= horizon, else nullptr. Advances the window cursor.
-  Node* takeEarliest(Cycle horizon);
+  /// <= horizon (setting `when` to that cycle), else nullptr. Advances the
+  /// window cursor.
+  Node* takeEarliest(Cycle horizon, Cycle& when);
 
   std::array<Bucket, kBucketCount> buckets_{};
   std::array<std::uint64_t, kBitmapWords> occupied_{};
-  std::vector<Node*> overflow_;
+  std::vector<Far> overflow_;
   std::vector<std::unique_ptr<Node[]>> chunks_;
   Node* freeList_ = nullptr;
   Cycle cursor_ = 0;  ///< lower bound of the bucket window
@@ -158,7 +180,6 @@ inline void EventQueue::schedule(Cycle when, F&& f) {
   COLIBRI_CHECK_MSG(when >= cursor_, "schedule before the dispatch cursor: when="
                                          << when << " cursor=" << cursor_);
   Node* n = allocNode();
-  n->when = when;
   n->seq = nextSeq_++;
   n->next = nullptr;
   if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineEvent>) {
@@ -188,7 +209,7 @@ inline void EventQueue::schedule(Cycle when, F&& f) {
     }
     ++bucketCount_;
   } else {
-    overflow_.push_back(n);
+    overflow_.push_back({when, n});
     std::push_heap(overflow_.begin(), overflow_.end(), &later);
   }
   ++size_;
@@ -225,46 +246,33 @@ inline Cycle EventQueue::minWhen() const {
   if (bucketCount_ > 0) {
     m = bucketMinWhen();
   }
-  if (!overflow_.empty() && overflow_.front()->when < m) {
-    m = overflow_.front()->when;
+  if (!overflow_.empty() && overflow_.front().when < m) {
+    m = overflow_.front().when;
   }
   return m;
 }
 
-inline EventQueue::Node* EventQueue::takeEarliest(Cycle horizon) {
+inline EventQueue::Node* EventQueue::takeEarliest(Cycle horizon, Cycle& when) {
   if (size_ == 0) {
     return nullptr;
   }
   const Cycle bucketWhen = bucketCount_ > 0 ? bucketMinWhen() : kCycleNever;
-  const Node* top = overflow_.empty() ? nullptr : overflow_.front();
-
-  // A bucket head and the heap top can share a cycle (the overflow entry
-  // was scheduled before the window reached it); the lower seq wins.
-  bool fromOverflow;
-  if (bucketCount_ == 0) {
-    fromOverflow = true;
-  } else if (top == nullptr || top->when > bucketWhen) {
-    fromOverflow = false;
-  } else if (top->when < bucketWhen) {
-    fromOverflow = true;
-  } else {
-    const std::size_t idx = bucketWhen & (kBucketCount - 1);
-    fromOverflow = top->seq < buckets_[idx].head->seq;
+  // An overflow entry wins a tie with the bucket of its cycle (it is the
+  // older event; see the header comment).
+  const bool fromOverflow =
+      !overflow_.empty() && overflow_.front().when <= bucketWhen;
+  when = fromOverflow ? overflow_.front().when : bucketWhen;
+  if (when > horizon) {
+    return nullptr;
   }
 
   Node* n;
   if (fromOverflow) {
-    if (top->when > horizon) {
-      return nullptr;
-    }
     std::pop_heap(overflow_.begin(), overflow_.end(), &later);
-    n = overflow_.back();
+    n = overflow_.back().node;
     overflow_.pop_back();
   } else {
-    if (bucketWhen > horizon) {
-      return nullptr;
-    }
-    const std::size_t idx = bucketWhen & (kBucketCount - 1);
+    const std::size_t idx = when & (kBucketCount - 1);
     Bucket& b = buckets_[idx];
     n = b.head;
     b.head = n->next;
@@ -276,87 +284,71 @@ inline EventQueue::Node* EventQueue::takeEarliest(Cycle horizon) {
     --bucketCount_;
   }
 
-  cursor_ = n->when;  // everything earlier has been dispatched
+  cursor_ = when;  // everything earlier has been dispatched
   --size_;
   return n;
 }
 
 inline bool EventQueue::popIfAtMost(Cycle horizon, Cycle& when,
                                     InlineEvent& ev) {
-  Node* n = takeEarliest(horizon);
+  Node* n = takeEarliest(horizon, when);
   if (n == nullptr) {
     return false;
   }
-  when = n->when;
   ev = std::move(n->ev);
   freeNode(n);
   return true;
 }
 
 template <typename F>
-inline bool EventQueue::runEarliestIfAtMost(Cycle horizon, F&& fn) {
-  Node* n = takeEarliest(horizon);
+inline bool EventQueue::runEarliestIfAtMost(Cycle horizon, F&& before) {
+  Cycle when;
+  Node* n = takeEarliest(horizon, when);
   if (n == nullptr) {
     return false;
   }
   // The node is unlinked, so the callable may schedule freely (the pool
   // cannot hand this node out again before the guard frees it).
-  struct Guard {
-    EventQueue* q;
-    Node* n;
-    ~Guard() {
-      n->ev.reset();
-      q->freeNode(n);
-    }
-  } guard{this, n};
-  fn(n->when, n->seq, n->ev);
+  const NodeReturn guard{this, n};
+  before(when, n->seq);
+  n->ev.run();
   return true;
 }
 
 template <typename F>
-inline std::size_t EventQueue::runBatchIfAtMost(Cycle horizon, F&& fn) {
+inline std::size_t EventQueue::runBatchIfAtMost(Cycle horizon, F&& before) {
   if (size_ == 0) {
     return 0;
   }
-  const Cycle bucketWhen = bucketCount_ > 0 ? bucketMinWhen() : kCycleNever;
-  const Node* top = overflow_.empty() ? nullptr : overflow_.front();
-  const Cycle overflowWhen = top != nullptr ? top->when : kCycleNever;
-  const Cycle t = overflowWhen < bucketWhen ? overflowWhen : bucketWhen;
+  const Cycle t = bucketCount_ > 0 ? bucketMinWhen() : kCycleNever;
+  if (!overflow_.empty() && overflow_.front().when <= t) {
+    // The earliest cycle has an overflow entry, which precedes any bucket
+    // entry of that cycle: dispatch it alone. Rare — only when the window
+    // has just reached a far-future entry's cycle.
+    return runEarliestIfAtMost(horizon, std::forward<F>(before)) ? 1 : 0;
+  }
   if (t > horizon) {
     return 0;
-  }
-  if (overflowWhen <= bucketWhen) {
-    // The cycle starts in (or ties with) the overflow heap: dispatch one
-    // event through the exact-interleave path. Rare — only when the
-    // window has just reached a far-future entry's cycle.
-    return runEarliestIfAtMost(t, std::forward<F>(fn)) ? 1 : 0;
   }
   // Whole-bucket drain. Events scheduled for cycle `t` during the drain
   // append to this bucket's tail and join the loop (FIFO); overflow
   // entries pushed during the drain lie >= t + kBucketCount, so no
-  // interleave check is needed per event.
+  // interleave check is needed per event. schedule() tests only the head
+  // for emptiness, so the tail needs no reset while the bucket drains.
   const std::size_t idx = t & (kBucketCount - 1);
   Bucket& b = buckets_[idx];
   std::size_t ran = 0;
   cursor_ = t;
   while (Node* n = b.head) {
     b.head = n->next;
-    if (b.head == nullptr) {
-      b.tail = nullptr;
-    }
     --bucketCount_;
     --size_;
-    struct Guard {
-      EventQueue* q;
-      Node* n;
-      ~Guard() {
-        n->ev.reset();
-        q->freeNode(n);
-      }
-    } guard{this, n};
-    fn(n->when, n->seq, n->ev);
+    const NodeReturn guard{this, n};
+    before(t, n->seq);
+    n->ev.run();
     ++ran;
   }
+  b.tail = nullptr;
   occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
   bucketMinValid_ = false;  // this cycle's bucket just drained
   return ran;
