@@ -26,10 +26,22 @@ class AddressMap {
   explicit AddressMap(const SystemConfig& cfg)
       : numBanks_(cfg.numBanks()),
         banksPerTile_(cfg.banksPerTile),
-        wordsPerBank_(cfg.wordsPerBank) {}
+        wordsPerBank_(cfg.wordsPerBank),
+        bankReciprocal_(~std::uint64_t{0} / numBanks_ + 1) {}
 
+  /// a % numBanks() without a division, by direct remainder (Lemire,
+  /// Kaser and Kurz, "Faster Remainder by Direct Computation", 2019): the
+  /// low 64 bits of a * ceil(2^64 / numBanks()) are the fraction of
+  /// a / numBanks(), and scaling the fraction by numBanks() yields the
+  /// remainder. Exact for every a < 2^32, which covers every address of a
+  /// geometry SystemConfig::validate accepts (numWords() < 2^32). With one
+  /// bank the reciprocal wraps to 0 and every address maps to bank 0, as it
+  /// should. A larger (out-of-range) address still maps to a bank below
+  /// numBanks(); the bank's own range check then rejects it.
   [[nodiscard]] BankId bankOf(Addr a) const {
-    return static_cast<BankId>(a % numBanks_);
+    const std::uint64_t fraction = bankReciprocal_ * a;
+    return static_cast<BankId>(
+        (static_cast<unsigned __int128>(fraction) * numBanks_) >> 64);
   }
   [[nodiscard]] std::uint64_t offsetOf(Addr a) const { return a / numBanks_; }
   [[nodiscard]] TileId tileOfBank(BankId b) const { return b / banksPerTile_; }
@@ -52,6 +64,7 @@ class AddressMap {
   std::uint32_t numBanks_;
   std::uint32_t banksPerTile_;
   std::uint32_t wordsPerBank_;
+  std::uint64_t bankReciprocal_;  ///< ceil(2^64 / numBanks_), mod 2^64
 };
 
 /// Bump allocator over the simulated word space. Not thread-safe (the

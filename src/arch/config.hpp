@@ -104,6 +104,9 @@ struct SystemConfig {
   /// simulated outcome.
   obs::Recorder* recorder = nullptr;
 
+  /// Exclusive bound on numWords() (and so on every word address).
+  static constexpr std::uint64_t kWordLimit = std::uint64_t{1} << 32;
+
   // --- Derived -------------------------------------------------------------
   [[nodiscard]] std::uint32_t numTiles() const {
     return numCores / coresPerTile;
@@ -123,6 +126,9 @@ struct SystemConfig {
     COLIBRI_CHECK(numCores % coresPerTile == 0);
     COLIBRI_CHECK(tilesPerGroup >= 1 && numTiles() % tilesPerGroup == 0);
     COLIBRI_CHECK(banksPerTile >= 1 && wordsPerBank >= 1);
+    // Word addresses fit 32 bits: AddressMap::bankOf is exact below 2^32.
+    COLIBRI_CHECK(std::uint64_t{numTiles()} * banksPerTile < kWordLimit &&
+                  numWords() < kWordLimit);
     COLIBRI_CHECK(issueInterval >= 1);
     COLIBRI_CHECK(bankPortsPerCycle >= 1);
     COLIBRI_CHECK(groupLinkBandwidth >= 1 && localGroupBandwidth >= 1);

@@ -36,6 +36,71 @@ TEST(AddressMap, ComposeInvertsDecompose) {
   }
 }
 
+// bankOf is division-free; it must agree with % and / (through compose)
+// over every address of odd and power-of-two geometries alike.
+SystemConfig geometry(std::uint32_t cores, std::uint32_t coresPerTile,
+                      std::uint32_t tilesPerGroup, std::uint32_t banksPerTile) {
+  SystemConfig c;
+  c.numCores = cores;
+  c.coresPerTile = coresPerTile;
+  c.tilesPerGroup = tilesPerGroup;
+  c.banksPerTile = banksPerTile;
+  c.validate();
+  return c;
+}
+
+void expectExactOverEveryAddress(const SystemConfig& c) {
+  const AddressMap m(c);
+  const std::uint64_t n = m.numBanks();
+  std::uint64_t mismatches = 0;
+  sim::Addr first = 0;
+  for (sim::Addr a = 0; a < m.numWords(); ++a) {
+    const sim::BankId b = m.bankOf(a);
+    if (b != a % n || m.compose(b, a / n) != a || m.offsetOf(a) != a / n) {
+      first = mismatches++ == 0 ? a : first;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << n << " banks; first at address " << first;
+}
+
+TEST(AddressMap, BankOfMatchesModuloOnEveryAddress) {
+  expectExactOverEveryAddress(geometry(10, 2, 5, 3));  // 15 banks
+  expectExactOverEveryAddress(geometry(30, 3, 5, 7));  // 70 banks
+  expectExactOverEveryAddress(SystemConfig::memPool());  // 1024 banks
+  expectExactOverEveryAddress(geometry(4096, 4, 64, 16));  // 16384 banks
+}
+
+TEST(AddressMap, BankOfIsExactUpToTheWordLimit) {
+  // One bank: the reciprocal wraps to zero and every address is bank 0.
+  SystemConfig one = geometry(1, 1, 1, 1);
+  one.wordsPerBank = 0xFFFFFFFFu;
+  one.validate();
+  const AddressMap single(one);
+  for (const sim::Addr a : {sim::Addr{0}, sim::Addr{12345}, one.numWords() - 1}) {
+    EXPECT_EQ(single.bankOf(a), 0u);
+  }
+  // Three banks filling the 32-bit address space: exact at its top.
+  SystemConfig three = geometry(3, 1, 3, 1);
+  three.wordsPerBank = 0x55555555u;
+  three.validate();
+  ASSERT_EQ(three.numWords(), SystemConfig::kWordLimit - 1);
+  const AddressMap m(three);
+  for (sim::Addr a = three.numWords() - 5000; a < three.numWords(); ++a) {
+    ASSERT_EQ(m.bankOf(a), a % 3) << a;
+  }
+  // An out-of-range address still maps to an existing bank.
+  EXPECT_LT(m.bankOf(~sim::Addr{0}), 3u);
+}
+
+TEST(Config, ValidateRejectsWordSpacesOf32BitsOrMore) {
+  SystemConfig c = geometry(2, 1, 2, 1);  // two banks
+  c.wordsPerBank = 0x80000000u;          // 2^32 words
+  EXPECT_THROW(c.validate(), sim::InvariantViolation);
+  c.banksPerTile = 0x80000000u;  // bank count itself past 32 bits
+  c.wordsPerBank = 1;
+  EXPECT_THROW(c.validate(), sim::InvariantViolation);
+}
+
 TEST(AddressMap, TileOfBankMatchesGeometry) {
   AddressMap m(cfg());  // 4 banks per tile
   EXPECT_EQ(m.tileOfBank(0), 0u);
