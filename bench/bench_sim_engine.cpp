@@ -90,11 +90,11 @@ BENCHMARK(BM_EngineMixedHorizon)->Arg(65536);
 void BM_InlineEventConstruct(benchmark::State& state) {
   // Construction+invoke+destroy cost of the event representation for a
   // capture that overflows std::function's SSO (3 pointers) but fits
-  // InlineEvent's 48-byte buffer.
+  // InlineEvent's 40-byte buffer.
   std::uint64_t a = 0, b = 0, c = 0;
   for (auto _ : state) {
     sim::InlineEvent ev([&a, &b, &c] { ++a; });
-    ev();
+    ev.run();
     benchmark::DoNotOptimize(ev);
   }
   benchmark::DoNotOptimize(a + b + c);

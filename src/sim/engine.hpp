@@ -35,9 +35,6 @@
 
 namespace colibri::sim {
 
-/// Callable executed at a simulated point in time.
-using Event = InlineEvent;
-
 /// One dispatched event's identity: cycle and global sequence number.
 /// Captured via Engine::setTrace; determinism tests compare these streams
 /// across reruns (any reordering of any event fails the comparison).

@@ -8,11 +8,11 @@
 // fitsInline) — and falls back to the heap only for oversized callables
 // (test drivers, user callbacks routed through System::at).
 //
-// One function pointer (the closure type's thunk) does every operation on
-// the stored callable: invoke, run-and-destroy, destroy and relocate. A
-// dispatched event pays one indirect call for running and destroying its
-// closure together (run()), so buffer plus thunk fill 48 bytes and a queue
-// node stays within one cache line (eventqueue.hpp).
+// An event runs once. One function pointer (the closure type's thunk) does
+// every operation on the stored callable: run (invoke, then destroy),
+// destroy and relocate. A dispatched event pays one indirect call for
+// running and destroying its closure (run()), and buffer plus thunk fill
+// 48 bytes, so a queue node stays within one cache line (eventqueue.hpp).
 //
 // Heap fallbacks are counted in a process-wide counter (aggregated across
 // SweepRunner's worker threads) so tests can assert that a
@@ -85,12 +85,6 @@ class InlineEvent {
 
   ~InlineEvent() { reset(); }
 
-  /// Invoke the held callable; it stays held (an event may run twice).
-  void operator()() {
-    COLIBRI_CHECK_MSG(thunk_ != nullptr, "invoking an empty InlineEvent");
-    thunk_(Op::kInvoke, buf_, nullptr);
-  }
-
   /// Invoke the held callable once and destroy it, in one thunk call; the
   /// event is empty afterwards. If the callable throws, it is still
   /// destroyed (exactly once) before the exception leaves.
@@ -127,14 +121,13 @@ class InlineEvent {
  private:
   enum class Op : std::uint8_t {
     kRun,       ///< invoke, then destroy (also when the invocation throws)
-    kInvoke,    ///< invoke only
     kDestroy,   ///< destroy only
     kRelocate,  ///< move-construct into `to`, then destroy the source
   };
   /// The one per-type operation: `obj` is the buffer the callable (or, for
   /// a heap fallback, the pointer to it) lives in; `to` is the target
-  /// buffer of kRelocate and unused otherwise. Only kRun and kInvoke may
-  /// throw (whatever the callable throws).
+  /// buffer of kRelocate and unused otherwise. Only kRun may throw
+  /// (whatever the callable throws).
   using Thunk = void(Op op, void* obj, void* to);
 
   /// Destroys `*d` when it leaves scope, so kRun destroys a callable that
@@ -156,9 +149,6 @@ class InlineEvent {
           DestroyOnExit<D> guard{d};
           (*d)();
         }
-        return;
-      case Op::kInvoke:
-        (*d)();
         return;
       case Op::kDestroy:
         d->~D();
@@ -184,9 +174,6 @@ class InlineEvent {
         (*d)();
         return;
       }
-      case Op::kInvoke:
-        (*d)();
-        return;
       case Op::kDestroy:
         delete d;
         return;

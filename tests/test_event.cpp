@@ -49,7 +49,7 @@ static_assert(InlineEvent::fitsInline<Probe>);
 TEST(InlineEvent, EmptyByDefault) {
   InlineEvent ev;
   EXPECT_FALSE(static_cast<bool>(ev));
-  EXPECT_THROW(ev(), InvariantViolation);
+  EXPECT_THROW(ev.run(), InvariantViolation);
 }
 
 TEST(InlineEvent, SmallCallableStaysInline) {
@@ -58,9 +58,28 @@ TEST(InlineEvent, SmallCallableStaysInline) {
   InlineEvent ev([&hits] { ++hits; });
   EXPECT_EQ(InlineEvent::heapFallbackCount(), before);
   EXPECT_TRUE(static_cast<bool>(ev));
-  ev();
-  ev();
-  EXPECT_EQ(hits, 2);
+  ev.run();
+  EXPECT_EQ(hits, 1);
+  EXPECT_FALSE(static_cast<bool>(ev));  // an event runs once
+}
+
+TEST(InlineEvent, RunDestroysTheCallableOnceAlsoWhenItThrows) {
+  Counters c;
+  InlineEvent ev{Probe(&c)};
+  ev.run();
+  EXPECT_EQ(c.invoked, 1);
+  EXPECT_EQ(c.constructed, c.destroyed);
+
+  std::array<std::uint64_t, 16> big{};  // heap fallback
+  Counters heap;
+  InlineEvent thrower([big, p = Probe(&heap)] {
+    p();
+    throw std::runtime_error("event failed");
+  });
+  EXPECT_THROW(thrower.run(), std::runtime_error);
+  EXPECT_FALSE(static_cast<bool>(thrower));
+  EXPECT_EQ(heap.invoked, 1);
+  EXPECT_EQ(heap.constructed, heap.destroyed);
 }
 
 TEST(InlineEvent, OversizedCaptureFallsBackToHeapAndStillWorks) {
@@ -70,7 +89,7 @@ TEST(InlineEvent, OversizedCaptureFallsBackToHeapAndStillWorks) {
   const auto before = InlineEvent::heapFallbackCount();
   InlineEvent ev([big, &out] { out = static_cast<int>(big[3]); });
   EXPECT_EQ(InlineEvent::heapFallbackCount(), before + 1);
-  ev();
+  ev.run();
   EXPECT_EQ(out, 7);
 }
 
@@ -98,7 +117,7 @@ TEST(InlineEvent, MoveTransfersOwnership) {
     InlineEvent b(std::move(a));
     EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
     EXPECT_TRUE(static_cast<bool>(b));
-    b();
+    b.run();
   }
   EXPECT_EQ(c.invoked, 1);
   EXPECT_EQ(c.constructed, c.destroyed);  // nothing leaked, nothing double-freed
@@ -113,7 +132,7 @@ TEST(InlineEvent, MoveAssignmentDestroysThePreviousCallable) {
     a = std::move(b);
     EXPECT_EQ(first.constructed, first.destroyed);  // old callable gone
     EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
-    a();
+    a.run();
   }
   EXPECT_EQ(second.invoked, 1);
   EXPECT_EQ(second.constructed, second.destroyed);
@@ -135,7 +154,7 @@ TEST(InlineEvent, HeapCallableMovesWithoutReallocating) {
   const auto before = InlineEvent::heapFallbackCount();
   InlineEvent b(std::move(a));
   EXPECT_EQ(InlineEvent::heapFallbackCount(), before);  // move never allocates
-  b();
+  b.run();
   EXPECT_EQ(out, 1);
 }
 
@@ -227,7 +246,7 @@ TEST(EventQueue, SteadyStateSchedulingReusesPooledNodes) {
   const std::size_t allocatedAfterFirst = q.allocatedNodes();
   for (int i = 0; i < 10000; ++i) {
     ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-    ev();
+    ev.run();
     q.schedule(when + 1, [&fired] { ++fired; });
   }
   EXPECT_EQ(q.allocatedNodes(), allocatedAfterFirst);  // free-list reuse
@@ -246,18 +265,18 @@ TEST(EventQueue, FarFutureEventsParkInTheOverflowHeap) {
   Cycle when = 0;
   InlineEvent ev;
   ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();  // the bucket event at 10
+  ev.run();  // the bucket event at 10
   ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();  // overflow event at 1500; window is now [1500, 1500+N)
+  ev.run();  // overflow event at 1500; window is now [1500, 1500+N)
   EXPECT_EQ(when, 1500u);
 
   // 2000 now lies inside the bucket window: a new event at the same cycle
   // must still run after the older overflow entry (seq tie-break).
   q.schedule(2000, [&order] { order.push_back(2); });
   ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();
+  ev.run();
   ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();
+  ev.run();
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
   EXPECT_TRUE(q.empty());
 }
