@@ -138,29 +138,25 @@ class InlineEvent {
     ~DestroyOnExit() { d->~D(); }
   };
 
+  // kRun, the per-event operation, is tested first so it costs one
+  // compare-and-branch.
   template <typename D>
   static void inlineThunk(Op op, void* obj, void* to) {
     D* d = std::launder(static_cast<D*>(obj));
-    switch (op) {
-      case Op::kRun:
-        if constexpr (std::is_trivially_destructible_v<D>) {
-          (*d)();
-        } else {
-          DestroyOnExit<D> guard{d};
-          (*d)();
-        }
-        return;
-      case Op::kDestroy:
-        d->~D();
-        return;
-      case Op::kRelocate:
-        if constexpr (std::is_trivially_copyable_v<D>) {
-          std::memcpy(to, obj, sizeof(D));
-        } else {
-          ::new (to) D(std::move(*d));
-          d->~D();
-        }
-        return;
+    if (op == Op::kRun) [[likely]] {
+      if constexpr (std::is_trivially_destructible_v<D>) {
+        (*d)();
+      } else {
+        DestroyOnExit<D> guard{d};
+        (*d)();
+      }
+    } else if (op == Op::kDestroy) {
+      d->~D();
+    } else if constexpr (std::is_trivially_copyable_v<D>) {
+      std::memcpy(to, obj, sizeof(D));
+    } else {
+      ::new (to) D(std::move(*d));
+      d->~D();
     }
   }
 
@@ -168,18 +164,13 @@ class InlineEvent {
   template <typename D>
   static void heapThunk(Op op, void* obj, void* to) {
     D* d = *std::launder(static_cast<D**>(obj));
-    switch (op) {
-      case Op::kRun: {
-        const std::unique_ptr<D> owner(d);
-        (*d)();
-        return;
-      }
-      case Op::kDestroy:
-        delete d;
-        return;
-      case Op::kRelocate:
-        ::new (to) D*(d);
-        return;
+    if (op == Op::kRun) [[likely]] {
+      const std::unique_ptr<D> owner(d);
+      (*d)();
+    } else if (op == Op::kDestroy) {
+      delete d;
+    } else {
+      ::new (to) D*(d);
     }
   }
 
