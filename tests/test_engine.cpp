@@ -167,14 +167,15 @@ TEST(Engine, ProgressProbeFiresEveryBoundaryBeforeTheEventsAtOrPastIt) {
   });
   e.scheduleAt(10, mark);  // on a boundary: fires after it
   e.scheduleAt(10, mark);
+  e.scheduleAt(20, mark);  // on the only boundary since the last firing
   e.scheduleAt(25, mark);
   e.scheduleAt(60, mark);  // past the horizon of the first runUntil
 
-  EXPECT_EQ(e.runUntil(50), 5u);
+  EXPECT_EQ(e.runUntil(50), 6u);
   const std::vector<Mark> first{
       {'E', 4, 4},   {'P', 5, 4},   {'P', 6, 4},   {'P', 7, 4},
       {'P', 10, 4},  {'E', 10, 10}, {'E', 10, 10}, {'P', 11, 10},
-      {'E', 12, 12}, {'P', 20, 12}, {'E', 25, 25}};
+      {'E', 12, 12}, {'P', 20, 12}, {'E', 20, 20}, {'E', 25, 25}};
   // Boundary 45 lies below the horizon, but no event at or past it runs
   // before the horizon, so neither it nor 55 fires yet.
   EXPECT_EQ(log, first);

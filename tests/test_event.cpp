@@ -206,20 +206,20 @@ TEST(EngineEvents, ThrowingEventIsDestroyedOnceAndDispatchContinues) {
   EXPECT_EQ(e.now(), 5u);
   EXPECT_EQ(e.pendingEvents(), 2u);
 
-  // The engine keeps dispatching, and the thrower's node went back to the
-  // pool: a long one-event-at-a-time chain allocates no further node.
-  const std::size_t nodes = e.allocatedEventNodes();
-  std::uint64_t chained = 0;
-  std::function<void()> link = [&] {
-    if (++chained < 5000) {
-      e.scheduleAfter(1, [&link] { link(); });
-    }
-  };
-  e.scheduleAt(6, [&link] { link(); });
-  e.run();
+  // The thrower's node went back to the pool: its one chunk holds the two
+  // pending events plus one new event per remaining node, with no second
+  // chunk. Then the engine keeps dispatching.
+  constexpr std::size_t kChunk = EventQueue::kNodesPerChunk;
+  ASSERT_EQ(e.allocatedEventNodes(), kChunk);
+  int filled = 0;
+  for (std::size_t i = 2; i < kChunk; ++i) {
+    e.scheduleAt(7, [&filled] { ++filled; });
+  }
+  EXPECT_EQ(e.allocatedEventNodes(), kChunk);
+  EXPECT_EQ(e.run(), kChunk);
   EXPECT_EQ(rest.invoked, 3);
-  EXPECT_EQ(chained, 5000u);
-  EXPECT_EQ(e.allocatedEventNodes(), nodes);
+  EXPECT_EQ(filled, static_cast<int>(kChunk) - 2);
+  EXPECT_EQ(e.allocatedEventNodes(), kChunk);
   EXPECT_EQ(rest.constructed, rest.destroyed);
   EXPECT_EQ(thrown.constructed, thrown.destroyed);
 }
