@@ -1,35 +1,24 @@
 #!/usr/bin/env python3
-"""Diff a fresh benchmark run against a committed baseline and gate on it.
+"""Diff a fresh experiment run against a committed baseline and gate on it.
 
 The counterpart to bench_record.py: where that script archives a run, this
-one fails CI when the run regressed. Reads two JSON documents of the same
-flavor and compares them series by series:
-
-  exp mode     colibri-exp documents (e.g. BENCH_wgen.json). The numbers
-               are simulated and bit-deterministic, so the gate is hard:
-               any per-label drop in aggregate ops/cycle beyond the
-               threshold fails, as does any rise in the per-op p99 latency
-               where the document reports one.
-  gbench mode  google-benchmark documents (e.g. BENCH_engine.json). Wall
-               clock varies across machines, so by default only series
-               present in both files are compared and --normalize divides
-               every rate by the file's geometric-mean rate first,
-               cancelling the machine-speed factor and gating only on
-               *relative* shape changes.
+one fails CI when the run regressed. Reads two colibri-exp JSON documents
+(e.g. BENCH_wgen.json) and compares them label by label. The numbers are
+simulated and bit-deterministic, so the gate is hard: any per-label drop
+in aggregate ops/cycle beyond the threshold fails, as does any rise in the
+per-op p99 latency where the document reports one.
 
 Exit status: 0 = within threshold, 1 = regression (or malformed input),
 2 = usage error. Improvements never fail.
 
 Usage:
-  scripts/bench_compare.py --mode exp BENCH_wgen.json fresh_wgen.json
-  scripts/bench_compare.py --mode gbench --normalize \\
-      BENCH_engine.json fresh_engine.json --threshold 0.10
+  scripts/bench_compare.py BENCH_wgen.json fresh_wgen.json
+  scripts/bench_compare.py --threshold 0 det_t1.json det_t4.json
   scripts/bench_compare.py --self-test      # exercises the gate itself
 """
 
 import argparse
 import json
-import math
 import sys
 
 
@@ -67,30 +56,9 @@ def exp_series(report):
     return series
 
 
-def gbench_series(report, normalize):
-    """name -> {"rate": items/s or 1/time} from a google-benchmark doc."""
-    series = {}
-    for b in report.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        rate = b.get("items_per_second")
-        if rate is None:
-            t = b.get("real_time")
-            rate = 1.0 / t if t else None
-        if rate:
-            series[b["name"]] = {"rate": rate}
-    if normalize and series:
-        gmean = math.exp(
-            sum(math.log(v["rate"]) for v in series.values()) / len(series)
-        )
-        for v in series.values():
-            v["rate"] /= gmean
-    return series
-
-
 # Per-metric direction: +1 = bigger is better (throughput), -1 = smaller is
 # better (latency).
-DIRECTION = {"opsPerCycle": 1, "rate": 1, "p99": -1}
+DIRECTION = {"opsPerCycle": 1, "p99": -1}
 
 
 def compare(base, cur, threshold):
@@ -161,42 +129,6 @@ def self_test(threshold):
     if not hit:
         print("bench_compare: self-test FAILED (missing series not flagged)")
         return 1
-
-    # Series names come from a real google-benchmark document shape:
-    # every argument label is its own gated series.
-    def gbench_doc(rates):
-        return {
-            "benchmarks": [
-                {
-                    "name": f"BM_EndToEndObsRecorder/observed:{k}",
-                    "run_type": "iteration",
-                    "items_per_second": r,
-                }
-                for k, r in rates.items()
-            ]
-        }
-
-    gbase = gbench_series(gbench_doc({0: 1.0e6, 1: 0.8e6}), False)
-    if sorted(gbase) != [
-        "BM_EndToEndObsRecorder/observed:0",
-        "BM_EndToEndObsRecorder/observed:1",
-    ]:
-        print("bench_compare: self-test FAILED (gbench labels lost)")
-        return 1
-    # Normalized mode cancels a uniform machine-speed factor but still
-    # catches one series falling off a cliff.
-    uniform = gbench_series(gbench_doc({0: 2.0e6, 1: 1.6e6}), True)
-    ok, _ = compare(gbench_series(gbench_doc({0: 1.0e6, 1: 0.8e6}), True),
-                    uniform, threshold)
-    if ok:
-        print("bench_compare: self-test FAILED (uniform speed change "
-              "flagged under --normalize)")
-        return 1
-    cliff = gbench_series(gbench_doc({0: 1.0e6, 1: 0.2e6}), False)
-    hit, _ = compare(gbase, cliff, threshold)
-    if not hit:
-        print("bench_compare: self-test FAILED (gbench collapse not flagged)")
-        return 1
     print("bench_compare: self-test passed")
     return 0
 
@@ -208,22 +140,10 @@ def main() -> int:
     parser.add_argument("baseline", nargs="?", help="committed baseline JSON")
     parser.add_argument("current", nargs="?", help="fresh run JSON")
     parser.add_argument(
-        "--mode",
-        choices=["gbench", "exp"],
-        default="exp",
-        help="document flavor (default: %(default)s)",
-    )
-    parser.add_argument(
         "--threshold",
         type=float,
         default=0.10,
         help="allowed fractional regression (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--normalize",
-        action="store_true",
-        help="gbench: divide rates by the file's geometric mean first "
-        "(compare shape, not machine speed)",
     )
     parser.add_argument(
         "--self-test",
@@ -242,12 +162,8 @@ def main() -> int:
     if base_doc is None or cur_doc is None:
         return 1
 
-    if args.mode == "exp":
-        base = exp_series(base_doc)
-        cur = exp_series(cur_doc)
-    else:
-        base = gbench_series(base_doc, args.normalize)
-        cur = gbench_series(cur_doc, args.normalize)
+    base = exp_series(base_doc)
+    cur = exp_series(cur_doc)
     if base is None or cur is None:
         return 1
     if not base:
@@ -257,8 +173,7 @@ def main() -> int:
     regressions, rows = compare(base, cur, args.threshold)
     width = max(len(name) for name, *_ in rows)
     print(f"bench_compare: {args.baseline} vs {args.current} "
-          f"(threshold {args.threshold:.0%}"
-          + (", normalized" if args.normalize else "") + ")")
+          f"(threshold {args.threshold:.0%})")
     for name, metric, b, c, verdict in rows:
         print(f"  {name:<{width}}  {metric:<12} {b:>12} -> {c:>12}  {verdict}")
     if regressions:

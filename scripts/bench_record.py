@@ -1,44 +1,22 @@
 #!/usr/bin/env python3
-"""Run a benchmark binary and archive its JSON output.
+"""Run an experiment bench and archive its colibri-exp JSON output.
 
-Seeds the repo's performance trajectory: CI runs this after every build
-and archives the results (BENCH_engine.json, BENCH_wgen.json), so
-throughput regressions show up as artifact diffs rather than anecdotes.
-
-Two modes:
-  gbench (default)  google-benchmark binary; passes --benchmark_format=json
-                    and summarizes per-benchmark iteration rows.
-  exp               a binary that prints a colibri-exp JSON document on
-                    stdout (e.g. `bench_wgen_contention --json`);
-                    validates the schema tag and summarizes per-run rates.
+Seeds the repo's simulated-results trajectory: CI runs this after every
+build and archives the result (BENCH_wgen.json), so a throughput drop shows
+up as an artifact diff rather than an anecdote. The binary must print a
+colibri-exp JSON document on stdout (e.g. `bench_wgen_contention --json`);
+the script validates the schema tag and summarizes per-run rates.
 
 Usage:
-  scripts/bench_record.py                         # engine bench, defaults
-  scripts/bench_record.py --bench build/bench_sim_engine \\
-      --out BENCH_engine.json --filter 'Engine|Construct' \\
-      -- --benchmark_min_time=0.5
-  scripts/bench_record.py --mode exp --bench build/bench_wgen_contention \\
-      --out BENCH_wgen.json -- --json
+  scripts/bench_record.py -- --json               # wgen sweep, defaults
+  scripts/bench_record.py --bench build/bench_wgen_contention \\
+      --out fresh_wgen.json -- --json
 """
 
 import argparse
 import json
 import subprocess
 import sys
-
-
-def summarize_gbench(report) -> list:
-    rows = []
-    for b in report.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        rate = (
-            f"{b['items_per_second'] / 1e6:10.2f} M items/s"
-            if b.get("items_per_second")
-            else ""
-        )
-        rows.append((b["name"], b.get("real_time"), b.get("time_unit", "ns"), rate))
-    return rows
 
 
 def summarize_exp(report) -> list:
@@ -53,8 +31,6 @@ def summarize_exp(report) -> list:
         (
             run.get("label", "?"),
             run.get("aggregate", {}).get("opsPerCycle", {}).get("mean"),
-            "ops/cycle",
-            "",
         )
         for run in report.get("runs", [])
     ]
@@ -66,24 +42,13 @@ def main() -> int:
     )
     parser.add_argument(
         "--bench",
-        default="build/bench_sim_engine",
+        default="build/bench_wgen_contention",
         help="benchmark binary to run (default: %(default)s)",
     )
     parser.add_argument(
         "--out",
-        default="BENCH_engine.json",
+        default="BENCH_wgen.json",
         help="output JSON path (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["gbench", "exp"],
-        default="gbench",
-        help="binary flavor: google-benchmark or colibri-exp JSON emitter",
-    )
-    parser.add_argument(
-        "--filter",
-        default="",
-        help="--benchmark_filter regex (gbench mode; default: all)",
     )
     parser.add_argument(
         "extra",
@@ -92,12 +57,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    cmd = [args.bench]
-    if args.mode == "gbench":
-        cmd.append("--benchmark_format=json")
-        if args.filter:
-            cmd.append(f"--benchmark_filter={args.filter}")
-    cmd += args.extra
+    cmd = [args.bench] + args.extra
 
     print(f"bench_record: running {' '.join(cmd)}", file=sys.stderr)
     try:
@@ -119,16 +79,16 @@ def main() -> int:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    rows = summarize_gbench(report) if args.mode == "gbench" else summarize_exp(report)
+    rows = summarize_exp(report)
     if not rows:
         print("bench_record: no benchmark results in output", file=sys.stderr)
         return 1
 
-    width = max(len(name) for name, *_ in rows)
+    width = max(len(name) for name, _ in rows)
     print(f"bench_record: wrote {args.out}")
-    for name, value, unit, rate in rows:
+    for name, value in rows:
         value_text = f"{value:12.4f}" if value is not None else " " * 12
-        print(f"  {name:<{width}}  {value_text} {unit}  {rate}")
+        print(f"  {name:<{width}}  {value_text} ops/cycle")
     return 0
 
 

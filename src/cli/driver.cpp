@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "exp/json.hpp"
-#include "fault/demo.hpp"
 #include "fault/fault.hpp"
 #include "fault/watchdog.hpp"
 #include "obs/recorder.hpp"
@@ -480,50 +479,6 @@ void printTable(const WorkloadEntry& entry, const Options& opts,
   emit(table, out, opts.csv);
 }
 
-/// --hang-demo: run the shared stranded-LR scenario (fault::runStrandedLr)
-/// and let the watchdog diagnose it. Exit 3 on a trip — the same code a
-/// real diagnosed hang produces — so scripts can tell "caught" apart from
-/// "ran silently" (0, watchdog disabled) and "hung past the horizon
-/// without a diagnosis" (1).
-int runHangDemo(const Options& opts, std::ostream& out, std::ostream& err) {
-  const auto adapter = exp::findAdapter("lrsc_single");
-  arch::SystemConfig cfg;
-  if (const auto geomError = buildConfig(opts, *adapter, cfg)) {
-    err << "colibri-sim: " << *geomError << "\n";
-    return 2;
-  }
-  maybeBanner(out, opts,
-              "colibri-sim: stranded-LR hang demo (lrsc_single, watchdog " +
-                  (cfg.watchdogCycles > 0
-                       ? std::to_string(cfg.watchdogCycles) + " cycles"
-                       : std::string("off")) +
-                  ")");
-  // A trip is bounded by limit + limit/8; double the limit is a safely
-  // bounded horizon. With the watchdog off, stop at the normal window end.
-  const sim::Cycle horizon = cfg.watchdogCycles > 0
-                                 ? 2 * cfg.watchdogCycles
-                                 : opts.warmup + opts.measure;
-  try {
-    fault::runStrandedLr(cfg, horizon);
-  } catch (const fault::WatchdogError& e) {
-    err << "colibri-sim: " << e.what();
-    out << "watchdog caught the hang at cycle " << e.trippedAt()
-        << " (limit " << cfg.watchdogCycles << ")\n";
-    return 3;
-  } catch (const sim::InvariantViolation& e) {
-    err << "colibri-sim: simulation invariant violated: " << e.what() << "\n";
-    return 1;
-  }
-  if (cfg.watchdogCycles == 0) {
-    out << "hang ran silently to cycle " << horizon
-        << " (watchdog disabled — this is the failure mode the watchdog "
-           "exists for)\n";
-    return 0;
-  }
-  out << "no watchdog trip by cycle " << horizon << " (unexpected)\n";
-  return 1;
-}
-
 std::string litmusAlgorithmList() {
   std::string names;
   for (const auto& info : litmus::algorithms()) {
@@ -694,9 +649,6 @@ void printScenarios(std::ostream& os, bool csv) {
 }
 
 int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
-  if (opts.hangDemo) {
-    return runHangDemo(opts, out, err);
-  }
   if (!opts.litmus.empty() || opts.litmusMatrix) {
     return runLitmusMode(opts, out, err);
   }

@@ -159,10 +159,6 @@ const std::map<std::string, Flag>& flagTable() {
        boolFlag("add the per-rep \"fault\" block (injected-fault counts) "
                 "to --json",
                 &Options::jsonFault)},
-      {"--hang-demo",
-       boolFlag("run the stranded-LR hang demo (a re-introduced "
-                "reservation leak) under the watchdog and exit",
-                &Options::hangDemo)},
       {"--litmus",
        stringFlag("run a litmus algorithm instead of a workload: dekker | "
                   "peterson | bakery | tas | naive | race | all",
@@ -285,7 +281,6 @@ void printUsage(std::ostream& os) {
         "  colibri-sim --litmus all --litmus-matrix --cores 16\n"
         "  colibri-sim --litmus dekker --unfenced --cores 16\n"
         "  colibri-sim --adapter colibri --workload histogram --fault chaos\n"
-        "  colibri-sim --hang-demo --cores 16 --watchdog 50000\n"
         "  colibri-sim --list\n";
 }
 

@@ -79,9 +79,6 @@ struct Options {
   std::uint64_t watchdog = 250'000;
   /// Add the per-rep "fault" block (injected-fault counts) to --json.
   bool jsonFault = false;
-  /// Run the stranded-LR hang demo instead of a workload: a re-introduced
-  /// reservation leak the watchdog catches and names.
-  bool hangDemo = false;
 
   // --- Litmus mode --------------------------------------------------------
   /// Litmus algorithm name ("dekker" | "peterson" | "bakery" | "tas" |

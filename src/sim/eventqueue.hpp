@@ -49,9 +49,12 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
   ~EventQueue() { clear(); }
 
-  /// Append an event; FIFO among events with equal `when`. `when` must be
-  /// >= the cycle of the most recently popped event. The callable is
-  /// constructed directly inside a pooled node — no intermediate moves.
+  /// Append an event; FIFO among events with equal `when`. Precondition,
+  /// not checked here: `when` >= the cycle of the most recently popped
+  /// event. Engine::scheduleAt, the only caller outside the tests,
+  /// enforces it by rejecting `when` < now(), and now() never falls below
+  /// that cycle. The callable is constructed directly inside a pooled
+  /// node — no intermediate moves.
   template <typename F>
   void schedule(Cycle when, F&& f);
 
@@ -177,8 +180,6 @@ class EventQueue {
 
 template <typename F>
 inline void EventQueue::schedule(Cycle when, F&& f) {
-  COLIBRI_CHECK_MSG(when >= cursor_, "schedule before the dispatch cursor: when="
-                                         << when << " cursor=" << cursor_);
   Node* n = allocNode();
   n->seq = nextSeq_++;
   n->next = nullptr;

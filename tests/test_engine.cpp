@@ -59,6 +59,12 @@ TEST(Engine, SchedulingIntoThePastThrows) {
     EXPECT_THROW(e.scheduleAt(5, [] {}), InvariantViolation);
   });
   e.run();
+  // runUntil moves now() past the last dispatched event (cycle 10), so a
+  // cycle between the two is past for the engine but not for its queue.
+  e.runUntil(20);
+  EXPECT_EQ(e.now(), 20u);
+  EXPECT_THROW(e.scheduleAt(15, [] {}), InvariantViolation);
+  EXPECT_EQ(e.pendingEvents(), 0u);
 }
 
 TEST(Engine, RunUntilStopsAtHorizonAndAdvancesNow) {

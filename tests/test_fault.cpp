@@ -2,21 +2,24 @@
 // contract (decisions are stateless hashes, so reruns and every
 // SweepRunner --threads value produce bit-identical schedules and
 // counts), the graceful-degradation guarantee (faults cost retries, never
-// correctness), and the watchdog's hang diagnosis (the stranded-LR demo is caught in
-// bounded simulated time with a blame report naming the owning core and
+// correctness), and the watchdog's hang diagnosis (a stranded LR is caught
+// in bounded simulated time with a blame report naming the owning core and
 // the reservation slot).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/system.hpp"
 #include "cli/driver.hpp"
-#include "fault/demo.hpp"
 #include "fault/fault.hpp"
 #include "fault/watchdog.hpp"
+#include "sim/random.hpp"
+#include "sim/task.hpp"
 #include "sync/atomic.hpp"
+#include "sync/backoff.hpp"
 
 namespace colibri::fault {
 namespace {
@@ -251,6 +254,46 @@ TEST(WatchdogTest, NoTripMeansNoEffect) {
   expectSameRun(off, on, "watchdog on vs off");
 }
 
+// A stranded-LR hang: a deliberately re-introduced protocol bug whose only
+// symptom is silence. Core 0 issues a raw LR and never the matching SC, so
+// on the single-slot adapter the bank's only reservation slot stays held by
+// core 0. Every other core's LR places no reservation, its SC fails, and
+// its fetchAdd loop spins forever without a productive retirement.
+sim::Task strandLr(arch::Core& core, sim::Addr a) {
+  (void)co_await core.lr(a);
+  co_return;  // no SC: the slot is never freed
+}
+
+sim::Task incrementForever(arch::Core& core, sim::Addr a,
+                           sim::Xoshiro256& rng) {
+  sync::Backoff backoff(sync::BackoffPolicy::fixed(32), rng);
+  for (;;) {
+    (void)co_await sync::fetchAdd(core, sync::RmwFlavor::kLrsc, a, 1,
+                                  backoff);
+  }
+}
+
+/// Run the stranded-LR hang on `cfg` (forced to kLrscSingle) until
+/// `horizon`. Throws WatchdogError iff the watchdog is enabled and trips.
+void runStrandedLr(arch::SystemConfig cfg, sim::Cycle horizon) {
+  cfg.adapter = arch::AdapterKind::kLrscSingle;
+  arch::System sys(cfg);
+  const sim::Addr counter = 0;
+  sys.poke(counter, 0);
+  std::vector<std::unique_ptr<sim::Xoshiro256>> rngs;
+  rngs.reserve(cfg.numCores);
+  for (sim::CoreId c = 0; c < cfg.numCores; ++c) {
+    rngs.push_back(std::make_unique<sim::Xoshiro256>(
+        sim::Xoshiro256::forStream(cfg.seed, c)));
+  }
+  sys.spawn(0, strandLr(sys.core(0), counter));
+  for (sim::CoreId c = 1; c < cfg.numCores; ++c) {
+    sys.spawn(c, incrementForever(sys.core(c), counter, *rngs[c]));
+  }
+  sys.runUntil(horizon);
+  sys.rethrowFailures();
+}
+
 // The payoff case: a re-introduced PR-7-style stranded-LR leak is caught
 // in bounded simulated time, and the blame report names the owning core
 // and the reservation slot.
@@ -278,7 +321,7 @@ TEST(WatchdogTest, CatchesStrandedLrWithBlame) {
   }
 }
 
-// With the watchdog disabled the demo reproduces the pre-watchdog
+// With the watchdog disabled the stranded LR reproduces the pre-watchdog
 // behavior: the hang runs silently to the horizon and returns.
 TEST(WatchdogTest, DisabledWatchdogLetsTheHangRunSilently) {
   auto cfg = twoGroups(arch::AdapterKind::kLrscSingle);
@@ -367,22 +410,6 @@ TEST(FaultCliTest, StatsLineReportsInjectionCounts) {
   const std::string stats = err.str();
   EXPECT_NE(stats.find("obs: fault.scFails = "), std::string::npos) << stats;
   EXPECT_NE(stats.find("obs: fault.seed = "), std::string::npos) << stats;
-}
-
-TEST(FaultCliTest, HangDemoExitsThreeWithBlame) {
-  std::ostringstream out;
-  std::ostringstream err;
-  const int rc = cli::runMain(
-      {"--hang-demo", "--cores", "16", "--cores-per-tile", "4",
-       "--tiles-per-group", "2", "--banks-per-tile", "4", "--watchdog",
-       "10000"},
-      out, err);
-  EXPECT_EQ(rc, 3);
-  EXPECT_NE(err.str().find("reservation slot held by core 0"),
-            std::string::npos)
-      << err.str();
-  EXPECT_NE(out.str().find("watchdog caught the hang"), std::string::npos)
-      << out.str();
 }
 
 // A quick litmus slice under chaos: mutual exclusion must hold (faults

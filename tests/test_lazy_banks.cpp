@@ -3,18 +3,29 @@
 // use: no Bank, adapter or link state exists until a request, a bank()
 // call or a blame report reaches it, and the Network holds nothing per
 // bank. Cores and Qnodes are built in place in one array each, and a bank
-// costs one pointer until it is built. This binary replaces the global
-// operator new to count allocations and their bytes, so it is kept apart
-// from the other suites.
+// costs one pointer until it is built. Running a workload costs a bounded
+// number of engine events and heap allocations per issued request (the
+// work-count gate at the end). This binary replaces the global operator
+// new to count allocations and their bytes, so it is kept apart from the
+// other suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <new>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "arch/system.hpp"
+#include "exp/run.hpp"
+#include "exp/scenario.hpp"
+#include "obs/recorder.hpp"
 #include "test_util.hpp"
+#include "wgen/presets.hpp"
 
 namespace {
 
@@ -189,6 +200,136 @@ INSTANTIATE_TEST_SUITE_P(Adapters, LazyBanks,
                          [](const auto& info) {
                            return test::paramName(toString(info.param));
                          });
+
+// --- Work per request --------------------------------------------------
+//
+// Exact, deterministic work counts for the workload shapes of the
+// end-to-end benchmark (bench/e2e), plus the amo and lrscwait histograms.
+// Each shape runs as colibri-sim runs it (default geometry, warmup, seed
+// and 128-cycle backoff) at two measurement windows, each on a fresh
+// System; differencing the two runs cancels construction, warmup and
+// drain. Per issued request, the engine events and the heap allocations
+// (one RMW coroutine frame per op) must stay at or below their bounds.
+// The bounds are upper bounds so that a compiler that elides coroutine
+// frames passes, and a change that removes work tightens them in its
+// own diff.
+
+struct WorkShape {
+  const char* name;
+  const char* adapter;   ///< registry adapter name
+  const char* workload;  ///< "histogram" (16 bins) or a wgen preset
+  std::uint32_t cores;
+  std::uint32_t tilesPerGroup;
+  double maxEventsPerRequest;
+  double maxAllocationsPerRequest;
+};
+
+void PrintTo(const WorkShape& shape, std::ostream* os) { *os << shape.name; }
+
+struct WorkCount {
+  double events = 0;
+  double requests = 0;
+  double allocations = 0;
+};
+
+exp::RunSpec specFor(const WorkShape& shape, std::uint64_t measure) {
+  const exp::AdapterSpec adapter = exp::findAdapter(shape.adapter).value();
+  SystemConfig base;
+  base.numCores = shape.cores;
+  base.tilesPerGroup = shape.tilesPerGroup;
+  exp::RunSpec spec;
+  spec.config = exp::configFor(adapter, base.lrscWaitQueueCapacity, base);
+  spec.window = workloads::MeasureWindow{2000, measure};
+  const auto backoff = sync::BackoffPolicy::fixed(128);
+  if (std::string(shape.workload) == "histogram") {
+    workloads::HistogramParams p;
+    p.bins = 16;
+    p.mode = exp::histogramModeFor(adapter);
+    p.backoff = backoff;
+    spec.params = p;
+  } else {
+    const wgen::Preset* preset = wgen::findPreset(shape.workload);
+    if (preset == nullptr) {
+      throw std::invalid_argument(shape.workload);
+    }
+    wgen::WgenParams p;
+    p.kernel = preset->spec;
+    p.backoff = backoff;
+    spec.params = p;
+  }
+  return spec;
+}
+
+/// Every --stats value of the recorder's run, keyed by metric name.
+std::map<std::string, double> statsOf(const obs::Recorder& recorder) {
+  std::ostringstream os;
+  recorder.printStats(os);
+  std::istringstream is(os.str());
+  std::map<std::string, double> stats;
+  std::string line;
+  while (std::getline(is, line)) {
+    const auto eq = line.find(" = ");
+    if (line.rfind("obs: ", 0) == 0 && eq != std::string::npos) {
+      stats[line.substr(5, eq - 5)] = std::stod(line.substr(eq + 3));
+    }
+  }
+  return stats;
+}
+
+WorkCount countWork(const WorkShape& shape, std::uint64_t measure) {
+  exp::RunSpec spec = specFor(shape, measure);
+  obs::Recorder recorder;
+  spec.config.recorder = &recorder;
+  const std::size_t before = gAllocations.load();
+  const exp::RunResult result = exp::runOne(spec);
+  const std::size_t allocations = gAllocations.load() - before;
+  EXPECT_TRUE(result.verified) << shape.name;
+  const auto stats = statsOf(recorder);
+  return {stats.at("engine.executedEvents"), stats.at("core.issuedOps"),
+          static_cast<double>(allocations)};
+}
+
+class WorkPerRequest : public ::testing::TestWithParam<WorkShape> {};
+
+TEST_P(WorkPerRequest, StaysWithinBounds) {
+  const WorkShape& shape = GetParam();
+  const WorkCount shortRun = countWork(shape, 20'000);
+  const WorkCount longRun = countWork(shape, 40'000);
+  const double requests = longRun.requests - shortRun.requests;
+  ASSERT_GT(requests, 0.0);
+  const double events = (longRun.events - shortRun.events) / requests;
+  const double allocations =
+      (longRun.allocations - shortRun.allocations) / requests;
+  std::printf("%s: %.6f events, %.6f allocations per issued request "
+              "(%.0f requests)\n",
+              shape.name, events, allocations, requests);
+  EXPECT_LE(events, shape.maxEventsPerRequest);
+  EXPECT_LE(allocations, shape.maxAllocationsPerRequest);
+}
+
+// Bounds: the ratios this test measured when it was added, rounded up at
+// the third decimal. Measured then, events and allocations per request:
+//   hist16_lrsc      4.999941  0.155666  (85,208 requests)
+//   hist16_colibri   6.448808  0.500000  (50,008; LRwait + SCwait per op)
+//   rw_colibri       5.019216  0.034977  (383,171; 90% loads, no frame)
+//   zipf4k_colibri   5.494646  0.500000  (26,334)
+//   hist16_amo       4.999994  1.000000  (169,716; one AMO per op)
+//   hist16_lrscwait  4.999864  0.700341  (73,360)
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, WorkPerRequest,
+    ::testing::Values(
+        WorkShape{"hist16_lrsc", "lrsc_single", "histogram", 256, 16, 5.000,
+                  0.156},
+        WorkShape{"hist16_colibri", "colibri", "histogram", 256, 16, 6.449,
+                  0.500},
+        WorkShape{"rw_colibri", "colibri", "readers_writers", 256, 16, 5.020,
+                  0.035},
+        WorkShape{"zipf4k_colibri", "colibri", "zipf_hot", 4096, 64, 5.495,
+                  0.500},
+        WorkShape{"hist16_amo", "amo", "histogram", 256, 16, 5.000, 1.000},
+        WorkShape{"hist16_lrscwait", "lrscwait", "histogram", 256, 16, 5.000,
+                  0.701}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace colibri::arch
