@@ -9,7 +9,8 @@
 // sharpens.
 //
 // `--json` dumps the whole sweep as a colibri-exp document instead of the
-// tables (scripts/bench_record.py archives it as BENCH_wgen.json in CI).
+// tables; the golden_bench_wgen_contention CTest compares that document
+// byte for byte with bench/golden/bench_wgen_contention.json.
 #include <iostream>
 #include <string>
 #include <vector>

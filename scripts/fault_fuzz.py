@@ -3,7 +3,8 @@
 
 Each trial draws an adapter, a workload, a simulation seed, a fault
 profile and a 64-bit fault seed from a seeded RNG, runs colibri-sim with
---json --json-fault, and checks three things:
+--json (each rep of a run with faults on carries a "fault" block), and
+checks three things:
 
   1. the run exits 0 (no invariant violation, no watchdog trip),
   2. every repetition reports "verified": true (faults cost retries,
@@ -52,7 +53,7 @@ def make_trial(rng):
         "--seed", str(rng.getrandbits(32) | 1),
         "--fault", rng.choice(PROFILES),
         "--fault-seed", str(rng.getrandbits(64) | 1),
-        "--json", "--json-fault",
+        "--json",
     ]
 
 
@@ -79,7 +80,7 @@ def verdict(returncode, stdout):
                 return False, f"rep seed={rep.get('seed')} not verified"
             fault = rep.get("fault")
             if fault is None:
-                return False, "--json-fault block missing"
+                return False, "fault block missing"
             if fault.get("seed", 0) == 0:
                 return False, "fault.seed is 0 with a profile active"
     return True, "ok"
@@ -141,7 +142,7 @@ def self_test():
         print("fault_fuzz: self-test FAILED (meta-seed ignored)")
         return 1
     for trial in a:
-        for flag in ("--adapter", "--fault", "--fault-seed", "--json-fault"):
+        for flag in ("--adapter", "--fault", "--fault-seed"):
             if flag not in trial:
                 print(f"fault_fuzz: self-test FAILED ({flag} missing)")
                 return 1

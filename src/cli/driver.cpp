@@ -7,6 +7,7 @@
 #include <map>
 #include <numeric>
 #include <ostream>
+#include <stdexcept>
 #include <string_view>
 
 #include "exp/json.hpp"
@@ -648,53 +649,43 @@ void printScenarios(std::ostream& os, bool csv) {
   }
 }
 
-int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
-  if (!opts.litmus.empty() || opts.litmusMatrix) {
-    return runLitmusMode(opts, out, err);
-  }
+std::optional<std::string> buildSpec(const Options& opts,
+                                     exp::RunSpec& spec) {
   const auto adapter = exp::findAdapter(opts.adapter);
   if (!adapter) {
-    err << "colibri-sim: unknown adapter '" << opts.adapter
-        << "' (choose from: " << exp::adapterNameList() << ")\n";
-    return 2;
+    return "unknown adapter '" + opts.adapter +
+           "' (choose from: " + exp::adapterNameList() + ")";
   }
-  const auto workload = exp::findWorkload(opts.workload);
-  if (!workload) {
-    err << "colibri-sim: unknown workload '" << opts.workload
-        << "' (choose from: " << exp::workloadNameList() << ")\n";
-    return 2;
+  if (!exp::findWorkload(opts.workload)) {
+    return "unknown workload '" + opts.workload +
+           "' (choose from: " + exp::workloadNameList() + ")";
   }
   const auto scenario = exp::findScenario(opts.adapter, opts.workload);
   if (scenario && !scenario->supported) {
-    err << "colibri-sim: scenario " << opts.adapter << " x " << opts.workload
-        << " is not runnable (" << scenario->whyUnsupported << "); see "
-           "--list\n";
-    return 2;
+    return "scenario " + opts.adapter + " x " + opts.workload +
+           " is not runnable (" + scenario->whyUnsupported + "); see --list";
   }
 
   arch::SystemConfig cfg;
-  if (const auto geomError = buildConfig(opts, *adapter, cfg)) {
-    err << "colibri-sim: " << *geomError << "\n";
-    return 2;
+  if (auto geomError = buildConfig(opts, *adapter, cfg)) {
+    return geomError;
   }
 
   const auto* entry = findEntry(opts.workload);
   if (entry == nullptr) {
-    err << "colibri-sim: workload '" << opts.workload
-        << "' is registered but has no runner (internal error)\n";
-    return 1;
+    throw std::logic_error("workload '" + opts.workload +
+                           "' is registered but has no runner (internal "
+                           "error)");
   }
   if (entry->check != nullptr) {
-    if (const auto knobError = entry->check(opts, *adapter)) {
-      err << "colibri-sim: " << *knobError << "\n";
-      return 2;
+    if (auto knobError = entry->check(opts, *adapter)) {
+      return knobError;
     }
   }
   if (opts.reps == 0) {
-    err << "colibri-sim: --reps must be >= 1\n";
-    return 2;
+    return "--reps must be >= 1";
   }
-  exp::RunSpec spec;
+  spec = exp::RunSpec{};
   spec.label = opts.adapter + "/" + opts.workload;
   spec.workload = opts.workload;
   spec.config = cfg;
@@ -705,18 +696,29 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
   if (opts.measure == 0 && exp::isWindowed(spec.params)) {
     // Windowed workloads report rates over the measurement window; an
     // empty window would print 0 ops/cycle as a verified result.
-    err << "colibri-sim: --measure must be >= 1 for workload '"
-        << opts.workload << "'\n";
-    return 2;
+    return "--measure must be >= 1 for workload '" + opts.workload + "'";
   }
   if (opts.hotFraction > 1.0) {
-    err << "colibri-sim: --hot-fraction must be <= 1\n";
-    return 2;
+    return "--hot-fraction must be <= 1";
   }
-  if (const auto e = spmError(spec)) {
-    err << "colibri-sim: " << *e << "\n";
-    return 2;
+  return spmError(spec);
+}
+
+int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
+  if (!opts.litmus.empty() || opts.litmusMatrix) {
+    return runLitmusMode(opts, out, err);
   }
+  exp::RunSpec spec;
+  try {
+    if (const auto e = buildSpec(opts, spec)) {
+      err << "colibri-sim: " << *e << "\n";
+      return 2;
+    }
+  } catch (const std::logic_error& e) {
+    err << "colibri-sim: " << e.what() << "\n";
+    return 1;
+  }
+  const auto& entry = *findEntry(opts.workload);
   if (opts.csv && opts.json) {
     err << "colibri-sim: choose one of --csv and --json\n";
     return 2;
@@ -732,10 +734,6 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
   }
   if (opts.traceSample == 0) {
     err << "colibri-sim: --trace-sample must be >= 1\n";
-    return 2;
-  }
-  if (opts.jsonFault && !opts.json) {
-    err << "colibri-sim: --json-fault requires --json\n";
     return 2;
   }
 
@@ -764,10 +762,9 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     if (opts.json) {
       exp::JsonOptions jsonOpts;
       jsonOpts.recorder = wantSampling ? &recorder : nullptr;
-      jsonOpts.faultBlock = opts.jsonFault;
       exp::writeJson(out, specs, results, jsonOpts);
     } else {
-      printTable(*entry, opts, specs.front(), res, out);
+      printTable(entry, opts, specs.front(), res, out);
     }
     if (!opts.metricsCsv.empty()) {
       std::ofstream f(opts.metricsCsv, std::ios::binary);

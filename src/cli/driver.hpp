@@ -3,11 +3,13 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/config.hpp"
 #include "cli/options.hpp"
+#include "exp/run.hpp"
 #include "exp/scenario.hpp"
 
 namespace colibri::cli {
@@ -17,6 +19,13 @@ namespace colibri::cli {
 [[nodiscard]] std::optional<std::string> buildConfig(
     const Options& opts, const exp::AdapterSpec& adapter,
     arch::SystemConfig& cfg);
+
+/// Build the RunSpec that colibri-sim runs for the options (litmus modes
+/// aside). Returns a usage error (exit 2) and leaves `spec` unspecified
+/// when a flag is invalid; throws std::logic_error when a registered
+/// workload has no runner, which is a bug in the driver (exit 1).
+[[nodiscard]] std::optional<std::string> buildSpec(const Options& opts,
+                                                   exp::RunSpec& spec);
 
 /// Print the scenario registry (the --list output).
 void printScenarios(std::ostream& os, bool csv);

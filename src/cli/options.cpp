@@ -155,10 +155,6 @@ const std::map<std::string, Flag>& flagTable() {
                   "without productive progress; 0 disables (default "
                   "250000)",
                   &Options::watchdog)},
-      {"--json-fault",
-       boolFlag("add the per-rep \"fault\" block (injected-fault counts) "
-                "to --json",
-                &Options::jsonFault)},
       {"--litmus",
        stringFlag("run a litmus algorithm instead of a workload: dekker | "
                   "peterson | bakery | tas | naive | race | all",

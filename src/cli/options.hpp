@@ -77,8 +77,6 @@ struct Options {
   /// Watchdog limit in cycles (no productive retirement for this long with
   /// tasks outstanding = diagnosed hang, exit 3). 0 disables.
   std::uint64_t watchdog = 250'000;
-  /// Add the per-rep "fault" block (injected-fault counts) to --json.
-  bool jsonFault = false;
 
   // --- Litmus mode --------------------------------------------------------
   /// Litmus algorithm name ("dekker" | "peterson" | "bakery" | "tas" |

@@ -52,8 +52,7 @@ void writeCounters(report::JsonWriter& w,
   w.endObject();
 }
 
-void writeRep(report::JsonWriter& w, const RunResult& r,
-              const JsonOptions& opts) {
+void writeRep(report::JsonWriter& w, const RunResult& r) {
   w.beginObject();
   w.kv("seed", r.seed)
       .kv("opsPerCycle", r.rate.opsPerCycle)
@@ -90,9 +89,9 @@ void writeRep(report::JsonWriter& w, const RunResult& r,
     w.endObject();
   }
   writeCounters(w, r.rate.counters);
-  if (opts.faultBlock) {
-    // Opt-in (--json-fault): deterministic, but absent by default so the
-    // schema is unchanged for consumers that never asked for faults.
+  if (r.faultSeed != 0) {
+    // Only runs that injected faults carry the block, so documents with
+    // injection off keep their bytes.
     w.key("fault").beginObject();
     w.kv("seed", r.faultSeed)
         .kv("netDelays", r.faultCounters.at(fault::Site::kNetDelay))
@@ -118,8 +117,9 @@ void writeJson(std::ostream& os, const std::vector<RunSpec>& specs,
   COLIBRI_CHECK(specs.size() == results.size());
   report::JsonWriter w(os);
   w.beginObject();
-  // v2 = v1 plus the optional per-rep "opLatency" block (wgen kernels)
-  // and the opt-in "fault" / "timeseries" extensions (JsonOptions).
+  // v2 = v1 plus the optional per-rep "opLatency" block (wgen kernels),
+  // the per-rep "fault" block (runs with injection on) and the opt-in
+  // "timeseries" extension (JsonOptions).
   w.kv("schema", "colibri-exp-v2");
   w.key("runs").beginArray();
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -136,7 +136,7 @@ void writeJson(std::ostream& os, const std::vector<RunSpec>& specs,
     writeConfig(w, spec.config);
     w.key("reps").beginArray();
     for (const auto& rep : res.reps) {
-      writeRep(w, rep, opts);
+      writeRep(w, rep);
     }
     w.endArray();
     w.key("aggregate").beginObject();

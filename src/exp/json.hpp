@@ -18,17 +18,12 @@ class Recorder;
 
 namespace colibri::exp {
 
-/// Opt-in extensions to the colibri-exp-v2 document. Both default to off
-/// because they change emitted bytes: `timeseries` only exists when a
-/// recorder sampled, and `fault` only matters with injection on.
+/// Opt-in extension to the colibri-exp-v2 document, off by default
+/// because it changes emitted bytes.
 struct JsonOptions {
   /// Emit the recorder's `timeseries` block (interval samples +
   /// histograms) after the runs array.
   const obs::Recorder* recorder = nullptr;
-  /// Emit a per-rep `fault` object (injected-fault counts + resolved
-  /// seed). Deterministic across reruns and sweep-thread counts, but
-  /// opt-in so default documents are byte-identical with injection off.
-  bool faultBlock = false;
 };
 
 /// Serialize one sweep: specs[i] produced results[i] (sizes must match).

@@ -119,9 +119,8 @@ struct RunResult {
 
   /// Per-site injected-fault counts over the window (all zero with
   /// injection off). Deterministic — identical across reruns and
-  /// sweep-thread counts — but serialized only under
-  /// exp::JsonOptions::faultBlock / --json-fault so default outputs and
-  /// goldens are untouched by the fault subsystem's existence.
+  /// sweep-thread counts — and serialized only when faultSeed != 0, so
+  /// outputs with injection off are untouched by the fault subsystem.
   fault::FaultCounters faultCounters{};
   /// The resolved fault seed the run used (0 = injection off).
   std::uint64_t faultSeed = 0;

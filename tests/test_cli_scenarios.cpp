@@ -144,13 +144,14 @@ TEST(CliDriver, StatsFlagPrintsCountersToStderrOnly) {
 }
 
 TEST(CliDriver, UnknownFlagExitsNonzeroViaMain) {
-  // Includes the retired parallel-engine and hang-demo flags, which must
-  // not linger as silently accepted no-ops.
+  // Includes the retired parallel-engine, hang-demo and json-fault flags,
+  // which must not linger as silently accepted no-ops.
   for (const std::vector<std::string>& args :
        {std::vector<std::string>{"--frobnicate"},
         std::vector<std::string>{"--engine-threads", "4"},
         std::vector<std::string>{"--json", "--json-engine"},
-        std::vector<std::string>{"--hang-demo"}}) {
+        std::vector<std::string>{"--hang-demo"},
+        std::vector<std::string>{"--json", "--json-fault"}}) {
     std::ostringstream out, err;
     EXPECT_EQ(runMain(args, out, err), 2) << args.back();
     EXPECT_NE(err.str().find("unknown"), std::string::npos) << err.str();

@@ -342,8 +342,8 @@ TEST(FaultCliTest, JsonWithFaultBlockIsIdenticalAcrossThreadsAndReruns) {
   // Two reps, so --threads 4 really runs them on separate workers.
   auto run = [](const char* threads) {
     auto args = baseArgs("lrsc_single");
-    for (const char* extra : {"--fault", "chaos", "--json", "--json-fault",
-                              "--reps", "2", "--threads", threads}) {
+    for (const char* extra : {"--fault", "chaos", "--json", "--reps", "2",
+                              "--threads", threads}) {
       args.emplace_back(extra);
     }
     std::ostringstream out;
@@ -387,8 +387,7 @@ TEST(FaultCliTest, BadFaultFlagsAreUsageErrors) {
   for (const Case& kase :
        {Case{{"--fault", "nonsense"}, "net_jitter"},  // lists the profiles
         Case{{"--fault-sc-fail", "1.5"}, "--fault-sc-fail"},
-        Case{{"--fault-net-delay", "0.5"}, "--fault-net-delay"},
-        Case{{"--json-fault"}, "--json"}}) {
+        Case{{"--fault-net-delay", "0.5"}, "--fault-net-delay"}}) {
     auto args = baseArgs("lrsc_single");
     args.insert(args.end(), kase.extra.begin(), kase.extra.end());
     std::ostringstream out;

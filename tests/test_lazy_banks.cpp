@@ -19,13 +19,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "arch/system.hpp"
+#include "cli/driver.hpp"
 #include "exp/run.hpp"
-#include "exp/scenario.hpp"
 #include "obs/recorder.hpp"
 #include "test_util.hpp"
-#include "wgen/presets.hpp"
 
 namespace {
 
@@ -205,21 +205,18 @@ INSTANTIATE_TEST_SUITE_P(Adapters, LazyBanks,
 //
 // Exact, deterministic work counts for the workload shapes of the
 // end-to-end benchmark (bench/e2e), plus the amo and lrscwait histograms.
-// Each shape runs as colibri-sim runs it (default geometry, warmup, seed
-// and 128-cycle backoff) at two measurement windows, each on a fresh
-// System; differencing the two runs cancels construction, warmup and
-// drain. Per issued request, the engine events and the heap allocations
-// (one RMW coroutine frame per op) must stay at or below their bounds.
-// The bounds are upper bounds so that a compiler that elides coroutine
-// frames passes, and a change that removes work tightens them in its
-// own diff.
+// Each shape is a colibri-sim command line, turned into the run it names
+// by the CLI's own cli::buildSpec, and runs at two measurement windows,
+// each on a fresh System; differencing the two runs cancels construction,
+// warmup and drain. Per issued request, the engine events and the heap
+// allocations (one RMW coroutine frame per op) must stay at or below their
+// bounds. The bounds are upper bounds so that a compiler that elides
+// coroutine frames passes, and a change that removes work tightens them in
+// its own diff.
 
 struct WorkShape {
   const char* name;
-  const char* adapter;   ///< registry adapter name
-  const char* workload;  ///< "histogram" (16 bins) or a wgen preset
-  std::uint32_t cores;
-  std::uint32_t tilesPerGroup;
+  std::vector<std::string> args;  ///< colibri-sim flags, --measure aside
   double maxEventsPerRequest;
   double maxAllocationsPerRequest;
 };
@@ -231,34 +228,6 @@ struct WorkCount {
   double requests = 0;
   double allocations = 0;
 };
-
-exp::RunSpec specFor(const WorkShape& shape, std::uint64_t measure) {
-  const exp::AdapterSpec adapter = exp::findAdapter(shape.adapter).value();
-  SystemConfig base;
-  base.numCores = shape.cores;
-  base.tilesPerGroup = shape.tilesPerGroup;
-  exp::RunSpec spec;
-  spec.config = exp::configFor(adapter, base.lrscWaitQueueCapacity, base);
-  spec.window = workloads::MeasureWindow{2000, measure};
-  const auto backoff = sync::BackoffPolicy::fixed(128);
-  if (std::string(shape.workload) == "histogram") {
-    workloads::HistogramParams p;
-    p.bins = 16;
-    p.mode = exp::histogramModeFor(adapter);
-    p.backoff = backoff;
-    spec.params = p;
-  } else {
-    const wgen::Preset* preset = wgen::findPreset(shape.workload);
-    if (preset == nullptr) {
-      throw std::invalid_argument(shape.workload);
-    }
-    wgen::WgenParams p;
-    p.kernel = preset->spec;
-    p.backoff = backoff;
-    spec.params = p;
-  }
-  return spec;
-}
 
 /// Every --stats value of the recorder's run, keyed by metric name.
 std::map<std::string, double> statsOf(const obs::Recorder& recorder) {
@@ -277,7 +246,14 @@ std::map<std::string, double> statsOf(const obs::Recorder& recorder) {
 }
 
 WorkCount countWork(const WorkShape& shape, std::uint64_t measure) {
-  exp::RunSpec spec = specFor(shape, measure);
+  auto args = shape.args;
+  args.insert(args.end(), {"--measure", std::to_string(measure)});
+  const cli::ParseResult parsed = cli::parseArgs(args);
+  exp::RunSpec spec;
+  if (auto error = parsed.error ? parsed.error
+                                : cli::buildSpec(parsed.options, spec)) {
+    throw std::invalid_argument(*error);
+  }
   obs::Recorder recorder;
   spec.config.recorder = &recorder;
   const std::size_t before = gAllocations.load();
@@ -318,17 +294,29 @@ TEST_P(WorkPerRequest, StaysWithinBounds) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, WorkPerRequest,
     ::testing::Values(
-        WorkShape{"hist16_lrsc", "lrsc_single", "histogram", 256, 16, 5.000,
-                  0.156},
-        WorkShape{"hist16_colibri", "colibri", "histogram", 256, 16, 6.449,
-                  0.500},
-        WorkShape{"rw_colibri", "colibri", "readers_writers", 256, 16, 5.020,
-                  0.035},
-        WorkShape{"zipf4k_colibri", "colibri", "zipf_hot", 4096, 64, 5.495,
-                  0.500},
-        WorkShape{"hist16_amo", "amo", "histogram", 256, 16, 5.000, 1.000},
-        WorkShape{"hist16_lrscwait", "lrscwait", "histogram", 256, 16, 5.000,
-                  0.701}),
+        WorkShape{"hist16_lrsc",
+                  {"--adapter", "lrsc_single", "--workload", "histogram",
+                   "--bins", "16"},
+                  5.000, 0.156},
+        WorkShape{"hist16_colibri",
+                  {"--adapter", "colibri", "--workload", "histogram",
+                   "--bins", "16"},
+                  6.449, 0.500},
+        WorkShape{"rw_colibri",
+                  {"--adapter", "colibri", "--workload", "readers_writers"},
+                  5.020, 0.035},
+        WorkShape{"zipf4k_colibri",
+                  {"--adapter", "colibri", "--workload", "zipf_hot",
+                   "--cores", "4096", "--tiles-per-group", "64"},
+                  5.495, 0.500},
+        WorkShape{"hist16_amo",
+                  {"--adapter", "amo", "--workload", "histogram", "--bins",
+                   "16"},
+                  5.000, 1.000},
+        WorkShape{"hist16_lrscwait",
+                  {"--adapter", "lrscwait", "--workload", "histogram",
+                   "--bins", "16"},
+                  5.000, 0.701}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
