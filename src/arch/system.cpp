@@ -331,7 +331,7 @@ std::string System::blameReport(sim::Cycle now) {
     }
     ++shown;
     os << "  core " << c << ": ";
-    if (core.pendingHandle_ != nullptr) {
+    if (core.hasOutstandingOp()) {
       const BankId b = alloc_.map().bankOf(core.pendingAddr_);
       os << "waiting on " << toString(core.pendingKind_) << " to addr "
          << core.pendingAddr_ << " (bank " << b << ") since cycle "

@@ -8,35 +8,31 @@
 
 namespace colibri::atomics {
 
-bool LrscWaitAdapter::hasEarlierForAddr(std::list<Entry>::const_iterator it,
-                                        Addr a) const {
-  for (auto j = queue_.begin(); j != it; ++j) {
-    if (j->addr == a) {
-      return true;
-    }
-  }
-  return false;
+bool LrscWaitAdapter::hasEarlierForAddr(std::size_t i, Addr a) const {
+  return std::any_of(queue_.begin(), queue_.begin() + i,
+                     [a](const Entry& e) { return e.addr == a; });
 }
 
-bool LrscWaitAdapter::serve(std::list<Entry>::iterator it) {
-  COLIBRI_CHECK(!it->served);
-  if (it->isMwait) {
-    const Word cur = ctx_.read(it->addr);
-    if (cur != it->expected) {
+bool LrscWaitAdapter::serve(std::size_t i) {
+  Entry& e = queue_[i];
+  COLIBRI_CHECK(!e.served);
+  if (e.isMwait) {
+    const Word cur = ctx_.read(e.addr);
+    if (cur != e.expected) {
       // The change already happened: notify immediately (Section III-C).
       ++stats_.mwaitWakes;
-      ctx_.respond(it->core, MemResponse{cur, true, true});
-      queue_.erase(it);
+      ctx_.respond(e.core, MemResponse{cur, true, true});
+      queue_.erase(queue_.begin() + i);
       return true;
     }
-    it->served = true;  // monitoring; a write will wake it
+    e.served = true;  // monitoring; a write will wake it
     return false;
   }
   // LRwait: grant — respond with the current value and hold a reservation.
-  it->served = true;
-  it->resvValid = true;
+  e.served = true;
+  e.resvValid = true;
   ++stats_.lrGrants;
-  ctx_.respond(it->core, MemResponse{ctx_.read(it->addr), true, true});
+  ctx_.respond(e.core, MemResponse{ctx_.read(e.addr), true, true});
   return false;
 }
 
@@ -44,10 +40,10 @@ void LrscWaitAdapter::pump() {
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (!it->served && !hasEarlierForAddr(it, it->addr)) {
-        if (serve(it)) {
-          progressed = true;  // iterator invalidated; rescan
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      if (!queue_[i].served && !hasEarlierForAddr(i, queue_[i].addr)) {
+        if (serve(i)) {
+          progressed = true;  // entry removed; rescan
           break;
         }
       }

@@ -13,8 +13,9 @@
 // the adapter, which is why its hardware cost (Table I) grows with q.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
+#include <vector>
 
 #include "atomics/adapter.hpp"
 
@@ -51,15 +52,16 @@ class LrscWaitAdapter final : public AtomicAdapter {
   /// entries (Mwait immediate wake), so it loops to a fixed point.
   void pump();
 
-  /// Serve one entry (must be the oldest for its address). Returns true if
+  /// Serve entry `i` (must be the oldest for its address). Returns true if
   /// the entry was consumed (removed from the queue).
-  bool serve(std::list<Entry>::iterator it);
+  bool serve(std::size_t i);
 
-  [[nodiscard]] bool hasEarlierForAddr(std::list<Entry>::const_iterator it,
-                                       Addr a) const;
+  [[nodiscard]] bool hasEarlierForAddr(std::size_t i, Addr a) const;
 
   std::uint32_t capacity_;
-  std::list<Entry> queue_;  // FIFO arrival order
+  /// FIFO arrival order; erased in place. Its storage grows to the peak
+  /// occupancy once and is reused, so an enqueue allocates nothing.
+  std::vector<Entry> queue_;
 };
 
 }  // namespace colibri::atomics

@@ -25,9 +25,8 @@ sim::Cycle Core::nextIssueCycle() const {
   return earliest > now ? earliest : now;
 }
 
-void Core::issue(const MemRequest& req, std::coroutine_handle<> h,
-                 MemResponse* out) {
-  COLIBRI_CHECK_MSG(pendingHandle_ == nullptr,
+sim::Cycle Core::claimIssueSlot(const MemRequest& req) {
+  COLIBRI_CHECK_MSG(!hasOutstandingOp(),
                     "core " << id_ << " has an outstanding op (single-issue)");
   ++stats_.issued;
 
@@ -36,7 +35,8 @@ void Core::issue(const MemRequest& req, std::coroutine_handle<> h,
   lastIssue_ = depart;
 
   // Tracing happens here, at issue time, never inside the departure
-  // closures below — they must stay within the inline event buffer.
+  // closures of post and issue — they must stay within the inline event
+  // buffer.
   if (hooks_ != nullptr && hooks_->tracer != nullptr) {
     if (req.kind == OpKind::kStore) {
       hooks_->tracer->onPosted(id_, toString(req.kind), depart);
@@ -44,21 +44,25 @@ void Core::issue(const MemRequest& req, std::coroutine_handle<> h,
       hooks_->tracer->onIssue(id_, toString(req.kind), depart);
     }
   }
+  return depart;
+}
 
-  if (req.kind == OpKind::kStore) {
-    // Posted store: the request travels on its own; the core continues
-    // right after the issue slot.
-    auto depart_ev = [this, req, h] {
-      sys_.injectRequest(id_, req);
-      h.resume();
-    };
-    static_assert(sim::InlineEvent::fitsInline<decltype(depart_ev)>,
-                  "posted-store closure must fit the inline event buffer");
-    sys_.engine().scheduleAt(depart, std::move(depart_ev));
-    return;
-  }
+void Core::post(const MemRequest& req, std::coroutine_handle<> h) {
+  const Cycle depart = claimIssueSlot(req);
+  // Posted store: the request travels on its own; the core continues
+  // right after the issue slot.
+  auto depart_ev = [this, req, h] {
+    sys_.injectRequest(id_, req);
+    h.resume();
+  };
+  static_assert(sim::InlineEvent::fitsInline<decltype(depart_ev)>,
+                "posted-store closure must fit the inline event buffer");
+  sys_.engine().scheduleAt(depart, std::move(depart_ev));
+}
 
-  pendingHandle_ = h;
+void Core::issue(const MemRequest& req, Resume k, MemResponse* out) {
+  const Cycle depart = claimIssueSlot(req);
+  pending_ = k;
   pendingOut_ = out;
   pendingKind_ = req.kind;
   pendingAddr_ = req.addr;
@@ -84,7 +88,7 @@ void Core::issue(const MemRequest& req, std::coroutine_handle<> h,
 }
 
 void Core::complete(const MemResponse& r) {
-  COLIBRI_CHECK_MSG(pendingHandle_ != nullptr,
+  COLIBRI_CHECK_MSG(hasOutstandingOp(),
                     "response delivered to core " << id_
                                                   << " with no pending op");
   const Cycle waited = sys_.engine().now() - pendingSince_;
@@ -117,25 +121,28 @@ void Core::complete(const MemResponse& r) {
   }
 
   // Productive-retirement bookkeeping for the watchdog: reservation
-  // acquires (LR/LRwait) and failed SC/SCwait are the ops a livelocked
-  // retry loop retires forever, so they do not count as progress.
-  const OpKind k = pendingKind_;
+  // acquires (LR/LRwait), failed SC/SCwait and Mwaits refused by a full
+  // queue are the ops a livelocked retry loop retires forever, so they do
+  // not count as progress.
+  const OpKind kind = pendingKind_;
   const bool productive =
-      k != OpKind::kLr && k != OpKind::kLrWait &&
-      ((k != OpKind::kSc && k != OpKind::kScWait) || r.ok);
+      kind != OpKind::kLr && kind != OpKind::kLrWait &&
+      ((kind != OpKind::kSc && kind != OpKind::kScWait &&
+        kind != OpKind::kMwait) ||
+       r.ok);
   if (productive) {
     lastProductive_ = sys_.engine().now();
   }
 
-  auto h = pendingHandle_;
+  const Resume k = pending_;
   *pendingOut_ = r;
-  pendingHandle_ = nullptr;
+  pending_ = {};
   pendingOut_ = nullptr;
-  h.resume();
+  k();
   task_.rethrowIfFailed();
 }
 
-void Core::delayed(Cycle n, std::coroutine_handle<> h) {
+void Core::delayed(Cycle n, Resume k) {
   stats_.computeCycles += n;
   // Compute occupies the issue pipeline: the next memory op cannot depart
   // before the computation ends.
@@ -146,8 +153,8 @@ void Core::delayed(Cycle n, std::coroutine_handle<> h) {
     hasIssued_ = true;
     lastIssue_ = issueMark;
   }
-  auto resume_ev = [this, h] {
-    h.resume();
+  auto resume_ev = [this, k] {
+    k();
     task_.rethrowIfFailed();
   };
   static_assert(sim::InlineEvent::fitsInline<decltype(resume_ev)>,

@@ -14,6 +14,11 @@
 //
 // The Qnode hooks fire when an operation physically passes the core's
 // Qnode (at request departure), matching the Colibri protocol ordering.
+//
+// The core's one pending continuation is a `Resume` — a plain function and
+// its context — so a multi-step primitive (sync::fetchAdd) can chain its
+// memory ops and delays through callbacks without a coroutine frame of its
+// own; a coroutine awaiting a single op wraps its handle in one.
 #pragma once
 
 #include <coroutine>
@@ -35,6 +40,19 @@ namespace colibri::arch {
 class System;
 
 using sim::Cycle;
+
+/// A continuation: `fn(ctx)` runs when the awaited op or delay is done.
+struct Resume {
+  void (*fn)(void*) = nullptr;
+  void* ctx = nullptr;
+
+  /// Resume the suspended coroutine `h`.
+  static Resume of(std::coroutine_handle<> h) {
+    return {[](void* p) { std::coroutine_handle<>::from_address(p).resume(); },
+            h.address()};
+  }
+  void operator()() const { fn(ctx); }
+};
 
 struct CoreStats {
   std::uint64_t issued = 0;         ///< memory operations issued
@@ -63,7 +81,13 @@ class Core {
     MemRequest req;
     MemResponse resp{};
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { core.issue(req, h, &resp); }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (req.kind == OpKind::kStore) {
+        core.post(req, h);
+      } else {
+        core.issue(req, Resume::of(h), &resp);
+      }
+    }
     MemResponse await_resume() const noexcept { return resp; }
   };
 
@@ -71,7 +95,9 @@ class Core {
     Core& core;
     Cycle cycles;
     bool await_ready() const noexcept { return cycles == 0; }
-    void await_suspend(std::coroutine_handle<> h) { core.delayed(cycles, h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      core.delayed(cycles, Resume::of(h));
+    }
     void await_resume() const noexcept {}
   };
 
@@ -97,6 +123,13 @@ class Core {
   /// Busy-compute for `n` cycles (models non-memory instructions).
   DelayAwait delay(Cycle n) { return DelayAwait{*this, n}; }
 
+  // --- Continuation primitives ------------------------------------------
+  /// Issue the blocking op `req` (not a store); when its response arrives
+  /// it is written to `*out` and `k` runs.
+  void issue(const MemRequest& req, Resume k, MemResponse* out);
+  /// Compute for `n` > 0 cycles, then run `k`.
+  void delayed(Cycle n, Resume k);
+
   // --- Simulation plumbing ----------------------------------------------
   /// Attach and start the workload coroutine.
   void run(sim::Task task);
@@ -106,7 +139,7 @@ class Core {
   void rethrowIfFailed() const { task_.rethrowIfFailed(); }
   [[nodiscard]] bool taskDone() const { return task_.done(); }
   [[nodiscard]] bool hasOutstandingOp() const {
-    return pendingHandle_ != nullptr;
+    return pending_.fn != nullptr;
   }
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
@@ -117,12 +150,12 @@ class Core {
   [[nodiscard]] const obs::SimHooks* obsHooks() const { return hooks_; }
 
  private:
-  friend struct MemAwait;
-  friend struct DelayAwait;
-
-  void issue(const MemRequest& req, std::coroutine_handle<> h,
-             MemResponse* out);
-  void delayed(Cycle n, std::coroutine_handle<> h);
+  /// Issue the posted store `req`; `h` resumes right after the issue slot.
+  /// It keeps the coroutine handle: {this, req, h} fills the inline event
+  /// buffer exactly, and a Resume would not fit.
+  void post(const MemRequest& req, std::coroutine_handle<> h);
+  /// Take the issue slot for `req`: returns the cycle it departs.
+  [[nodiscard]] Cycle claimIssueSlot(const MemRequest& req);
   [[nodiscard]] Cycle nextIssueCycle() const;
 
   System& sys_;
@@ -132,15 +165,16 @@ class Core {
 
   // Pipeline state of the one outstanding operation; System reads it for
   // the watchdog and blame reports.
-  std::coroutine_handle<> pendingHandle_{};
+  Resume pending_{};
   MemResponse* pendingOut_ = nullptr;
   Cycle pendingSince_ = 0;
   sim::Addr pendingAddr_ = 0;
   Cycle lastIssue_ = 0;
   /// Last cycle this core retired a *productive* operation: anything but a
-  /// reservation acquire (LR/LRwait) or a failed SC/SCwait. A core spinning
-  /// in an acquire-fail-retry loop never advances this — exactly the signal
-  /// the watchdog needs to tell livelock/deadlock from slow progress.
+  /// reservation acquire (LR/LRwait), a failed SC/SCwait or an Mwait
+  /// refused by a full queue. A core spinning in an acquire-fail-retry loop
+  /// never advances this — exactly the signal the watchdog needs to tell
+  /// livelock/deadlock from slow progress.
   Cycle lastProductive_ = 0;
   CoreStats stats_;
   CoreId id_;

@@ -91,6 +91,25 @@ void Recorder::finalize(sim::Cycle now) {
   }
 }
 
+std::optional<double> Recorder::value(std::string_view name) const {
+  std::size_t gi = 0;  // gauge column of the sample rows
+  for (const auto& m : registry_.metrics()) {
+    if (m.name == name) {
+      if (m.kind == MetricKind::kCounter) {
+        return static_cast<double>(registry_.counterTotal(MetricId{m.cell}));
+      }
+      if (m.kind == MetricKind::kGauge && !samples_.empty()) {
+        return samples_.back().gauges[gi];
+      }
+      return std::nullopt;
+    }
+    if (m.kind == MetricKind::kGauge) {
+      ++gi;
+    }
+  }
+  return std::nullopt;
+}
+
 void Recorder::writeMetricsCsv(std::ostream& os) const {
   os << "cycle";
   for (const auto& m : registry_.metrics()) {

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -57,6 +59,11 @@ class Recorder {
   void finalize(sim::Cycle now);
 
   [[nodiscard]] bool sampledAnything() const { return !samples_.empty(); }
+
+  /// The value --stats prints for the counter or gauge `name`: a counter's
+  /// total, a gauge's closing sample. Empty for a histogram, an unknown
+  /// name, or a gauge before any sample.
+  [[nodiscard]] std::optional<double> value(std::string_view name) const;
 
   // --- Sinks ---------------------------------------------------------------
   /// Counters and gauges as CSV: `cycle,<name>,...`, cumulative values.

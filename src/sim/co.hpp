@@ -4,8 +4,11 @@
 // themselves multi-step simulated operations (a lock acquire is a loop of
 // memory ops). Co<T> lets those be written as coroutines and awaited:
 //
-//   sim::Co<Word> fetchAdd(Core& c, Addr a, Word d) { ... co_return old; }
-//   Task worker(...) { Word v = co_await fetchAdd(core, a, 1); ... }
+//   sim::Co<void> acquire(Core& c, Addr lock) { ... co_return; }
+//   Task worker(...) { co_await acquire(core, lock); ... }
+//
+// (The RMW primitives, sync::fetchAdd and compareAndSwap, need no frame of
+// their own: they chain core callbacks instead.)
 //
 // The child starts lazily when awaited and resumes its parent by symmetric
 // transfer at completion. Exceptions propagate to the awaiting coroutine.

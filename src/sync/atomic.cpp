@@ -7,6 +7,10 @@ namespace colibri::sync {
 
 namespace {
 
+using arch::MemRequest;
+using arch::OpKind;
+using arch::Resume;
+
 /// Count one retry loop iteration (SC failure or queue-full LR) against
 /// the issuing core. A CAS value mismatch is a *result*, not a retry.
 void countRetry(Core& core, bool cas) {
@@ -29,65 +33,54 @@ const char* toString(RmwFlavor f) {
   return "?";
 }
 
-// Each flavor is its own coroutine: GCC sizes a frame for every awaiter
-// and local of every branch, so one coroutine over all three flavors
-// carried a frame several times larger than any one loop needs, and a
-// sleeping core holds its frame for the whole wait.
-namespace {
+/// The steps of every flavor's loop. Each callback runs when the core has
+/// finished the op or delay before it, and issues the next one in the same
+/// event, at the same point, as a coroutine awaiting each op in turn would:
+/// so every event keeps its place in the (when, seq) order. `cas_` selects
+/// compareAndSwap's branches.
+struct RmwSteps {
+  using Step = void (*)(void*);
 
-sim::Co<RmwResult> fetchAddAmo(Core& core, Addr a, Word delta) {
-  const auto r = co_await core.amoAdd(a, delta);
-  co_return RmwResult{r.value, true};
-}
+  static RmwLoop& of(void* p) { return *static_cast<RmwLoop*>(p); }
 
-sim::Co<RmwResult> fetchAddLrsc(Core& core, Addr a, Word delta,
-                                Backoff& backoff, const bool* abandon) {
-  while (true) {
-    const auto lr = co_await core.lr(a);
-    co_await core.delay(kRmwComputeCycles);
-    const auto sc = co_await core.sc(a, lr.value + delta);
-    if (sc.ok) {
-      co_return RmwResult{lr.value, true};
-    }
-    // Failed SC: the retry loop the paper sets out to eliminate.
-    countRetry(core, /*cas=*/false);
-    co_await core.delay(backoff.next());
-    if (abandon != nullptr && *abandon) {
-      co_return RmwResult{0, false};
+  static void issue(RmwLoop& l, OpKind k, Word v, Step next) {
+    l.core_.issue(MemRequest{l.addr_, v, l.core_.id(), k, false},
+                  Resume{next, &l}, &l.resp_);
+  }
+  /// Run `next` after `n` cycles of compute; a zero-cycle wait runs it now
+  /// and schedules no event.
+  static void wait(RmwLoop& l, sim::Cycle n, Step next) {
+    if (n == 0) {
+      next(&l);
+    } else {
+      l.core_.delayed(n, Resume{next, &l});
     }
   }
-}
-
-sim::Co<RmwResult> fetchAddLrscWait(Core& core, Addr a, Word delta,
-                                    Backoff& backoff, const bool* abandon) {
-  while (true) {
-    const auto lr = co_await core.lrWait(a);
-    if (!lr.ok) {
-      // Reservation queue full (LRSCwait_q / Colibri with too few slots):
-      // immediate fail, retry after backoff. We were never enqueued, so
-      // abandoning here is legal.
-      countRetry(core, /*cas=*/false);
-      co_await core.delay(backoff.next());
-      if (abandon != nullptr && *abandon) {
-        co_return RmwResult{0, false};
-      }
-      continue;
-    }
-    co_await core.delay(kRmwComputeCycles);
-    const auto sc = co_await core.scWait(a, lr.value + delta);
-    if (sc.ok) {
-      co_return RmwResult{lr.value, true};
-    }
-    // SCwait can only fail if a plain store slipped in between; the queue
-    // already advanced past us, so re-enqueue.
+  /// Resume the caller, which may destroy `l`.
+  static void finish(RmwLoop& l, Word v, bool ok) {
+    l.value_ = v;
+    l.ok_ = ok;
+    l.caller_.resume();
   }
-}
+  static bool abandoned(const RmwLoop& l) {
+    return l.abandon_ != nullptr && *l.abandon_;
+  }
+  /// The value the store half writes.
+  static Word stored(const RmwLoop& l) {
+    return l.cas_ ? l.operand_ : l.value_ + l.operand_;
+  }
 
-sim::Co<CasResult> casLrsc(Core& core, Addr a, Word expected, Word desired,
-                           Backoff& backoff, const bool* abandon) {
-  while (true) {
-    const auto lr = co_await core.lr(a);
-    if (lr.value != expected) {
+  static void amoDone(void* p) {
+    RmwLoop& l = of(p);
+    finish(l, l.resp_.value, true);
+  }
+
+  // --- LR/SC: LR -> compute -> SC, backoff and retry on a failed SC -------
+  static void lr(RmwLoop& l) { issue(l, OpKind::kLr, 0, &lrDone); }
+  static void lrDone(void* p) {
+    RmwLoop& l = of(p);
+    l.value_ = l.resp_.value;
+    if (l.cas_ && l.value_ != l.expected_) {
       // RISC-V allows abandoning an LR without an SC, but bank-side
       // reservation slots (lrsc_single) do not: a granted LR holds the
       // bank's only slot, and a caller that walks away for good — the
@@ -96,74 +89,106 @@ sim::Co<CasResult> casLrsc(Core& core, Addr a, Word expected, Word desired,
       // storing the observed value back: our own SC frees the slot with
       // a no-op write, and if the slot was never ours it simply fails.
       // (The wait flavor yields its queue the same way.)
-      (void)co_await core.sc(a, lr.value);
-      co_return CasResult{lr.value, false};
+      issue(l, OpKind::kSc, l.value_, &closed);
+      return;
     }
-    co_await core.delay(kRmwComputeCycles);
-    const auto sc = co_await core.sc(a, desired);
-    if (sc.ok) {
-      co_return CasResult{expected, true};
-    }
-    countRetry(core, /*cas=*/true);
-    co_await core.delay(backoff.next());
-    if (abandon != nullptr && *abandon) {
-      co_return CasResult{lr.value, false};
-    }
+    wait(l, kRmwComputeCycles, &computed);
   }
-}
-
-// Every granted LRwait must be closed with an SCwait so the distributed
-// queue advances (Section III constraint b) — on a value mismatch we store
-// the *unchanged* value back to yield the queue.
-sim::Co<CasResult> casLrscWait(Core& core, Addr a, Word expected,
-                               Word desired, Backoff& backoff,
-                               const bool* abandon) {
-  while (true) {
-    const auto lr = co_await core.lrWait(a);
-    if (!lr.ok) {
-      countRetry(core, /*cas=*/true);
-      co_await core.delay(backoff.next());
-      if (abandon != nullptr && *abandon) {
-        co_return CasResult{0, false};
-      }
-      continue;
-    }
-    co_await core.delay(kRmwComputeCycles);
-    if (lr.value != expected) {
-      (void)co_await core.scWait(a, lr.value);  // yield the queue
-      co_return CasResult{lr.value, false};
-    }
-    const auto sc = co_await core.scWait(a, desired);
-    if (sc.ok) {
-      co_return CasResult{expected, true};
-    }
+  static void computed(void* p) {
+    RmwLoop& l = of(p);
+    issue(l, OpKind::kSc, stored(l), &scDone);
   }
-}
+  static void scDone(void* p) {
+    RmwLoop& l = of(p);
+    if (l.resp_.ok) {
+      finish(l, l.value_, true);
+      return;
+    }
+    // Failed SC: the retry loop the paper sets out to eliminate.
+    countRetry(l.core_, l.cas_);
+    wait(l, l.backoff_.next(), &backedOff);
+  }
+  static void backedOff(void* p) {
+    RmwLoop& l = of(p);
+    if (abandoned(l)) {
+      finish(l, l.cas_ ? l.value_ : 0, false);
+      return;
+    }
+    lr(l);
+  }
+  /// A CAS mismatch closed its pair: report the observed value.
+  static void closed(void* p) {
+    RmwLoop& l = of(p);
+    finish(l, l.value_, false);
+  }
 
-}  // namespace
+  // --- LRwait/SCwait: LRwait -> compute -> SCwait -------------------------
+  static void lrWait(RmwLoop& l) { issue(l, OpKind::kLrWait, 0, &lrWaitDone); }
+  static void lrWaitDone(void* p) {
+    RmwLoop& l = of(p);
+    if (!l.resp_.ok) {
+      // Reservation queue full (LRSCwait_q / Colibri with too few slots):
+      // immediate fail, retry after backoff. We were never enqueued, so
+      // abandoning here is legal.
+      countRetry(l.core_, l.cas_);
+      wait(l, l.backoff_.next(), &queueBackedOff);
+      return;
+    }
+    l.value_ = l.resp_.value;
+    wait(l, kRmwComputeCycles, &waitComputed);
+  }
+  static void queueBackedOff(void* p) {
+    RmwLoop& l = of(p);
+    if (abandoned(l)) {
+      finish(l, 0, false);
+      return;
+    }
+    lrWait(l);
+  }
+  static void waitComputed(void* p) {
+    RmwLoop& l = of(p);
+    if (l.cas_ && l.value_ != l.expected_) {
+      // Every granted LRwait must be closed with an SCwait so the
+      // distributed queue advances (Section III constraint b): store the
+      // unchanged value back to yield the queue.
+      issue(l, OpKind::kScWait, l.value_, &closed);
+      return;
+    }
+    issue(l, OpKind::kScWait, stored(l), &scWaitDone);
+  }
+  static void scWaitDone(void* p) {
+    RmwLoop& l = of(p);
+    if (l.resp_.ok) {
+      finish(l, l.value_, true);
+      return;
+    }
+    // SCwait can only fail if a plain store slipped in between; the queue
+    // already advanced past us, so re-enqueue.
+    lrWait(l);
+  }
+};
 
-sim::Co<RmwResult> fetchAdd(Core& core, RmwFlavor flavor, Addr a, Word delta,
-                            Backoff& backoff, const bool* abandon) {
-  switch (flavor) {
+void RmwLoop::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  switch (flavor_) {
     case RmwFlavor::kAmo:
-      return fetchAddAmo(core, a, delta);
+      RmwSteps::issue(*this, OpKind::kAmoAdd, operand_, &RmwSteps::amoDone);
+      return;
     case RmwFlavor::kLrsc:
-      return fetchAddLrsc(core, a, delta, backoff, abandon);
+      RmwSteps::lr(*this);
+      return;
     case RmwFlavor::kLrscWait:
       break;
   }
-  return fetchAddLrscWait(core, a, delta, backoff, abandon);
+  RmwSteps::lrWait(*this);
 }
 
-sim::Co<CasResult> compareAndSwap(Core& core, RmwFlavor flavor, Addr a,
-                                  Word expected, Word desired,
-                                  Backoff& backoff, const bool* abandon) {
+CompareAndSwap::CompareAndSwap(Core& core, RmwFlavor flavor, Addr a,
+                               Word expected, Word desired, Backoff& backoff,
+                               const bool* abandon)
+    : RmwLoop(core, flavor, true, a, expected, desired, backoff, abandon) {
   COLIBRI_CHECK_MSG(flavor != RmwFlavor::kAmo,
                     "CAS needs a reservation pair (LR/SC or LRwait/SCwait)");
-  if (flavor == RmwFlavor::kLrsc) {
-    return casLrsc(core, a, expected, desired, backoff, abandon);
-  }
-  return casLrscWait(core, a, expected, desired, backoff, abandon);
 }
 
 }  // namespace colibri::sync

@@ -41,14 +41,8 @@ std::uint32_t pickIndex(const Region& def, const ResolvedRegion& region,
   switch (def.dist) {
     case AddrDist::kUniform:
       return static_cast<std::uint32_t>(rng.below(range));
-    case AddrDist::kZipfian: {
-      const double u = rng.uniform01();
-      const auto it =
-          std::upper_bound(region.cdf.begin(), region.cdf.end(), u);
-      const auto i =
-          static_cast<std::uint32_t>(it - region.cdf.begin());
-      return i < range ? i : range - 1;
-    }
+    case AddrDist::kZipfian:
+      return zipfRank(region.cdf, region.guide, rng.uniform01());
     case AddrDist::kHotspot:
       if (range <= 1 || rng.uniform01() < def.hotFraction) {
         return 0;
@@ -233,6 +227,7 @@ std::vector<ResolvedRegion> resolveRegions(arch::System& sys,
     if (def.dist == AddrDist::kZipfian) {
       region.cdf = zipfCdf(static_cast<std::uint32_t>(region.addrs.size()),
                            def.zipfTheta);
+      region.guide = zipfGuide(region.cdf);
     }
   }
   return out;

@@ -1,6 +1,7 @@
 #include "wgen/spec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sim/check.hpp"
@@ -135,6 +136,21 @@ std::vector<double> zipfCdf(std::uint32_t range, double theta) {
   }
   cdf.back() = 1.0;  // guard against rounding shortfall at the tail
   return cdf;
+}
+
+std::vector<std::uint32_t> zipfGuide(const std::vector<double>& cdf) {
+  const std::size_t slots = std::bit_ceil(4 * cdf.size());
+  std::vector<std::uint32_t> guide(slots);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < slots; ++k) {
+    const double bound =
+        static_cast<double>(k) / static_cast<double>(slots);
+    while (cdf[i] <= bound) {
+      ++i;
+    }
+    guide[k] = static_cast<std::uint32_t>(i);
+  }
+  return guide;
 }
 
 }  // namespace colibri::wgen

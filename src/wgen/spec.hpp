@@ -111,7 +111,28 @@ void validate(const KernelSpec& spec);
                                                      std::uint32_t participants);
 
 /// Normalized Zipf CDF over `range` ranks with skew `theta` (rank i has
-/// weight 1/(i+1)^θ). Sample by upper_bound with a uniform [0,1) draw.
+/// weight 1/(i+1)^θ). Sample with zipfRank and a uniform [0,1) draw.
 [[nodiscard]] std::vector<double> zipfCdf(std::uint32_t range, double theta);
+
+/// Guide table of `cdf` (Chen & Asau's indexed search): for G, the next
+/// power of two >= 4 * cdf.size(), entry k is upper_bound(cdf, k/G).
+[[nodiscard]] std::vector<std::uint32_t> zipfGuide(
+    const std::vector<double>& cdf);
+
+/// upper_bound(cdf, u) for u in [0, 1), in O(1) expected steps: start at
+/// the guide entry of u's 1/G slot and step past every cdf[i] <= u. Exact:
+/// G is a power of two, so u*G and k/G carry no rounding; the entry's
+/// bound k/G is <= u; and the CDF rises to cdf.back() == 1.0 > u.
+[[nodiscard]] inline std::uint32_t zipfRank(
+    const std::vector<double>& cdf, const std::vector<std::uint32_t>& guide,
+    double u) {
+  const auto slot = static_cast<std::size_t>(
+      u * static_cast<double>(guide.size()));
+  std::uint32_t i = guide[slot];
+  while (cdf[i] <= u) {
+    ++i;
+  }
+  return i;
+}
 
 }  // namespace colibri::wgen

@@ -14,6 +14,8 @@
 
 #include "arch/system.hpp"
 #include "cli/driver.hpp"
+#include "exp/run.hpp"
+#include "exp/scenario.hpp"
 #include "fault/fault.hpp"
 #include "fault/watchdog.hpp"
 #include "sim/random.hpp"
@@ -327,6 +329,37 @@ TEST(WatchdogTest, DisabledWatchdogLetsTheHangRunSilently) {
   auto cfg = twoGroups(arch::AdapterKind::kLrscSingle);
   cfg.watchdogCycles = 0;
   EXPECT_NO_THROW(runStrandedLr(cfg, 20'000));
+}
+
+// The Colibri MCS-lock histogram with fewer Mwait queue slots than it
+// needs: each waiter's Mwait is refused "queue full" and retried after a
+// backoff, forever. A refused Mwait is not a productive retirement, so the
+// livelock trips the watchdog instead of running to a timeout, and the
+// blame shows the bank whose every slot holds a sleeping Mwait monitor.
+TEST(WatchdogTest, CatchesMcsMwaitLivelockWithTooFewQueues) {
+  for (const std::uint32_t queues : {1u, 2u}) {
+    SCOPED_TRACE(queues);
+    exp::RunSpec spec;
+    spec.config = exp::configFor(*exp::findAdapter("colibri"), 8,
+                                 arch::SystemConfig::smallTest());
+    spec.config.colibriQueuesPerController = queues;
+    workloads::HistogramParams p;
+    p.mode = workloads::HistogramMode::kMcsLock;
+    spec.params = p;
+    spec.window = workloads::MeasureWindow{500, 2000};
+    try {
+      (void)exp::runOne(spec);
+      FAIL() << "the MCS livelock finished without a watchdog trip";
+    } catch (const WatchdogError& e) {
+      EXPECT_EQ(e.trippedAt(), 281'250u);
+      const std::string slots = std::to_string(queues) + " of " +
+                                std::to_string(queues) + " queue slots busy";
+      EXPECT_NE(e.report().find("bank 1: " + slots +
+                                "; slot 0: mwait-monitoring"),
+                std::string::npos)
+          << e.report();
+    }
+  }
 }
 
 // --- CLI surface ----------------------------------------------------------

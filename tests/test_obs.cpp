@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -144,6 +145,36 @@ TEST(ObsRecorder, MetricsCsvIsByteIdenticalAcrossReruns) {
   EXPECT_GT(std::count(first.begin(), first.end(), '\n'), 3);
 
   EXPECT_EQ(metricsCsv(), first) << "rerun changed sink bytes";
+}
+
+// The typed read returns exactly what --stats prints for every counter
+// and gauge of a finished run, and nothing for a histogram or a name no
+// metric has.
+TEST(ObsRecorder, ValueReadsWhatStatsPrints) {
+  obs::Recorder rec;
+  auto spec = smallSpec();
+  spec.config.recorder = &rec;
+  ASSERT_TRUE(exp::runOne(spec).verified);
+  std::ostringstream os;
+  rec.printStats(os);
+  std::istringstream is(os.str());
+  std::string line;
+  int checked = 0;
+  while (std::getline(is, line)) {
+    const auto eq = line.find(" = ");
+    ASSERT_EQ(line.rfind("obs: ", 0), 0u) << line;
+    ASSERT_NE(eq, std::string::npos) << line;
+    const std::string name = line.substr(5, eq - 5);
+    if (name.find('[') != std::string::npos) {
+      continue;  // a histogram bucket
+    }
+    EXPECT_EQ(rec.value(name), std::stod(line.substr(eq + 3))) << line;
+    ++checked;
+  }
+  EXPECT_GT(checked, 10);
+  EXPECT_GT(rec.value("engine.executedEvents").value_or(0), 0.0);
+  EXPECT_EQ(rec.value("core.opLatency"), std::nullopt);
+  EXPECT_EQ(rec.value("no.such.metric"), std::nullopt);
 }
 
 TEST(ObsRecorder, SecondRunOnSameRecorderIsRejected) {

@@ -1,11 +1,13 @@
-// Synchronization layer tests: CAS semantics, spin locks, MCS locks and
-// barriers — all verified by protecting a deliberately non-atomic critical
-// section and checking that no update is lost.
+// Synchronization layer tests: CAS semantics, the RMW primitives' retry
+// paths (zero-cycle backoff, abandon), spin locks, MCS locks and barriers
+// — all verified by protecting a deliberately non-atomic critical section
+// and checking that no update is lost.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "arch/system.hpp"
+#include "obs/recorder.hpp"
 #include "test_util.hpp"
 #include "sync/atomic.hpp"
 #include "sync/barrier.hpp"
@@ -95,6 +97,138 @@ INSTANTIATE_TEST_SUITE_P(Flavors, CasFlavors,
                          [](const auto& info) {
                            return test::paramName(toString(info.param));
                          });
+
+// --- Retry paths of fetchAdd and compareAndSwap -------------------------
+//
+// Each case reaches its flavor's retry point on purpose: contending SCs
+// fail on the LR/SC adapters, and a one-entry LRSCwait queue refuses
+// LRwaits. The AMO flavor has no retry point.
+
+struct RetryCase {
+  const char* name;
+  RmwFlavor flavor;
+  AdapterKind adapter;
+  bool cas;  ///< compareAndSwap instead of fetchAdd
+};
+
+void PrintTo(const RetryCase& c, std::ostream* os) { *os << c.name; }
+
+SystemConfig retryConfig(const RetryCase& c, obs::Recorder* recorder) {
+  auto cfg = withAdapter(c.adapter);
+  cfg.lrscWaitQueueCapacity = 1;
+  cfg.recorder = recorder;
+  return cfg;
+}
+
+/// `iters` increments of *a, by fetchAdd or by a CAS loop, with a
+/// zero-cycle backoff: a retry follows its failure in the same event.
+sim::Task addWithoutBackoff(System& sys, Core& core, const RetryCase& c,
+                            sim::Addr a, int iters) {
+  auto rng = sim::Xoshiro256::forStream(sys.config().seed, core.id());
+  Backoff bo(BackoffPolicy::none(), rng);
+  for (int i = 0; i < iters; ++i) {
+    if (!c.cas) {
+      EXPECT_TRUE((co_await fetchAdd(core, c.flavor, a, 1, bo)).performed);
+      continue;
+    }
+    sim::Word seen = (co_await core.load(a)).value;
+    while (true) {
+      const auto r =
+          co_await compareAndSwap(core, c.flavor, a, seen, seen + 1, bo);
+      if (r.swapped) {
+        break;
+      }
+      seen = r.observed;
+    }
+  }
+}
+
+/// fetchAdd(1), or CAS(0 -> 0), until `abandon` is set. The CAS value
+/// never changes, so for both primitives a false result can only mean the
+/// loop saw the flag after a backoff and gave up.
+sim::Task rmwUntilAbandoned(System& sys, Core& core, const RetryCase& c,
+                            sim::Addr a, const bool* abandon, int* performed,
+                            int* abandoned) {
+  auto rng = sim::Xoshiro256::forStream(sys.config().seed, core.id());
+  Backoff bo(BackoffPolicy::fixed(64), rng);
+  while (!*abandon) {
+    const bool ok =
+        c.cas ? (co_await compareAndSwap(core, c.flavor, a, 0, 0, bo,
+                                         abandon))
+                    .swapped
+              : (co_await fetchAdd(core, c.flavor, a, 1, bo, abandon))
+                    .performed;
+    if (!ok) {
+      ++*abandoned;
+      co_return;
+    }
+    ++*performed;
+  }
+}
+
+class RmwRetries : public ::testing::TestWithParam<RetryCase> {};
+
+TEST_P(RmwRetries, ZeroCycleBackoffRetriesInPlace) {
+  const RetryCase& c = GetParam();
+  obs::Recorder recorder;
+  System sys(retryConfig(c, &recorder));
+  const auto a = sys.allocator().allocGlobal(1);
+  sys.poke(a, 0);
+  constexpr int kIters = 20;
+  for (sim::CoreId core = 0; core < 8; ++core) {
+    sys.spawn(core, addWithoutBackoff(sys, sys.core(core), c, a, kIters));
+  }
+  sys.run();
+  sys.rethrowFailures();
+  EXPECT_TRUE(sys.allTasksDone());
+  EXPECT_EQ(sys.peek(a), 8u * kIters);
+  const double retries =
+      recorder.value(c.cas ? "sync.casRetries" : "sync.rmwRetries").value();
+  if (c.flavor == RmwFlavor::kAmo) {
+    EXPECT_EQ(retries, 0.0);
+  } else {
+    EXPECT_GT(retries, 0.0) << "the retry path was never taken";
+  }
+}
+
+TEST_P(RmwRetries, AbandonDuringBackoffGivesUp) {
+  const RetryCase& c = GetParam();
+  if (c.flavor == RmwFlavor::kAmo) {
+    GTEST_SKIP() << "an AMO never backs off";
+  }
+  System sys(retryConfig(c, nullptr));
+  const auto a = sys.allocator().allocGlobal(1);
+  sys.poke(a, 0);
+  bool abandon = false;
+  int performed = 0;
+  int abandoned = 0;
+  for (sim::CoreId core = 0; core < 8; ++core) {
+    sys.spawn(core, rmwUntilAbandoned(sys, sys.core(core), c, a, &abandon,
+                                      &performed, &abandoned));
+  }
+  sys.at(5000, [&abandon] { abandon = true; });
+  sys.run();
+  sys.rethrowFailures();
+  EXPECT_TRUE(sys.allTasksDone());
+  EXPECT_GT(performed, 0);
+  EXPECT_GT(abandoned, 0);
+  EXPECT_EQ(sys.peek(a), c.cas ? 0u : static_cast<sim::Word>(performed));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Primitives, RmwRetries,
+    ::testing::Values(
+        RetryCase{"fetchAdd_amo", RmwFlavor::kAmo, AdapterKind::kAmoOnly,
+                  false},
+        RetryCase{"fetchAdd_lrsc", RmwFlavor::kLrsc, AdapterKind::kLrscSingle,
+                  false},
+        RetryCase{"fetchAdd_lrscwait", RmwFlavor::kLrscWait,
+                  AdapterKind::kLrscWait, false},
+        RetryCase{"cas_lrsc", RmwFlavor::kLrsc, AdapterKind::kLrscSingle,
+                  true},
+        RetryCase{"cas_lrscwait", RmwFlavor::kLrscWait,
+                  AdapterKind::kLrscWait, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // --- Spin locks ----------------------------------------------------------
 

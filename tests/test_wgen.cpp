@@ -1,11 +1,12 @@
 // Workload-generator tests: the KernelSpec grammar (validation, role
-// assignment, Zipf CDF), region resolution on a System, the self-checking
+// assignment, Zipf CDF and its guide-table draw), region resolution on a System, the self-checking
 // kernel runner for every preset, determinism (bit-identical results
 // across SweepRunner thread counts and across reruns with one seed), and
 // the InlineEvent zero-allocation property over a full generated run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "exp/sweep.hpp"
 #include "sim/check.hpp"
 #include "sim/event.hpp"
+#include "sim/random.hpp"
 #include "wgen/kernel.hpp"
 #include "wgen/presets.hpp"
 
@@ -110,6 +112,43 @@ TEST(WgenSpec, ZipfCdfIsMonotoneNormalizedAndSkewed) {
   EXPECT_NEAR(flat[2], 0.75, 1e-12);
 }
 
+// The guide-table draw is an exact replacement for a binary search: for
+// every u in [0, 1) it returns upper_bound(cdf, u), including at the slot
+// bounds k/G, at each CDF value and the double just below it, and at the
+// largest double below 1.
+TEST(WgenSpec, ZipfRankEqualsUpperBound) {
+  for (const std::uint32_t range : {1u, 16u, 128u, 256u, 4096u}) {
+    for (const double theta : {0.5, 0.99, 1.2}) {
+      SCOPED_TRACE(testing::Message() << "range " << range << " theta "
+                                      << theta);
+      const auto cdf = zipfCdf(range, theta);
+      const auto guide = zipfGuide(cdf);
+      const std::size_t slots = guide.size();
+      ASSERT_GE(slots, 4u * range);
+      ASSERT_EQ(slots & (slots - 1), 0u) << "G must be a power of two";
+      const auto expectExact = [&](double u) {
+        const auto want = static_cast<std::uint32_t>(
+            std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ASSERT_EQ(zipfRank(cdf, guide, u), want) << "u = " << u;
+      };
+      for (std::size_t k = 0; k < slots; ++k) {
+        expectExact(static_cast<double>(k) / static_cast<double>(slots));
+      }
+      for (const double c : cdf) {
+        if (c < 1.0) {
+          expectExact(c);
+        }
+        expectExact(std::nextafter(c, 0.0));
+      }
+      expectExact(std::nextafter(1.0, 0.0));
+      auto rng = sim::Xoshiro256::forStream(range, 7);
+      for (int n = 0; n < 1'000'000; ++n) {
+        expectExact(rng.uniform01());
+      }
+    }
+  }
+}
+
 TEST(WgenRegions, StridedZeroPutsEveryWordInOneBank) {
   arch::System sys(arch::SystemConfig::smallTest());
   const auto& spec = findPreset("stride_fs")->spec;
@@ -133,7 +172,9 @@ TEST(WgenRegions, LockPhasesGetParallelLockWords) {
       resolveRegions(sys, findPreset("lock_zipf")->spec, 16);
   ASSERT_EQ(regions.size(), 1u);
   EXPECT_EQ(regions[0].locks.size(), regions[0].addrs.size());
-  EXPECT_FALSE(regions[0].cdf.empty());  // zipfian region carries its CDF
+  // A zipfian region carries its CDF and the CDF's guide table.
+  EXPECT_FALSE(regions[0].cdf.empty());
+  EXPECT_EQ(regions[0].guide, zipfGuide(regions[0].cdf));
 }
 
 TEST(WgenRun, EveryPresetRunsAndSelfChecksOnColibri) {
