@@ -270,6 +270,12 @@ bool System::allTasksDone() const {
   return true;
 }
 
+void System::drain(const char* who) {
+  run();
+  rethrowFailures();
+  COLIBRI_CHECK_MSG(allTasksDone(), who << " failed to drain");
+}
+
 void System::injectRequest(CoreId from, const MemRequest& req) {
   Bank* target = &bankUnchecked(alloc_.map().bankOf(req.addr));
   auto arrive = [target, req] { target->receive(req); };

@@ -122,6 +122,10 @@ class System final : public CoreSink, public atomics::WakeUpSink {
   /// True iff every spawned task ran to completion (none still asleep).
   [[nodiscard]] bool allTasksDone() const;
 
+  /// Run to the end, rethrow any task failure, and check that every task
+  /// finished; the check names `who` ("<who> failed to drain").
+  void drain(const char* who);
+
   /// Inject a request from a core into the network towards the owning bank.
   /// Used by Core::issue and by Qnodes dispatching WakeUpRequests.
   void injectRequest(CoreId from, const MemRequest& req);

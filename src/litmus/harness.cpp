@@ -83,9 +83,7 @@ LitmusResult runLitmus(arch::System& sys, const LitmusParams& params) {
     sys.spawn(ctx.coreOf[i], litmusWorker(sys, ctx, i));
   }
   sys.at(params.watchdog, [&ctx] { ctx.stop = true; });
-  sys.run();
-  sys.rethrowFailures();
-  COLIBRI_CHECK_MSG(sys.allTasksDone(), "litmus: workers failed to drain");
+  sys.drain("litmus: workers");
 
   LitmusResult r;
   r.algorithm = info.name;

@@ -1,5 +1,7 @@
 #include "sim/stats.hpp"
 
+#include <algorithm>
+
 namespace colibri::sim {
 
 namespace {

@@ -2,14 +2,12 @@
 //
 // The paper's evaluation reports steady-state rates (updates/cycle,
 // accesses/cycle), fairness (per-core min/max spread) and latency
-// distributions. WindowedCounter supports warmup-then-measure: events
-// before the window opens are counted separately and excluded from the
-// reported rate. CycleHistogram holds latency samples exactly, in memory
-// that grows with the number of distinct values rather than of samples,
-// and Summary computes the descriptive statistics the figures need.
+// distributions over a measurement window (workloads::Window).
+// CycleHistogram holds latency samples exactly, in memory that grows with
+// the number of distinct values rather than of samples, and Summary
+// computes the descriptive statistics the figures need.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -19,47 +17,6 @@
 #include "sim/types.hpp"
 
 namespace colibri::sim {
-
-/// Counts discrete completions, split at a measurement-window boundary.
-class WindowedCounter {
- public:
-  /// Open the measurement window at cycle `start` (events strictly before
-  /// `start` are warmup). Window closes at `end` (events at/after `end`
-  /// are cooldown). Defaults measure everything.
-  void setWindow(Cycle start, Cycle end) {
-    windowStart_ = start;
-    windowEnd_ = end;
-  }
-
-  void record(Cycle at, std::uint64_t n = 1) {
-    total_ += n;
-    if (at >= windowStart_ && at < windowEnd_) {
-      inWindow_ += n;
-    }
-  }
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t inWindow() const { return inWindow_; }
-  [[nodiscard]] Cycle windowStart() const { return windowStart_; }
-  [[nodiscard]] Cycle windowEnd() const { return windowEnd_; }
-
-  /// Events per cycle over the (clamped) window; `simEnd` caps the window
-  /// if the simulation stopped early.
-  [[nodiscard]] double rate(Cycle simEnd) const {
-    const Cycle end = std::min(windowEnd_, simEnd);
-    if (end <= windowStart_) {
-      return 0.0;
-    }
-    return static_cast<double>(inWindow_) /
-           static_cast<double>(end - windowStart_);
-  }
-
- private:
-  Cycle windowStart_ = 0;
-  Cycle windowEnd_ = kCycleNever;
-  std::uint64_t total_ = 0;
-  std::uint64_t inWindow_ = 0;
-};
 
 /// Exact multiset of non-negative integer cycle counts (per-op latencies).
 /// Values below kDenseLimit are counted in a dense array grown lazily to

@@ -26,12 +26,7 @@ struct WgenCtx {
   sync::SpinLockKind lockKind = sync::SpinLockKind::kLrscTas;
   sync::WaitKind mcsWait = sync::WaitKind::kPoll;
   std::optional<sync::McsNodes> mcs;  // kMcsLock phases only
-  bool stop = false;
-  sim::Cycle windowStart = 0;
-  sim::Cycle windowEnd = 0;
-  std::vector<std::uint64_t> perCoreTotal;       // by participant index
-  std::vector<std::uint64_t> perCoreWindow;
-  std::vector<std::uint64_t> perCoreIncrements;
+  std::uint64_t increments = 0;       // modifying ops, window or not
   sim::CycleHistogram latency;  // every participant's window ops
 };
 
@@ -55,24 +50,25 @@ std::uint32_t pickIndex(const Region& def, const ResolvedRegion& region,
 }
 
 sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
-                     const Role& role, std::uint32_t pidx) {
+                     workloads::Window& win, const Role& role,
+                     std::uint32_t pidx) {
   auto rng = sim::Xoshiro256::forStream(sys.config().seed, core.id());
   sync::Backoff backoff(ctx.params->backoff, rng);
   const obs::SimHooks* hooks = sys.obsHooks();
   std::size_t next = 0;
 
-  while (!ctx.stop) {
+  while (!win.stopped()) {
     const Phase& phase = role.phases[next];
     next = (next + 1) % role.phases.size();
     const Region& def = ctx.params->kernel.regions[phase.region];
     const ResolvedRegion& region = ctx.regions[phase.region];
     const sim::Cycle visitStart = sys.now();
 
-    for (std::uint32_t rep = 0; rep < phase.opsPerVisit && !ctx.stop;
+    for (std::uint32_t rep = 0; rep < phase.opsPerVisit && !win.stopped();
          ++rep) {
       if (phase.thinkCycles > 0) {
         co_await core.delay(phase.thinkCycles);
-        if (ctx.stop) {
+        if (!win.startOp()) {
           break;
         }
       }
@@ -89,7 +85,7 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
         }
         case OpClass::kRmw: {
           const auto r = co_await sync::fetchAdd(core, ctx.rmwFlavor, a, 1,
-                                                 backoff, &ctx.stop);
+                                                 backoff, win.stopFlag());
           performed = modified = r.performed;
           break;
         }
@@ -98,7 +94,7 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
           while (true) {
             const auto r = co_await sync::compareAndSwap(
                 core, ctx.casFlavor, a, expected, expected + 1, backoff,
-                &ctx.stop);
+                win.stopFlag());
             if (r.swapped) {
               performed = modified = true;
               break;
@@ -107,7 +103,7 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
             // Each attempt closes its reservation pair, so giving up
             // between attempts never leaves a dangling LRwait.
             co_await core.delay(backoff.next());
-            if (ctx.stop) {
+            if (win.stopped()) {
               break;
             }
           }
@@ -138,13 +134,11 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
         }
       }
       if (performed) {
-        ++ctx.perCoreTotal[pidx];
         if (modified) {
-          ++ctx.perCoreIncrements[pidx];
+          ++ctx.increments;
         }
         const auto now = sys.now();
-        if (now >= ctx.windowStart && now < ctx.windowEnd) {
-          ++ctx.perCoreWindow[pidx];
+        if (win.completeOp(pidx, now)) {
           ctx.latency.add(now - start);
         }
       }
@@ -156,7 +150,7 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
                                sys.now());
       }
     }
-    if (phase.gapCycles > 0 && !ctx.stop) {
+    if (phase.gapCycles > 0 && !win.stopped()) {
       co_await core.delay(phase.gapCycles);
     }
   }
@@ -243,12 +237,8 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
                                     "adapter has no reservations");
   }
 
-  std::vector<sim::CoreId> cores = p.cores;
-  if (cores.empty()) {
-    cores.resize(sys.numCores());
-    std::iota(cores.begin(), cores.end(), 0);
-  }
-  const auto participants = static_cast<std::uint32_t>(cores.size());
+  workloads::Window win(sys, p.window, p.cores);
+  const auto participants = win.participants();
 
   WgenCtx ctx;
   ctx.params = &p;
@@ -265,34 +255,18 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
     // After the regions, so their addresses do not depend on the lock.
     ctx.mcs = sync::McsNodes::create(sys);
   }
-  ctx.windowStart = p.window.warmup;
-  ctx.windowEnd = p.window.horizon();
-  ctx.perCoreTotal.assign(participants, 0);
-  ctx.perCoreWindow.assign(participants, 0);
-  ctx.perCoreIncrements.assign(participants, 0);
 
   const auto assignment = assignRoles(p.kernel, participants);
   for (std::uint32_t i = 0; i < participants; ++i) {
-    sys.spawn(cores[i],
-              wgenWorker(sys, sys.core(cores[i]), ctx,
-                         p.kernel.roles[assignment[i]], i));
+    const sim::CoreId c = win.cores()[i];
+    sys.spawn(c, wgenWorker(sys, sys.core(c), ctx, win,
+                            p.kernel.roles[assignment[i]], i));
   }
-  sys.at(ctx.windowStart, [&sys] { sys.resetStats(); });
-  sys.at(ctx.windowEnd, [&ctx] { ctx.stop = true; });
-
-  sys.runUntil(ctx.windowEnd);
-  const auto counters =
-      workloads::snapshotCounters(sys, p.window.measure, participants);
-  sys.run();  // drain: workers close their pairs and exit
-  sys.rethrowFailures();
-  COLIBRI_CHECK_MSG(sys.allTasksDone(), "wgen workers failed to drain");
 
   WgenResult res;
-  res.totalOps = std::accumulate(ctx.perCoreTotal.begin(),
-                                 ctx.perCoreTotal.end(), std::uint64_t{0});
-  res.totalIncrements =
-      std::accumulate(ctx.perCoreIncrements.begin(),
-                      ctx.perCoreIncrements.end(), std::uint64_t{0});
+  res.rate = win.run("wgen workers");
+  res.totalOps = win.completed();
+  res.totalIncrements = ctx.increments;
 
   std::uint64_t sum = 0;
   bool locksFree = true;
@@ -312,9 +286,6 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
                                                  << res.totalIncrements
                                                  << " locksFree="
                                                  << locksFree);
-
-  res.rate = workloads::summarizeRates(ctx.perCoreWindow, p.window.measure,
-                                       counters);
 
   res.opLatency = sim::Summary::ofHistogram(ctx.latency);
   return res;

@@ -1,6 +1,8 @@
 #include "workloads/harness.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 namespace colibri::workloads {
 
@@ -73,6 +75,29 @@ RateResult summarizeRates(const std::vector<std::uint64_t>& perCoreWindowOps,
   r.perCoreMaxRate = static_cast<double>(hi) / w;
   r.fairnessJain = sim::Summary::jainIndex(perCoreWindowOps);
   return r;
+}
+
+Window::Window(arch::System& sys, const MeasureWindow& w,
+               std::vector<sim::CoreId> cores)
+    : sys_(sys), w_(w), cores_(std::move(cores)) {
+  if (cores_.empty()) {
+    cores_.resize(sys.numCores());
+    std::iota(cores_.begin(), cores_.end(), 0);
+  }
+  perCoreWindow_.assign(cores_.size(), 0);
+}
+
+RateResult Window::run(const char* who,
+                       const std::function<void()>& atHorizon) {
+  sys_.at(w_.warmup, [this] { sys_.resetStats(); });
+  sys_.at(w_.horizon(), [this] { stop_ = true; });
+  sys_.runUntil(w_.horizon());
+  if (atHorizon) {
+    atHorizon();
+  }
+  const auto counters = snapshotCounters(sys_, w_.measure, participants());
+  sys_.drain(who);
+  return summarizeRates(perCoreWindow_, w_.measure, counters);
 }
 
 }  // namespace colibri::workloads

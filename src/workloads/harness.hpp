@@ -1,10 +1,14 @@
 // Shared measurement scaffolding for workload runs.
 //
-// The paper reports steady-state rates over a measurement window. A run
-// proceeds as: spawn workers at cycle 0, let them warm up, reset counters,
-// measure until the horizon, flip the stop flag, then drain (workers
-// finish their current operation — an LRwait must still be closed by its
-// SCwait — and exit, which also drains every reservation queue).
+// The paper reports steady-state rates over a measurement window. Every
+// windowed workload runs the same protocol, owned by one Window: spawn
+// workers at cycle 0, let them warm up, reset counters at `warmup`,
+// measure until the horizon, snapshot the counters and flip the stop flag
+// there, then drain (workers finish their current operation — an LRwait
+// must still be closed by its SCwait — and exit, which also drains every
+// reservation queue). A worker makes one stop check after its think delay
+// (Window::startOp) and reports each finished op (Window::completeOp);
+// only ops completed in [warmup, horizon) count toward the rate.
 //
 // One workload run per System instance: suspended coroutine frames and
 // adapter reservation state are not recycled across workloads.
@@ -12,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "arch/system.hpp"
@@ -80,5 +85,63 @@ struct RateResult {
 [[nodiscard]] RateResult summarizeRates(
     const std::vector<std::uint64_t>& perCoreWindowOps, Cycle windowCycles,
     const SystemCounters& counters);
+
+/// The warmup-then-measure protocol of one windowed run. A runner builds
+/// one Window, spawns a worker on each of cores() (a worker's position in
+/// that list is its participant index) and calls run().
+class Window {
+ public:
+  /// `cores` lists the participants; empty means every core of `sys`.
+  Window(arch::System& sys, const MeasureWindow& w,
+         std::vector<sim::CoreId> cores);
+  Window(const Window&) = delete;
+  Window& operator=(const Window&) = delete;
+
+  [[nodiscard]] const std::vector<sim::CoreId>& cores() const {
+    return cores_;
+  }
+  [[nodiscard]] std::uint32_t participants() const {
+    return static_cast<std::uint32_t>(cores_.size());
+  }
+
+  /// True from the stop event at the horizon on.
+  [[nodiscard]] bool stopped() const { return stop_; }
+  /// The stop flag, for retry loops that abandon at a retry point.
+  [[nodiscard]] const bool* stopFlag() const { return &stop_; }
+
+  /// The one stop check a worker makes after its think delay: whether it
+  /// may start another op. False once the stop event has run.
+  [[nodiscard]] bool startOp() const { return !stop_; }
+
+  /// Record one finished op of participant `idx` at cycle `at`. True iff
+  /// `at` lies in [warmup, horizon), where it counts toward the rate.
+  bool completeOp(std::uint32_t idx, Cycle at) {
+    ++completed_;
+    if (at >= w_.warmup && at < w_.horizon()) {
+      ++perCoreWindow_[idx];
+      return true;
+    }
+    return false;
+  }
+
+  /// Every op recorded so far, inside the window or not.
+  [[nodiscard]] std::uint64_t completed() const { return completed_; }
+
+  /// Schedule the stats reset at `warmup` and the stop at the horizon
+  /// (after the spawns, so same-cycle events keep their order), run to the
+  /// horizon and snapshot the counters there, call `atHorizon` if set,
+  /// then drain (`who` names the workers in a drain failure) and summarize
+  /// the per-participant window counts.
+  RateResult run(const char* who,
+                 const std::function<void()>& atHorizon = {});
+
+ private:
+  arch::System& sys_;
+  MeasureWindow w_;
+  std::vector<sim::CoreId> cores_;
+  std::vector<std::uint64_t> perCoreWindow_;
+  std::uint64_t completed_ = 0;
+  bool stop_ = false;
+};
 
 }  // namespace colibri::workloads

@@ -1,7 +1,5 @@
 #include "workloads/hashtable.hpp"
 
-#include <numeric>
-
 #include "sim/check.hpp"
 #include "sim/random.hpp"
 #include "sync/atomic.hpp"
@@ -23,27 +21,16 @@ struct TableCtx {
   std::vector<sim::Addr> slots;
   std::uint32_t insertBudget = 0;  ///< successful inserts per worker
   sync::RmwFlavor casFlavor = sync::RmwFlavor::kLrsc;
-  bool stop = false;
-  sim::Cycle windowStart = 0;
-  sim::Cycle windowEnd = 0;
-  std::vector<std::uint64_t> perCoreWindow;
   std::vector<std::vector<sim::Word>> inserted;  ///< per worker, for verify
   std::uint64_t inserts = 0;
   std::uint64_t lookups = 0;
   std::uint64_t probeSteps = 0;
 };
 
-void countOp(arch::System& sys, TableCtx& ctx, std::uint32_t idx) {
-  const auto now = sys.now();
-  if (now >= ctx.windowStart && now < ctx.windowEnd) {
-    ++ctx.perCoreWindow[idx];
-  }
-}
-
 /// Claim an empty slot for `key`, probing linearly from its hash. Returns
 /// false only when the stop flag aborted the CAS before it claimed a slot.
-sim::Co<bool> insertKey(arch::Core& core, TableCtx& ctx, sim::Word key,
-                        sync::Backoff& backoff) {
+sim::Co<bool> insertKey(arch::Core& core, TableCtx& ctx, const Window& win,
+                        sim::Word key, sync::Backoff& backoff) {
   const auto n = static_cast<std::uint32_t>(ctx.slots.size());
   std::uint32_t probe = hashSlot(key, n);
   for (std::uint32_t step = 0; step < n; ++step) {
@@ -52,11 +39,11 @@ sim::Co<bool> insertKey(arch::Core& core, TableCtx& ctx, sim::Word key,
     if (seen.value == 0) {
       const auto cas =
           co_await sync::compareAndSwap(core, ctx.casFlavor, ctx.slots[probe],
-                                        0, key, backoff, &ctx.stop);
+                                        0, key, backoff, win.stopFlag());
       if (cas.swapped) {
         co_return true;
       }
-      if (ctx.stop) {
+      if (win.stopped()) {
         co_return false;  // abandoned at a retry point, slot not claimed
       }
       // Lost the slot to a concurrent insert; fall through to the next.
@@ -88,30 +75,30 @@ sim::Co<void> lookupKey(arch::Core& core, TableCtx& ctx, sim::Word key) {
 }
 
 sim::Task tableWorker(arch::System& sys, arch::Core& core, TableCtx& ctx,
-                      std::uint32_t idx) {
+                      Window& win, std::uint32_t idx) {
   auto rng = sim::Xoshiro256::forStream(sys.config().seed, 0x7AB1E + core.id());
   sync::Backoff backoff(ctx.params->backoff, rng);
   auto& mine = ctx.inserted[idx];
   sim::Word seq = 0;
 
-  while (!ctx.stop) {
+  while (!win.stopped()) {
     co_await core.delay(ctx.params->iterDelay);
-    if (ctx.stop) {
-      break;  // the window closed during the delay: start no late op
+    if (!win.startOp()) {
+      break;
     }
     if (mine.size() < ctx.insertBudget) {
       const sim::Word key =
           (static_cast<sim::Word>(idx + 1) << kWorkerShift) | (++seq);
-      if (co_await insertKey(core, ctx, key, backoff)) {
+      if (co_await insertKey(core, ctx, win, key, backoff)) {
         mine.push_back(key);
         ++ctx.inserts;
-        countOp(sys, ctx, idx);
+        win.completeOp(idx, sys.now());
       }
     } else {
       const auto& key = mine[rng.below(mine.size())];
       co_await lookupKey(core, ctx, key);
       ++ctx.lookups;
-      countOp(sys, ctx, idx);
+      win.completeOp(idx, sys.now());
     }
   }
 }
@@ -157,12 +144,8 @@ HashTableResult runHashTable(arch::System& sys, const HashTableParams& p) {
                     "hashtable inserts are CAS loops and the AMO-only "
                     "adapter has no reservations");
 
-  std::vector<sim::CoreId> cores = p.cores;
-  if (cores.empty()) {
-    cores.resize(sys.numCores());
-    std::iota(cores.begin(), cores.end(), 0);
-  }
-  const auto participants = static_cast<std::uint32_t>(cores.size());
+  Window win(sys, p.window, p.cores);
+  const auto participants = win.participants();
 
   TableCtx ctx;
   ctx.params = &p;
@@ -189,24 +172,15 @@ HashTableResult runHashTable(arch::System& sys, const HashTableParams& p) {
     sys.poke(base + i, 0);
   }
 
-  ctx.perCoreWindow.assign(participants, 0);
   ctx.inserted.resize(participants);
-  ctx.windowStart = p.window.warmup;
-  ctx.windowEnd = p.window.horizon();
 
   for (std::uint32_t i = 0; i < participants; ++i) {
-    sys.spawn(cores[i], tableWorker(sys, sys.core(cores[i]), ctx, i));
+    const sim::CoreId c = win.cores()[i];
+    sys.spawn(c, tableWorker(sys, sys.core(c), ctx, win, i));
   }
-  sys.at(ctx.windowStart, [&sys] { sys.resetStats(); });
-  sys.at(ctx.windowEnd, [&ctx] { ctx.stop = true; });
-
-  sys.runUntil(ctx.windowEnd);
-  const auto counters = snapshotCounters(sys, p.window.measure, participants);
-  sys.run();
-  sys.rethrowFailures();
-  COLIBRI_CHECK_MSG(sys.allTasksDone(), "hashtable workers failed to drain");
 
   HashTableResult res;
+  res.rate = win.run("hashtable workers");
   res.inserts = ctx.inserts;
   res.lookups = ctx.lookups;
   res.probeSteps = ctx.probeSteps;
@@ -214,7 +188,6 @@ HashTableResult runHashTable(arch::System& sys, const HashTableParams& p) {
   COLIBRI_CHECK_MSG(res.verified, "hashtable: occupancy/reachability check "
                                   "failed, inserts="
                                       << ctx.inserts);
-  res.rate = summarizeRates(ctx.perCoreWindow, p.window.measure, counters);
   return res;
 }
 

@@ -102,9 +102,7 @@ void spawnWorkers(arch::System& sys, const MatmulParams& p, MatmulCtx& ctx) {
 MatmulResult runMatmul(arch::System& sys, const MatmulParams& p) {
   MatmulCtx ctx = setupMatmul(sys, p);
   spawnWorkers(sys, p, ctx);
-  sys.run();
-  sys.rethrowFailures();
-  COLIBRI_CHECK(sys.allTasksDone());
+  sys.drain("matmul workers");
 
   MatmulResult r;
   r.duration = ctx.lastDone;
@@ -158,9 +156,7 @@ InterferenceResult runInterference(arch::System& sys,
     sys.spawn(c, pollerTask(sys, sys.core(c), ctx, bins, p,
                             &res.pollerUpdates));
   }
-  sys.run();
-  sys.rethrowFailures();
-  COLIBRI_CHECK(sys.allTasksDone());
+  sys.drain("matmul workers and pollers");
 
   res.matmul.duration = ctx.lastDone;
   res.matmul.macs = ctx.macs;

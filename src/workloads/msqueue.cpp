@@ -1,7 +1,6 @@
 #include "workloads/msqueue.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "sim/check.hpp"
 #include "sim/random.hpp"
@@ -37,22 +36,9 @@ struct QueueCtx {
   sim::Addr lockTail = 0;  // kLock: plain tail index
   std::vector<sim::Addr> lockVal;
   std::uint32_t capacity = 0;
-  bool stop = false;
-  sim::Cycle windowStart = 0;
-  sim::Cycle windowEnd = 0;
-  std::vector<std::uint64_t> perCoreWindow;
-  std::uint64_t totalAccesses = 0;
   /// (dequeue ticket, value) pairs for post-run FIFO verification.
   std::vector<std::pair<sim::Word, sim::Word>> dequeueLog;
 };
-
-void countAccess(arch::System& sys, QueueCtx& ctx, sim::CoreId c) {
-  ++ctx.totalAccesses;
-  const auto now = sys.now();
-  if (now >= ctx.windowStart && now < ctx.windowEnd) {
-    ++ctx.perCoreWindow[c];
-  }
-}
 
 sim::Co<void> lockedEnqueue(arch::Core& core, QueueCtx& ctx, sim::Word v,
                             sync::Backoff& backoff) {
@@ -95,7 +81,8 @@ sim::Co<sim::Word> lockedDequeue(arch::Core& core, QueueCtx& ctx,
   }
 }
 
-sim::Task queueWorker(arch::System& sys, arch::Core& core, QueueCtx& ctx) {
+sim::Task queueWorker(arch::System& sys, arch::Core& core, QueueCtx& ctx,
+                      Window& win, std::uint32_t idx) {
   auto rng = sim::Xoshiro256::forStream(sys.config().seed, 0x5EED + core.id());
   sync::Backoff backoff(ctx.params.backoff, rng);
   const auto variant = ctx.params.variant;
@@ -105,25 +92,25 @@ sim::Task queueWorker(arch::System& sys, arch::Core& core, QueueCtx& ctx) {
   const bool useMwait = variant == QueueVariant::kLrscWait;
   sim::Word seqNo = 0;
 
-  while (!ctx.stop) {
+  while (!win.stopped()) {
     co_await core.delay(ctx.params.iterDelay);
-    if (ctx.stop) {
-      break;  // the window closed during the delay: start no late op
+    if (!win.startOp()) {
+      break;
     }
     const sim::Word v = (core.id() << kProducerShift) | (++seqNo);
     sim::Word ticket = 0;
     sim::Word got = 0;
     if (variant == QueueVariant::kLock) {
       co_await lockedEnqueue(core, ctx, v, backoff);
-      countAccess(sys, ctx, core.id());
+      win.completeOp(idx, sys.now());
       got = co_await lockedDequeue(core, ctx, backoff, &ticket);
     } else {
       co_await ctx.queue.enqueue(core, v, flavor, useMwait, backoff);
-      countAccess(sys, ctx, core.id());
+      win.completeOp(idx, sys.now());
       got = co_await ctx.queue.dequeue(core, flavor, useMwait, backoff,
                                        &ticket);
     }
-    countAccess(sys, ctx, core.id());
+    win.completeOp(idx, sys.now());
     ctx.dequeueLog.emplace_back(ticket, got);
   }
 }
@@ -156,16 +143,10 @@ QueueResult runQueue(arch::System& sys, const QueueParams& p) {
                       "lrscwait queue needs a wait-capable adapter");
   }
 
+  Window win(sys, p.window, p.cores);
   QueueCtx ctx;
   ctx.params = p;
-  std::vector<sim::CoreId> cores = p.cores;
-  if (cores.empty()) {
-    cores.resize(sys.numCores());
-    std::iota(cores.begin(), cores.end(), 0);
-  }
-  ctx.capacity = p.capacity != 0
-                     ? p.capacity
-                     : 2 * static_cast<std::uint32_t>(cores.size());
+  ctx.capacity = p.capacity != 0 ? p.capacity : 2 * win.participants();
   const std::uint32_t prefillCount =
       p.prefill != 0 ? p.prefill : ctx.capacity / 2;
   COLIBRI_CHECK(prefillCount <= ctx.capacity);
@@ -195,35 +176,17 @@ QueueResult runQueue(arch::System& sys, const QueueParams& p) {
     ctx.queue = TicketQueue::create(sys, ctx.capacity, prefill);
   }
 
-  ctx.perCoreWindow.assign(sys.numCores(), 0);
-  ctx.windowStart = p.window.warmup;
-  ctx.windowEnd = p.window.horizon();
-
-  for (const auto c : cores) {
-    sys.spawn(c, queueWorker(sys, sys.core(c), ctx));
+  for (std::uint32_t i = 0; i < win.participants(); ++i) {
+    const sim::CoreId c = win.cores()[i];
+    sys.spawn(c, queueWorker(sys, sys.core(c), ctx, win, i));
   }
-  sys.at(ctx.windowStart, [&sys] { sys.resetStats(); });
-  sys.at(ctx.windowEnd, [&ctx] { ctx.stop = true; });
-
-  sys.runUntil(ctx.windowEnd);
-  const auto counters = snapshotCounters(
-      sys, p.window.measure, static_cast<std::uint32_t>(cores.size()));
-  sys.run();
-  sys.rethrowFailures();
-  COLIBRI_CHECK_MSG(sys.allTasksDone(), "queue workers failed to drain");
 
   QueueResult res;
-  res.totalAccesses = ctx.totalAccesses;
+  res.rate = win.run("queue workers");
+  res.totalAccesses = win.completed();
   res.fifoVerified = verifyFifo(ctx, sys.numCores());
   COLIBRI_CHECK_MSG(res.fifoVerified, "queue FIFO order violated, variant="
                                           << toString(p.variant));
-
-  std::vector<std::uint64_t> windowOps;
-  windowOps.reserve(cores.size());
-  for (const auto c : cores) {
-    windowOps.push_back(ctx.perCoreWindow[c]);
-  }
-  res.rate = summarizeRates(windowOps, p.window.measure, counters);
   return res;
 }
 

@@ -1,5 +1,8 @@
 #include "workloads/prodcons.hpp"
 
+#include <numeric>
+#include <utility>
+
 #include "sim/check.hpp"
 #include "sim/random.hpp"
 #include "workloads/ticket_queue.hpp"
@@ -14,22 +17,17 @@ struct PcCtx {
   ProdConsParams params;
   TicketQueue queue;
   sync::RmwFlavor flavor = sync::RmwFlavor::kLrscWait;
-  bool stopProducing = false;
   std::uint32_t activeProducers = 0;
   std::uint64_t produced = 0;
-  std::uint64_t consumed = 0;
-  std::uint64_t consumedInWindow = 0;
-  sim::Cycle windowStart = 0;
-  sim::Cycle windowEnd = 0;
 };
 
 sim::Task producerTask(arch::System& sys, arch::Core& core, PcCtx& ctx,
-                       bool poisoner) {
+                       const Window& win, bool poisoner) {
   auto rng = sim::Xoshiro256::forStream(sys.config().seed, 0xF00D + core.id());
   sync::Backoff backoff(ctx.params.backoff, rng);
   const bool useMwait = ctx.params.useMwait;
   sim::Word item = 1;
-  while (!ctx.stopProducing) {
+  while (!win.stopped()) {
     co_await core.delay(ctx.params.produceDelay);
     co_await ctx.queue.enqueue(core, item++, ctx.flavor, useMwait, backoff);
     ++ctx.produced;
@@ -51,7 +49,8 @@ sim::Task producerTask(arch::System& sys, arch::Core& core, PcCtx& ctx,
   }
 }
 
-sim::Task consumerTask(arch::System& sys, arch::Core& core, PcCtx& ctx) {
+sim::Task consumerTask(arch::System& sys, arch::Core& core, PcCtx& ctx,
+                       Window& win, std::uint32_t idx) {
   auto rng = sim::Xoshiro256::forStream(sys.config().seed, 0xCAFE + core.id());
   sync::Backoff backoff(ctx.params.backoff, rng);
   const bool useMwait = ctx.params.useMwait;
@@ -62,11 +61,7 @@ sim::Task consumerTask(arch::System& sys, arch::Core& core, PcCtx& ctx) {
       co_return;
     }
     co_await core.delay(ctx.params.consumeDelay);
-    ++ctx.consumed;
-    const auto now = sys.now();
-    if (now >= ctx.windowStart && now < ctx.windowEnd) {
-      ++ctx.consumedInWindow;
-    }
+    win.completeOp(idx, sys.now());
   }
 }
 
@@ -87,49 +82,40 @@ ProdConsResult runProdCons(arch::System& sys, const ProdConsParams& p) {
       waitCapable ? sync::RmwFlavor::kLrscWait : sync::RmwFlavor::kLrsc;
   ctx.queue = TicketQueue::create(sys, p.capacity);
   ctx.activeProducers = p.producers;
-  ctx.windowStart = p.window.warmup;
-  ctx.windowEnd = p.window.horizon();
 
-  std::vector<sim::CoreId> consumerCores;
+  // Producers on cores [0, producers), consumers after them; a consumer's
+  // participant index is its core id.
+  std::vector<sim::CoreId> cores(p.producers + p.consumers);
+  std::iota(cores.begin(), cores.end(), 0);
+  Window win(sys, p.window, std::move(cores));
   for (std::uint32_t i = 0; i < p.producers; ++i) {
-    sys.spawn(i, producerTask(sys, sys.core(i), ctx, i == 0));
+    sys.spawn(i, producerTask(sys, sys.core(i), ctx, win, i == 0));
   }
-  for (std::uint32_t i = 0; i < p.consumers; ++i) {
-    const sim::CoreId c = p.producers + i;
-    consumerCores.push_back(c);
-    sys.spawn(c, consumerTask(sys, sys.core(c), ctx));
+  for (sim::CoreId c = p.producers; c < win.participants(); ++c) {
+    sys.spawn(c, consumerTask(sys, sys.core(c), ctx, win, c));
   }
-  sys.at(ctx.windowStart, [&sys] { sys.resetStats(); });
-  sys.at(ctx.windowEnd, [&ctx] { ctx.stopProducing = true; });
 
-  sys.runUntil(ctx.windowEnd);
-  // Consumer-side counters over the window (before the drain phase).
+  // Consumer-side counters over the window, read before the drain, whose
+  // poison pills terminate every consumer.
   std::uint64_t consumerSleep = 0;
   std::uint64_t consumerIssued = 0;
-  for (const auto c : consumerCores) {
-    consumerSleep += sys.core(c).stats().sleepCycles;
-    consumerIssued += sys.core(c).stats().issued;
-  }
-  const std::uint64_t windowItems = ctx.consumedInWindow;
-  const SystemCounters windowCounters =
-      snapshotCounters(sys, p.window.measure, p.producers + p.consumers);
-
-  sys.run();  // drain: poison pills terminate every consumer
-  sys.rethrowFailures();
-  COLIBRI_CHECK_MSG(sys.allTasksDone(), "prod/cons failed to drain");
+  const auto rate = win.run("prod/cons", [&] {
+    for (sim::CoreId c = p.producers; c < win.participants(); ++c) {
+      consumerSleep += sys.core(c).stats().sleepCycles;
+      consumerIssued += sys.core(c).stats().issued;
+    }
+  });
+  const std::uint64_t windowItems = rate.opsInWindow;
 
   ProdConsResult res;
-  res.itemsConsumed = ctx.consumed;
+  res.itemsConsumed = win.completed();
   res.itemsInWindow = windowItems;
-  res.counters = windowCounters;
-  res.allItemsSeen = ctx.consumed == ctx.produced;
+  res.counters = rate.counters;
+  res.allItemsSeen = res.itemsConsumed == ctx.produced;
   COLIBRI_CHECK_MSG(res.allItemsSeen, "lost items: produced "
                                           << ctx.produced << " consumed "
-                                          << ctx.consumed);
-  res.itemsPerCycle = p.window.measure == 0
-                          ? 0.0
-                          : static_cast<double>(windowItems) /
-                                static_cast<double>(p.window.measure);
+                                          << res.itemsConsumed);
+  res.itemsPerCycle = rate.opsPerCycle;
   const double consumerCycles =
       static_cast<double>(p.window.measure) * p.consumers;
   res.consumerSleepFraction =

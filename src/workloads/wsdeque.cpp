@@ -146,9 +146,7 @@ WsDequeResult runWsDeque(arch::System& sys, const WsDequeParams& p) {
     sys.spawn(c, thiefTask(sys, sys.core(c), ctx));
   }
 
-  sys.run();
-  sys.rethrowFailures();
-  COLIBRI_CHECK_MSG(sys.allTasksDone(), "wsdeque workers failed to drain");
+  sys.drain("wsdeque workers");
 
   WsDequeResult res;
   res.duration = ctx.lastRetire;

@@ -61,26 +61,6 @@ TEST(Xoshiro, Uniform01InUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
-TEST(WindowedCounter, SplitsAtWindow) {
-  WindowedCounter c;
-  c.setWindow(100, 200);
-  c.record(50);
-  c.record(100);
-  c.record(150, 3);
-  c.record(199);
-  c.record(200);
-  EXPECT_EQ(c.total(), 7u);
-  EXPECT_EQ(c.inWindow(), 5u);
-  EXPECT_DOUBLE_EQ(c.rate(1000), 5.0 / 100.0);
-}
-
-TEST(WindowedCounter, RateClampsToSimEnd) {
-  WindowedCounter c;
-  c.setWindow(0, 1000);
-  c.record(10, 50);
-  EXPECT_DOUBLE_EQ(c.rate(100), 0.5);
-}
-
 TEST(Summary, BasicMoments) {
   const std::vector<double> xs{1, 2, 3, 4, 5};
   const auto s = Summary::of(xs);

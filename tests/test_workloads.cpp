@@ -1,9 +1,12 @@
-// Workload harness tests: every histogram mode, queue variant, the
-// producer/consumer pipeline and the matmul kernel run correctly on small
-// systems, self-verify, and drain cleanly.
+// Workload harness tests: the measurement Window's boundaries, and every
+// histogram mode, queue variant, the producer/consumer pipeline and the
+// matmul kernel run correctly on small systems, self-verify, and drain
+// cleanly.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "arch/system.hpp"
 #include "test_util.hpp"
@@ -26,6 +29,81 @@ SystemConfig withAdapter(AdapterKind k) {
 }
 
 MeasureWindow shortWindow() { return MeasureWindow{500, 4000}; }
+
+// --- Window: the one warmup-then-measure protocol -------------------------
+
+TEST(Window, EmptyCoresMeansEveryCore) {
+  System sys(SystemConfig::smallTest());
+  const Window all(sys, MeasureWindow{10, 20}, {});
+  ASSERT_EQ(all.participants(), sys.numCores());
+  for (sim::CoreId c = 0; c < sys.numCores(); ++c) {
+    EXPECT_EQ(all.cores()[c], c);
+  }
+  const Window some(sys, MeasureWindow{10, 20}, {5, 2});
+  EXPECT_EQ(some.cores(), (std::vector<sim::CoreId>{5, 2}));
+}
+
+TEST(Window, CompleteOpCountsFromWarmupUpToButExcludingHorizon) {
+  System sys(SystemConfig::smallTest());
+  Window win(sys, MeasureWindow{100, 100}, {0, 1});
+  EXPECT_FALSE(win.completeOp(0, 99));
+  EXPECT_TRUE(win.completeOp(0, 100));
+  EXPECT_TRUE(win.completeOp(1, 150));
+  EXPECT_TRUE(win.completeOp(1, 199));
+  EXPECT_FALSE(win.completeOp(1, 200));
+  EXPECT_EQ(win.completed(), 5u);
+  const auto r = win.run("no workers");
+  EXPECT_EQ(r.perCoreWindowOps, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(r.opsInWindow, 3u);
+  EXPECT_DOUBLE_EQ(r.opsPerCycle, 3.0 / 100.0);
+}
+
+/// Records whether it may start an op at cycles 19, 20 and 21 of a window
+/// that stops at 20. The first delay is scheduled at spawn, before the
+/// Window's events; every later one is scheduled during the run, so at the
+/// stop cycle the stop event runs first.
+sim::Task stopProbe(System& sys, arch::Core& core, const Window& win,
+                    std::vector<std::pair<sim::Cycle, bool>>& seen) {
+  co_await core.delay(1);
+  co_await core.delay(18);
+  for (int i = 0; i < 3; ++i) {
+    seen.emplace_back(sys.now(), win.startOp());
+    co_await core.delay(1);
+  }
+}
+
+TEST(Window, StartOpRefusesAtAndAfterTheStopCycle) {
+  System sys(SystemConfig::smallTest());
+  Window win(sys, MeasureWindow{10, 10}, {0});
+  std::vector<std::pair<sim::Cycle, bool>> seen;
+  sys.spawn(0, stopProbe(sys, sys.core(0), win, seen));
+  (void)win.run("stop probe");
+  using Seen = std::vector<std::pair<sim::Cycle, bool>>;
+  EXPECT_EQ(seen, (Seen{{19, true}, {20, false}, {21, false}}));
+  EXPECT_TRUE(win.stopped());
+}
+
+/// One load before the warmup ends, one inside the window, and one in the
+/// drain after the horizon.
+sim::Task windowLoads(System& sys, arch::Core& core, sim::Addr a) {
+  (void)co_await core.load(a);
+  co_await core.delay(150 - sys.now());
+  (void)co_await core.load(a);
+  co_await core.delay(250 - sys.now());
+  (void)co_await core.load(a);
+}
+
+TEST(Window, ResetsStatsAtWarmupAndSnapshotsAtHorizon) {
+  System sys(SystemConfig::smallTest());
+  const sim::Addr a = sys.allocator().allocGlobal(1);
+  Window win(sys, MeasureWindow{100, 100}, {0, 1});
+  sys.spawn(0, windowLoads(sys, sys.core(0), a));
+  const auto r = win.run("window loads");
+  EXPECT_EQ(r.counters.instructions, 1u);  // the in-window load only
+  EXPECT_EQ(r.counters.windowCycles, 100u);
+  EXPECT_EQ(r.counters.activeCores, 2u);
+  EXPECT_EQ(sys.core(0).stats().issued, 2u);  // plus the drain's load
+}
 
 struct HistCase {
   AdapterKind adapter;
