@@ -29,6 +29,9 @@ sim::Task producerTask(arch::System& sys, arch::Core& core, PcCtx& ctx,
   sim::Word item = 1;
   while (!win.stopped()) {
     co_await core.delay(ctx.params.produceDelay);
+    if (!win.startOp()) {
+      break;
+    }
     co_await ctx.queue.enqueue(core, item++, ctx.flavor, useMwait, backoff);
     ++ctx.produced;
   }
