@@ -59,6 +59,17 @@ void ColibriAdapter::handleWait(const MemRequest& req) {
     ctx_.sendSuccessorUpdate(prevTail, req.core, req.addr, isMwait);
     return;
   }
+  if (isMwait) {
+    // Checked before taking a slot: a waiter whose value has already
+    // changed needs no slot, so a full queue cannot hide the write from it.
+    const Word cur = ctx_.read(req.addr);
+    if (cur != req.value) {
+      // Value already changed: notify immediately, nothing to enqueue.
+      ++stats_.mwaitWakes;
+      ctx_.respond(req.core, MemResponse{cur, true, true});
+      return;
+    }
+  }
   Slot* s = allocate();
   if (s == nullptr) {
     // All head/tail register pairs busy: immediate fail, software retries.
@@ -67,13 +78,6 @@ void ColibriAdapter::handleWait(const MemRequest& req) {
     return;
   }
   if (isMwait) {
-    const Word cur = ctx_.read(req.addr);
-    if (cur != req.value) {
-      // Value already changed: notify immediately, nothing to enqueue.
-      ++stats_.mwaitWakes;
-      ctx_.respond(req.core, MemResponse{cur, true, true});
-      return;
-    }
     *s = Slot{SlotState::kMwaitMonitoring, req.addr, req.core, req.core,
               false};
     return;  // head sleeps until a write

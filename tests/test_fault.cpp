@@ -331,35 +331,42 @@ TEST(WatchdogTest, DisabledWatchdogLetsTheHangRunSilently) {
   EXPECT_NO_THROW(runStrandedLr(cfg, 20'000));
 }
 
-// The Colibri MCS-lock histogram with fewer Mwait queue slots than it
-// needs: each waiter's Mwait is refused "queue full" and retried after a
-// backoff, forever. A refused Mwait is not a productive retirement, so the
-// livelock trips the watchdog instead of running to a timeout, and the
-// blame shows the bank whose every slot holds a sleeping Mwait monitor.
+// The Colibri MCS-lock histogram with too few queue slots. Colibri checks
+// an Mwait's value before it takes a slot, so at 2 slots per controller a
+// waiter whose flag was already written is notified and the run completes.
+// At 1 slot a core's LRwait is refused "queue full", forever, by a bank
+// whose only slot holds a sleeping Mwait monitor. A refused wait is not a
+// productive retirement, so that livelock trips the watchdog instead of
+// running to a timeout, and the blame shows the monitor holding the slot.
+exp::RunSpec mcsHistogramWithQueues(std::uint32_t queues) {
+  exp::RunSpec spec;
+  spec.config = exp::configFor(*exp::findAdapter("colibri"), 8,
+                               arch::SystemConfig::smallTest());
+  spec.config.colibriQueuesPerController = queues;
+  workloads::HistogramParams p;
+  p.mode = workloads::HistogramMode::kMcsLock;
+  spec.params = p;
+  spec.window = workloads::MeasureWindow{500, 2000};
+  return spec;
+}
+
 TEST(WatchdogTest, CatchesMcsMwaitLivelockWithTooFewQueues) {
-  for (const std::uint32_t queues : {1u, 2u}) {
-    SCOPED_TRACE(queues);
-    exp::RunSpec spec;
-    spec.config = exp::configFor(*exp::findAdapter("colibri"), 8,
-                                 arch::SystemConfig::smallTest());
-    spec.config.colibriQueuesPerController = queues;
-    workloads::HistogramParams p;
-    p.mode = workloads::HistogramMode::kMcsLock;
-    spec.params = p;
-    spec.window = workloads::MeasureWindow{500, 2000};
-    try {
-      (void)exp::runOne(spec);
-      FAIL() << "the MCS livelock finished without a watchdog trip";
-    } catch (const WatchdogError& e) {
-      EXPECT_EQ(e.trippedAt(), 281'250u);
-      const std::string slots = std::to_string(queues) + " of " +
-                                std::to_string(queues) + " queue slots busy";
-      EXPECT_NE(e.report().find("bank 1: " + slots +
-                                "; slot 0: mwait-monitoring"),
-                std::string::npos)
-          << e.report();
-    }
+  try {
+    (void)exp::runOne(mcsHistogramWithQueues(1));
+    FAIL() << "the MCS livelock finished without a watchdog trip";
+  } catch (const WatchdogError& e) {
+    EXPECT_EQ(e.trippedAt(), 281'250u);
+    EXPECT_NE(e.report().find("bank 1: 1 of 1 queue slots busy; slot 0: "
+                              "mwait-monitoring"),
+              std::string::npos)
+        << e.report();
   }
+}
+
+TEST(WatchdogTest, McsMwaitCompletesWithTwoQueues) {
+  const auto r = exp::runOne(mcsHistogramWithQueues(2));
+  EXPECT_TRUE(r.verified);
+  EXPECT_DOUBLE_EQ(r.rate.opsPerCycle, 0.1635);
 }
 
 // --- CLI surface ----------------------------------------------------------
