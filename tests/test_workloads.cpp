@@ -10,7 +10,9 @@
 
 #include "arch/system.hpp"
 #include "test_util.hpp"
+#include "workloads/hashtable.hpp"
 #include "workloads/histogram.hpp"
+#include "workloads/lockfair.hpp"
 #include "workloads/matmul.hpp"
 #include "workloads/msqueue.hpp"
 #include "workloads/prodcons.hpp"
@@ -103,6 +105,68 @@ TEST(Window, ResetsStatsAtWarmupAndSnapshotsAtHorizon) {
   EXPECT_EQ(r.counters.windowCycles, 100u);
   EXPECT_EQ(r.counters.activeCores, 2u);
   EXPECT_EQ(sys.core(0).stats().issued, 2u);  // plus the drain's load
+}
+
+// A stop that falls inside every worker's think delay completes nothing
+// after the window. Each windowed workload runs one worker (prodcons: one
+// producer and one consumer) with a 1000-cycle delay, and the horizon at
+// 2500 lands mid-delay, so the drain-inclusive total must equal the window
+// count. A worker that started one op after the stop breaks the equality.
+TEST(Window, NoWorkloadStartsAnOpAfterTheStop) {
+  const MeasureWindow w{0, 2500};
+  const std::vector<sim::CoreId> one{0};
+  {
+    System sys(withAdapter(AdapterKind::kColibri));
+    HistogramParams p;  // a wgen kernel
+    p.window = w;
+    p.cores = one;
+    p.iterDelay = 1000;
+    const auto r = runHistogram(sys, p);
+    EXPECT_GT(r.rate.opsInWindow, 0u);
+    EXPECT_EQ(r.totalUpdates, r.rate.opsInWindow) << "histogram";
+  }
+  {
+    System sys(withAdapter(AdapterKind::kColibri));
+    QueueParams p;
+    p.variant = QueueVariant::kLrscWait;
+    p.window = w;
+    p.cores = one;
+    p.iterDelay = 1000;
+    const auto r = runQueue(sys, p);
+    EXPECT_GT(r.rate.opsInWindow, 0u);
+    EXPECT_EQ(r.totalAccesses, r.rate.opsInWindow) << "msqueue";
+  }
+  {
+    System sys(withAdapter(AdapterKind::kColibri));
+    HashTableParams p;
+    p.window = w;
+    p.cores = one;
+    p.iterDelay = 1000;
+    const auto r = runHashTable(sys, p);
+    EXPECT_GT(r.rate.opsInWindow, 0u);
+    EXPECT_EQ(r.inserts + r.lookups, r.rate.opsInWindow) << "hashtable";
+  }
+  {
+    System sys(withAdapter(AdapterKind::kColibri));
+    LockFairParams p;
+    p.window = w;
+    p.cores = one;
+    p.thinkCycles = 1000;
+    const auto r = runLockFair(sys, p);
+    EXPECT_GT(r.rate.opsInWindow, 0u);
+    EXPECT_EQ(r.acquisitions, r.rate.opsInWindow) << "lockfair";
+  }
+  {
+    System sys(withAdapter(AdapterKind::kColibri));
+    ProdConsParams p;
+    p.producers = 1;
+    p.consumers = 1;
+    p.produceDelay = 1000;
+    p.window = w;
+    const auto r = runProdCons(sys, p);
+    EXPECT_GT(r.itemsInWindow, 0u);
+    EXPECT_EQ(r.itemsConsumed, r.itemsInWindow) << "prodcons";
+  }
 }
 
 struct HistCase {
