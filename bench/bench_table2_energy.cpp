@@ -37,12 +37,8 @@ int main() {
   };
 
   // Two contention points: 1 bin (the paper's "highest contention") and
-  // 4 bins. In our FIFO-queued fabric the 1-bin LR/SC equilibrium degrades
-  // further than on the authors' testbed (requests pile up in unbounded
-  // order-preserving queues, so every request — including the reservation
-  // holder's SC — waits behind the whole crowd), which inflates the LR/SC
-  // blow-up; the 4-bin point reproduces the paper's ratios closely. See
-  // EXPERIMENTS.md for the full analysis.
+  // 4 bins. docs/ARCHITECTURE.md §4 explains why the 1-bin LR/SC and lock
+  // blow-ups exceed the paper's and the 4-bin point comes closer.
   std::vector<exp::RunSpec> specs;
   for (const std::uint32_t bins : {1u, 4u}) {
     for (const auto& row : rows) {
@@ -87,7 +83,7 @@ int main() {
       "Table II: energy per atomic access, highest contention (1 bin)", 0);
   printSection(
       "Table II (4 bins — matches the paper's contention equilibrium, "
-      "see EXPERIMENTS.md)",
+      "see docs/ARCHITECTURE.md §4)",
       rows.size());
   return 0;
 }

@@ -7,7 +7,7 @@
 // producer/consumer hand-off. This preserves the paper's contention
 // pattern — two hot words hammered by every core plus a distributed
 // hand-off — while being safe against node-reuse hazards in simulation.
-// (Substitution documented in DESIGN.md/EXPERIMENTS.md.)
+// (Substitution documented in docs/ARCHITECTURE.md §4.)
 //
 // Variants (the Fig. 6 curves):
 //   kLrsc     — ticket RMWs with LR/SC, slot waits by polling
