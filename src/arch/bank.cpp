@@ -5,7 +5,6 @@
 #include "fault/fault.hpp"
 #include "obs/hooks.hpp"
 #include "sim/check.hpp"
-#include "sim/event.hpp"
 
 namespace colibri::arch {
 
@@ -55,8 +54,6 @@ void Bank::receive(const MemRequest& req) {
     ++stats_.requests;
     adapter_->handle(req);
   };
-  static_assert(sim::InlineEvent::fitsInline<decltype(serve)>,
-                "bank service closure must fit the inline event buffer");
   engine_.scheduleAt(serveAt, std::move(serve));
 }
 
@@ -78,8 +75,6 @@ void Bank::respond(CoreId c, const MemResponse& r) {
     hooks_->tracer->onRespond(c, engine_.now());
   }
   auto arrive = [this, c, r] { sink_.deliverResponse(c, r); };
-  static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
-                "response closure must fit the inline event buffer");
   engine_.scheduleAt(arriveAt, std::move(arrive));
 }
 
@@ -89,8 +84,6 @@ void Bank::sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
   auto arrive = [this, target, successor, a, successorIsMwait] {
     sink_.deliverSuccessorUpdate(target, successor, a, successorIsMwait);
   };
-  static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
-                "successor-update closure must fit the inline event buffer");
   engine_.scheduleAt(arriveAt, std::move(arrive));
 }
 

@@ -10,7 +10,6 @@
 #include "obs/hooks.hpp"
 #include "obs/recorder.hpp"
 #include "sim/check.hpp"
-#include "sim/event.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 
@@ -279,8 +278,6 @@ void System::drain(const char* who) {
 void System::injectRequest(CoreId from, const MemRequest& req) {
   Bank* target = &bankUnchecked(alloc_.map().bankOf(req.addr));
   auto arrive = [target, req] { target->receive(req); };
-  static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
-                "request-injection closure must fit the inline event buffer");
 
   // Backpressure proxy: a request towards a backlogged bank holds shared
   // network stages longer (finite switch buffers; see config.hpp).

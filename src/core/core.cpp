@@ -6,7 +6,6 @@
 #include "atomics/qnode.hpp"
 #include "obs/hooks.hpp"
 #include "sim/check.hpp"
-#include "sim/event.hpp"
 
 namespace colibri::arch {
 
@@ -55,8 +54,6 @@ void Core::post(const MemRequest& req, std::coroutine_handle<> h) {
     sys_.injectRequest(id_, req);
     h.resume();
   };
-  static_assert(sim::InlineEvent::fitsInline<decltype(depart_ev)>,
-                "posted-store closure must fit the inline event buffer");
   sys_.engine().scheduleAt(depart, std::move(depart_ev));
 }
 
@@ -82,8 +79,6 @@ void Core::issue(const MemRequest& req, Resume k, MemResponse* out) {
       qnode_->onScWaitIssued();
     }
   };
-  static_assert(sim::InlineEvent::fitsInline<decltype(depart_ev)>,
-                "issue closure must fit the inline event buffer");
   sys_.engine().scheduleAt(depart, std::move(depart_ev));
 }
 
@@ -157,8 +152,6 @@ void Core::delayed(Cycle n, Resume k) {
     k();
     task_.rethrowIfFailed();
   };
-  static_assert(sim::InlineEvent::fitsInline<decltype(resume_ev)>,
-                "delay closure must fit the inline event buffer");
   sys_.engine().scheduleAt(done, std::move(resume_ev));
 }
 

@@ -2,14 +2,6 @@
 
 namespace colibri::sim {
 
-bool Engine::dispatchOne(Cycle horizon) {
-  // The event runs in place inside its (already unlinked) queue node, so
-  // the callable may schedule new events — which mutates the queue — while
-  // it executes, and dispatch pays no event move.
-  return queue_.runEarliestIfAtMost(
-      horizon, [this](Cycle when, std::uint64_t seq) { onDispatch(when, seq); });
-}
-
 std::size_t Engine::runUntil(Cycle horizon) {
   std::size_t ran = 0;
   auto before = [this](Cycle when, std::uint64_t seq) { onDispatch(when, seq); };
@@ -49,21 +41,6 @@ std::size_t Engine::runUntil(Cycle horizon) {
   return ran;
 }
 
-std::size_t Engine::step(std::size_t n) {
-  std::size_t ran = 0;
-  while (ran < n && dispatchOne(kCycleNever)) {
-    ++ran;
-  }
-  return ran;
-}
-
 void Engine::clear() { queue_.clear(); }
-
-void Engine::advanceTo(Cycle when) {
-  COLIBRI_CHECK(when >= now_);
-  COLIBRI_CHECK_MSG(queue_.minWhen() >= when,
-                    "advanceTo would skip a pending event");
-  now_ = when;
-}
 
 }  // namespace colibri::sim

@@ -11,12 +11,13 @@
 // set is a two-level calendar queue (per-cycle FIFO buckets over pooled
 // 64-byte nodes with an overflow heap, eventqueue.hpp), so the
 // steady-state schedule/dispatch cycle costs no heap traffic and no
-// O(log n) sift. Dispatch drains whole cycles at a time
-// (EventQueue::runBatchIfAtMost), touching the queue's minimum probe once
+// O(log n) sift. runUntil() is the one dispatch loop (run() is runUntil
+// with no horizon): it drains whole cycles at a time
+// (EventQueue::runBatchIfAtMost), scanning for the queue's minimum once
 // per cycle instead of once per event, and runs and destroys each closure
-// with one indirect call. runUntil() consults the progress probe only when
-// the next cycle reaches its boundary: batches below the boundary run
-// without it.
+// with one indirect call. It consults the progress probe only when the
+// next cycle reaches its boundary: batches below the boundary run without
+// it.
 //
 // The engine is single-threaded and fully deterministic: the dispatch
 // order is a pure function of the scheduled (when, seq) keys. Host
@@ -72,8 +73,9 @@ class Engine {
   [[nodiscard]] Cycle now() const { return now_; }
 
   /// Schedule `f` to run at absolute cycle `when` (must be >= now()).
-  /// Accepts any void() callable (or a prebuilt InlineEvent); the closure
-  /// is constructed directly inside a pooled queue node.
+  /// Accepts any void() callable that fits InlineEvent's inline buffer (a
+  /// larger one does not compile); the closure is constructed directly
+  /// inside a pooled queue node.
   template <typename F>
   void scheduleAt(Cycle when, F&& f) {
     COLIBRI_CHECK_MSG(when >= now_, "scheduleAt into the past: when="
@@ -81,23 +83,16 @@ class Engine {
     queue_.schedule(when, std::forward<F>(f));
   }
 
-  /// Schedule `f` to run `delay` cycles from now.
-  template <typename F>
-  void scheduleAfter(Cycle delay, F&& f) {
-    scheduleAt(now() + delay, std::forward<F>(f));
-  }
-
   /// Run until the event queue is empty. Returns the number of events run.
+  /// now() is left at the last executed event's cycle.
   std::size_t run() { return runUntil(kCycleNever); }
 
-  /// Run events with time <= horizon; leaves later events queued and sets
-  /// now() to min(horizon, time of last executed event). Returns the number
-  /// of events executed.
+  /// Run events with time <= horizon and leave later events queued. A
+  /// finite horizon then sets now() to the horizon (unless now() is
+  /// already later), not to the last executed event's cycle, so a later
+  /// scheduleAt below the horizon is an error. Returns the number of
+  /// events executed.
   std::size_t runUntil(Cycle horizon);
-
-  /// Execute at most `n` further events (for incremental co-simulation and
-  /// tests). Returns how many actually ran.
-  std::size_t step(std::size_t n = 1);
 
   /// Drop all pending events without running them. Used at teardown so that
   /// no queued callback can touch objects that are about to be destroyed.
@@ -115,10 +110,6 @@ class Engine {
     return queue_.allocatedNodes();
   }
 
-  /// Advance now() to `when` without running anything (only legal when no
-  /// earlier event is pending). Lets drivers account for idle gaps.
-  void advanceTo(Cycle when);
-
   /// Record every dispatched event's (when, seq) into `trace` (nullptr to
   /// stop). Test hook for order-equivalence checks; adds one predictable
   /// branch to dispatch when unset.
@@ -130,10 +121,6 @@ class Engine {
   [[nodiscard]] ProgressProbe* progressProbe() const { return probe_; }
 
  private:
-  /// Pop and run the earliest event if its cycle is <= horizon. Returns
-  /// whether an event ran. The dispatch body behind step().
-  bool dispatchOne(Cycle horizon);
-
   /// Bookkeeping just before an event runs.
   void onDispatch(Cycle when, std::uint64_t seq) {
     now_ = when;

@@ -1,29 +1,24 @@
-// InlineEvent: the engine's move-only callable with small-buffer storage.
+// InlineEvent: the engine's callable, stored inline in a fixed buffer.
 //
 // Every simulated memory operation schedules several events; with
 // std::function each closure that outgrew the 16-byte SSO buffer cost a
 // heap allocation on the per-op hot path. InlineEvent reserves 40 bytes
-// of 8-aligned inline storage — enough for every closure the simulator
-// schedules (asserted with static_asserts at each scheduling site via
-// fitsInline) — and falls back to the heap only for oversized callables
-// (test drivers, user callbacks routed through System::at).
+// of 8-aligned inline storage and has no heap fallback: constructing one
+// from a closure that does not fit is a compile error (the static_assert
+// in construct()), so every scheduling site is checked in one place and a
+// scheduled event never allocates.
 //
 // An event runs once. One function pointer (the closure type's thunk) does
-// every operation on the stored callable: run (invoke, then destroy),
-// destroy and relocate. A dispatched event pays one indirect call for
-// running and destroying its closure (run()), and buffer plus thunk fill
-// 48 bytes, so a queue node stays within one cache line (eventqueue.hpp).
-//
-// Heap fallbacks are counted in a process-wide counter (aggregated across
-// SweepRunner's worker threads) so tests can assert that a
-// steady-state simulation performs zero event allocations.
+// both operations on the stored callable: run (invoke, then destroy) and
+// destroy. A dispatched event pays one indirect call for running and
+// destroying its closure (run()), and buffer plus thunk fill 48 bytes, so
+// a queue node stays within one cache line (eventqueue.hpp). An event is
+// built in place inside its queue node and runs there, so it is neither
+// copyable nor movable.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,13 +36,12 @@ class InlineEvent {
   static constexpr std::size_t kInlineSize = 40;
   static constexpr std::size_t kInlineAlign = 8;
 
-  /// True iff a callable of type F is stored inline (no heap allocation).
-  /// Scheduling sites on the per-op path static_assert this.
+  /// True iff a callable of type F fits the inline buffer, i.e. an
+  /// InlineEvent can be built from it.
   template <typename F>
   static constexpr bool fitsInline =
       sizeof(std::decay_t<F>) <= kInlineSize &&
-      alignof(std::decay_t<F>) <= kInlineAlign &&
-      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+      alignof(std::decay_t<F>) <= kInlineAlign;
 
   InlineEvent() noexcept = default;
 
@@ -70,16 +64,6 @@ class InlineEvent {
     construct(std::forward<F>(f));
   }
 
-  InlineEvent(InlineEvent&& other) noexcept { moveFrom(other); }
-
-  InlineEvent& operator=(InlineEvent&& other) noexcept {
-    if (this != &other) {
-      reset();
-      moveFrom(other);
-    }
-    return *this;
-  }
-
   InlineEvent(const InlineEvent&) = delete;
   InlineEvent& operator=(const InlineEvent&) = delete;
 
@@ -92,7 +76,7 @@ class InlineEvent {
     COLIBRI_CHECK_MSG(thunk_ != nullptr, "invoking an empty InlineEvent");
     Thunk* const t = thunk_;
     thunk_ = nullptr;
-    t(Op::kRun, buf_, nullptr);
+    t(Op::kRun, buf_);
   }
 
   [[nodiscard]] explicit operator bool() const noexcept {
@@ -104,31 +88,18 @@ class InlineEvent {
     if (thunk_ != nullptr) {
       Thunk* const t = thunk_;
       thunk_ = nullptr;
-      t(Op::kDestroy, buf_, nullptr);
+      t(Op::kDestroy, buf_);
     }
-  }
-
-  /// Number of heap-fallback constructions process-wide since start.
-  /// Test hook: a steady-state simulation must not move this counter.
-  /// A single atomic (not thread-local) so the count stays meaningful when
-  /// concurrent sweep points construct events on worker threads; the fallback
-  /// path is cold (oversized driver closures only), so the relaxed
-  /// increment costs nothing on the hot path.
-  [[nodiscard]] static std::uint64_t heapFallbackCount() noexcept {
-    return heapFallbacks_.load(std::memory_order_relaxed);
   }
 
  private:
   enum class Op : std::uint8_t {
-    kRun,       ///< invoke, then destroy (also when the invocation throws)
-    kDestroy,   ///< destroy only
-    kRelocate,  ///< move-construct into `to`, then destroy the source
+    kRun,      ///< invoke, then destroy (also when the invocation throws)
+    kDestroy,  ///< destroy only
   };
-  /// The one per-type operation: `obj` is the buffer the callable (or, for
-  /// a heap fallback, the pointer to it) lives in; `to` is the target
-  /// buffer of kRelocate and unused otherwise. Only kRun may throw
-  /// (whatever the callable throws).
-  using Thunk = void(Op op, void* obj, void* to);
+  /// The one per-type operation on the callable living in `obj`. Only
+  /// kRun may throw (whatever the callable throws).
+  using Thunk = void(Op op, void* obj);
 
   /// Destroys `*d` when it leaves scope, so kRun destroys a callable that
   /// throws exactly once.
@@ -141,7 +112,7 @@ class InlineEvent {
   // kRun, the per-event operation, is tested first so it costs one
   // compare-and-branch.
   template <typename D>
-  static void inlineThunk(Op op, void* obj, void* to) {
+  static void thunk(Op op, void* obj) {
     D* d = std::launder(static_cast<D*>(obj));
     if (op == Op::kRun) [[likely]] {
       if constexpr (std::is_trivially_destructible_v<D>) {
@@ -150,52 +121,20 @@ class InlineEvent {
         DestroyOnExit<D> guard{d};
         (*d)();
       }
-    } else if (op == Op::kDestroy) {
-      d->~D();
-    } else if constexpr (std::is_trivially_copyable_v<D>) {
-      std::memcpy(to, obj, sizeof(D));
     } else {
-      ::new (to) D(std::move(*d));
       d->~D();
-    }
-  }
-
-  /// Heap fallback: the buffer holds a D*. Relocation moves the pointer.
-  template <typename D>
-  static void heapThunk(Op op, void* obj, void* to) {
-    D* d = *std::launder(static_cast<D**>(obj));
-    if (op == Op::kRun) [[likely]] {
-      const std::unique_ptr<D> owner(d);
-      (*d)();
-    } else if (op == Op::kDestroy) {
-      delete d;
-    } else {
-      ::new (to) D*(d);
     }
   }
 
   template <typename F>
   void construct(F&& f) {
     using D = std::decay_t<F>;
-    if constexpr (fitsInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      thunk_ = &inlineThunk<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      heapFallbacks_.fetch_add(1, std::memory_order_relaxed);
-      thunk_ = &heapThunk<D>;
-    }
+    static_assert(fitsInline<D>,
+                  "the event's closure exceeds the inline buffer "
+                  "(InlineEvent::kInlineSize bytes, kInlineAlign-aligned)");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    thunk_ = &thunk<D>;
   }
-
-  void moveFrom(InlineEvent& other) noexcept {
-    if (other.thunk_ != nullptr) {
-      other.thunk_(Op::kRelocate, other.buf_, buf_);
-      thunk_ = other.thunk_;
-      other.thunk_ = nullptr;
-    }
-  }
-
-  inline static std::atomic<std::uint64_t> heapFallbacks_{0};
 
   alignas(kInlineAlign) std::byte buf_[kInlineSize];
   Thunk* thunk_ = nullptr;

@@ -39,7 +39,6 @@ void EventQueue::clear() noexcept {
   overflow_.clear();
   size_ = 0;
   bucketCount_ = 0;
-  bucketMinValid_ = false;
 }
 
 }  // namespace colibri::sim

@@ -20,6 +20,9 @@
 // entry has the lower sequence number. The execution order is therefore
 // exactly the (when, seq) total order a single binary heap would produce,
 // which makes the queue swap bit-transparent to every simulation.
+//
+// runBatchIfAtMost is the one dispatch path: it runs one cycle's events
+// in place inside their unlinked nodes, so a scheduled event never moves.
 #pragma once
 
 #include <algorithm>
@@ -53,30 +56,22 @@ class EventQueue {
   /// not checked here: `when` >= the cycle of the most recently popped
   /// event. Engine::scheduleAt, the only caller outside the tests,
   /// enforces it by rejecting `when` < now(), and now() never falls below
-  /// that cycle. The callable is constructed directly inside a pooled
-  /// node — no intermediate moves.
+  /// that cycle. The callable (any void() closure that fits InlineEvent's
+  /// buffer) is constructed directly inside a pooled node — no
+  /// intermediate moves.
   template <typename F>
   void schedule(Cycle when, F&& f);
 
-  /// Remove the earliest event (by (when, seq)) if its cycle is <= horizon;
-  /// fills `when`/`ev` and returns true, else returns false.
-  bool popIfAtMost(Cycle horizon, Cycle& when, InlineEvent& ev);
-
-  /// Like popIfAtMost, but runs the event in place inside its (already
-  /// unlinked) node: calls `before(when, seq)`, then runs and destroys the
-  /// closure with one InlineEvent::run() — the dispatch path pays no event
-  /// move. The node returns to the free-list even if the callable throws.
-  template <typename F>
-  bool runEarliestIfAtMost(Cycle horizon, F&& before);
-
-  /// Batched dispatch: run every event of the earliest pending cycle (if
-  /// <= horizon) as runEarliestIfAtMost does, touching the occupancy
-  /// bitmap and the bucket-minimum probe once per cycle instead of once per
-  /// event. Events the callables schedule for the same cycle join the
-  /// drain (FIFO). Returns how many events ran (0 if none were due).
-  /// Execution order is exactly the (when, seq) order of the one-event
-  /// path — while the earliest cycle has overflow entries, the batch runs
-  /// one of them through the one-event path (they precede the bucket).
+  /// Run the events of the earliest pending cycle if it is <= horizon.
+  /// Each event runs in place inside its (already unlinked) node: the
+  /// queue calls `before(when, seq)`, then runs and destroys the closure
+  /// with one InlineEvent::run(). The node returns to the free-list even
+  /// if the callable throws. The occupancy bitmap is scanned once per
+  /// cycle, not once per event. Events the callables schedule for the
+  /// same cycle join the drain (FIFO). While the earliest cycle has
+  /// overflow entries, one call runs just one of them (they precede the
+  /// cycle's bucket). Returns how many events ran (0 if none were due);
+  /// the order is exactly (when, seq).
   template <typename F>
   std::size_t runBatchIfAtMost(Cycle horizon, F&& before);
 
@@ -151,13 +146,9 @@ class EventQueue {
   }
   void refillPool();
 
-  /// Earliest non-empty bucket cycle; requires bucketCount_ > 0.
+  /// Earliest non-empty bucket cycle, by a scan of the occupancy bitmap;
+  /// requires bucketCount_ > 0.
   [[nodiscard]] Cycle bucketMinWhen() const;
-
-  /// Unlink and return the earliest (when, seq) node if its cycle is
-  /// <= horizon (setting `when` to that cycle), else nullptr. Advances the
-  /// window cursor.
-  Node* takeEarliest(Cycle horizon, Cycle& when);
 
   std::array<Bucket, kBucketCount> buckets_{};
   std::array<std::uint64_t, kBitmapWords> occupied_{};
@@ -165,11 +156,6 @@ class EventQueue {
   std::vector<std::unique_ptr<Node[]>> chunks_;
   Node* freeList_ = nullptr;
   Cycle cursor_ = 0;  ///< lower bound of the bucket window
-  /// Memoized earliest non-empty bucket cycle. Kept warm by schedule()
-  /// and invalidated only when the minimum bucket drains, so the common
-  /// schedule/dispatch rhythm skips the bitmap scan entirely.
-  mutable Cycle bucketMinCache_ = 0;
-  mutable bool bucketMinValid_ = false;
   std::uint64_t nextSeq_ = 0;
   std::size_t size_ = 0;
   std::size_t bucketCount_ = 0;  ///< events in buckets (rest in overflow_)
@@ -183,11 +169,7 @@ inline void EventQueue::schedule(Cycle when, F&& f) {
   Node* n = allocNode();
   n->seq = nextSeq_++;
   n->next = nullptr;
-  if constexpr (std::is_same_v<std::remove_cvref_t<F>, InlineEvent>) {
-    n->ev = std::forward<F>(f);
-  } else {
-    n->ev.emplace(std::forward<F>(f));
-  }
+  n->ev.emplace(std::forward<F>(f));
   if (when - cursor_ < kBucketCount) {
     const std::size_t idx = when & (kBucketCount - 1);
     Bucket& b = buckets_[idx];
@@ -198,16 +180,6 @@ inline void EventQueue::schedule(Cycle when, F&& f) {
       b.tail->next = n;
       b.tail = n;
     }
-    if (bucketMinValid_) {
-      if (when < bucketMinCache_) {
-        bucketMinCache_ = when;
-      }
-    } else if (bucketCount_ == 0) {
-      // No other bucket can be earlier; an invalid cache with buckets
-      // still occupied must stay invalid until the next bitmap scan.
-      bucketMinCache_ = when;
-      bucketMinValid_ = true;
-    }
     ++bucketCount_;
   } else {
     overflow_.push_back({when, n});
@@ -217,9 +189,6 @@ inline void EventQueue::schedule(Cycle when, F&& f) {
 }
 
 inline Cycle EventQueue::bucketMinWhen() const {
-  if (bucketMinValid_) {
-    return bucketMinCache_;
-  }
   // Scan the occupancy bitmap starting at the cursor's slot, wrapping once.
   // Every bucket event lies in [cursor_, cursor_ + kBucketCount), so the
   // wrap distance from the cursor slot recovers the absolute cycle.
@@ -231,9 +200,7 @@ inline Cycle EventQueue::bucketMinWhen() const {
       const std::size_t bit =
           w * 64 + static_cast<std::size_t>(std::countr_zero(word));
       const std::size_t dist = (bit + kBucketCount - start) & (kBucketCount - 1);
-      bucketMinCache_ = cursor_ + dist;
-      bucketMinValid_ = true;
-      return bucketMinCache_;
+      return cursor_ + dist;
     }
     w = (w + 1) % kBitmapWords;
     word = occupied_[w];
@@ -253,69 +220,6 @@ inline Cycle EventQueue::minWhen() const {
   return m;
 }
 
-inline EventQueue::Node* EventQueue::takeEarliest(Cycle horizon, Cycle& when) {
-  if (size_ == 0) {
-    return nullptr;
-  }
-  const Cycle bucketWhen = bucketCount_ > 0 ? bucketMinWhen() : kCycleNever;
-  // An overflow entry wins a tie with the bucket of its cycle (it is the
-  // older event; see the header comment).
-  const bool fromOverflow =
-      !overflow_.empty() && overflow_.front().when <= bucketWhen;
-  when = fromOverflow ? overflow_.front().when : bucketWhen;
-  if (when > horizon) {
-    return nullptr;
-  }
-
-  Node* n;
-  if (fromOverflow) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), &later);
-    n = overflow_.back().node;
-    overflow_.pop_back();
-  } else {
-    const std::size_t idx = when & (kBucketCount - 1);
-    Bucket& b = buckets_[idx];
-    n = b.head;
-    b.head = n->next;
-    if (b.head == nullptr) {
-      b.tail = nullptr;
-      occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-      bucketMinValid_ = false;  // the minimum bucket just drained
-    }
-    --bucketCount_;
-  }
-
-  cursor_ = when;  // everything earlier has been dispatched
-  --size_;
-  return n;
-}
-
-inline bool EventQueue::popIfAtMost(Cycle horizon, Cycle& when,
-                                    InlineEvent& ev) {
-  Node* n = takeEarliest(horizon, when);
-  if (n == nullptr) {
-    return false;
-  }
-  ev = std::move(n->ev);
-  freeNode(n);
-  return true;
-}
-
-template <typename F>
-inline bool EventQueue::runEarliestIfAtMost(Cycle horizon, F&& before) {
-  Cycle when;
-  Node* n = takeEarliest(horizon, when);
-  if (n == nullptr) {
-    return false;
-  }
-  // The node is unlinked, so the callable may schedule freely (the pool
-  // cannot hand this node out again before the guard frees it).
-  const NodeReturn guard{this, n};
-  before(when, n->seq);
-  n->ev.run();
-  return true;
-}
-
 template <typename F>
 inline std::size_t EventQueue::runBatchIfAtMost(Cycle horizon, F&& before) {
   if (size_ == 0) {
@@ -324,9 +228,23 @@ inline std::size_t EventQueue::runBatchIfAtMost(Cycle horizon, F&& before) {
   const Cycle t = bucketCount_ > 0 ? bucketMinWhen() : kCycleNever;
   if (!overflow_.empty() && overflow_.front().when <= t) {
     // The earliest cycle has an overflow entry, which precedes any bucket
-    // entry of that cycle: dispatch it alone. Rare — only when the window
-    // has just reached a far-future entry's cycle.
-    return runEarliestIfAtMost(horizon, std::forward<F>(before)) ? 1 : 0;
+    // entry of that cycle (see the header comment): run it alone. Rare —
+    // only when the window has just reached a far-future entry's cycle.
+    const Cycle when = overflow_.front().when;
+    if (when > horizon) {
+      return 0;
+    }
+    std::pop_heap(overflow_.begin(), overflow_.end(), &later);
+    Node* n = overflow_.back().node;
+    overflow_.pop_back();
+    cursor_ = when;  // everything earlier has been dispatched
+    --size_;
+    // The node is unlinked, so the callable may schedule freely (the pool
+    // cannot hand this node out again before the guard frees it).
+    const NodeReturn guard{this, n};
+    before(when, n->seq);
+    n->ev.run();
+    return 1;
   }
   if (t > horizon) {
     return 0;
@@ -351,7 +269,6 @@ inline std::size_t EventQueue::runBatchIfAtMost(Cycle horizon, F&& before) {
   }
   b.tail = nullptr;
   occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-  bucketMinValid_ = false;  // this cycle's bucket just drained
   return ran;
 }
 

@@ -46,7 +46,7 @@ TEST(Engine, EventsMayScheduleMoreEvents) {
   int fired = 0;
   e.scheduleAt(1, [&] {
     ++fired;
-    e.scheduleAfter(4, [&] { ++fired; });
+    e.scheduleAt(e.now() + 4, [&] { ++fired; });
   });
   e.run();
   EXPECT_EQ(fired, 2);
@@ -89,18 +89,6 @@ TEST(Engine, RunUntilIncludesEventsAtHorizon) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(Engine, StepExecutesExactlyN) {
-  Engine e;
-  int fired = 0;
-  for (int i = 0; i < 5; ++i) {
-    e.scheduleAt(static_cast<Cycle>(i), [&] { ++fired; });
-  }
-  EXPECT_EQ(e.step(3), 3u);
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(e.step(99), 2u);
-  EXPECT_EQ(fired, 5);
-}
-
 TEST(Engine, ClearDropsPendingWithoutRunning) {
   Engine e;
   int fired = 0;
@@ -110,18 +98,6 @@ TEST(Engine, ClearDropsPendingWithoutRunning) {
   e.run();
   EXPECT_EQ(fired, 0);
   EXPECT_TRUE(e.empty());
-}
-
-TEST(Engine, AdvanceToMovesIdleClock) {
-  Engine e;
-  e.advanceTo(42);
-  EXPECT_EQ(e.now(), 42u);
-}
-
-TEST(Engine, AdvanceToRefusesToSkipEvents) {
-  Engine e;
-  e.scheduleAt(10, [] {});
-  EXPECT_THROW(e.advanceTo(11), InvariantViolation);
 }
 
 TEST(Engine, CountsExecutedEvents) {
