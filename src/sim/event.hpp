@@ -48,8 +48,7 @@ class InlineEvent {
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, InlineEvent> &&
              std::is_invocable_v<std::decay_t<F>&>)
-  InlineEvent(F&& f) {  // NOLINT(google-explicit-constructor) — events are
-                        // passed as lambdas at ~30 call sites
+  explicit InlineEvent(F&& f) {
     construct(std::forward<F>(f));
   }
 
