@@ -2,25 +2,25 @@
 
 #include <utility>
 
+#include "arch/system.hpp"
 #include "fault/fault.hpp"
 #include "obs/hooks.hpp"
 #include "sim/check.hpp"
 
 namespace colibri::arch {
 
-Bank::Bank(sim::Engine& engine, Network& net, CoreSink& sink,
+Bank::Bank(sim::Engine& engine, Network& net, System& sys,
            const SystemConfig& cfg, BankId id, Word* spm,
            fault::FaultPlan* fault, const obs::SimHooks* hooks)
     : engine_(engine),
       net_(net),
-      sink_(sink),
+      sys_(sys),
       link_(net.bankLink(id)),
       numCores_(cfg.numCores),
       map_(cfg),
       spm_(spm),
-      port_(cfg.bankPortsPerCycle),
-      fault_(fault),
       hooks_(hooks) {
+  faultPlan_ = fault;
   adapter_ = atomics::makeAdapter(cfg, *this);
 }
 
@@ -34,13 +34,13 @@ void Bank::receive(const MemRequest& req) {
   const sim::Cycle at = engine_.now();
   const sim::Cycle grant = port_.acquire(at);
   sim::Cycle serveAt = grant;
-  if (fault_ != nullptr) {
+  if (faultPlan_ != nullptr) {
     // Transient service stall: extra cycles between the port grant and the
     // adapter. The port itself is untouched (its grant sequence stays
     // exactly as without faults); the clamp keeps service in order, so a
     // stalled request delays everything granted behind it, like a
     // refresh-busy bank.
-    serveAt += fault_->stall(bankId(), req.core, grant);
+    serveAt += faultPlan_->stall(bankId(), req.core, grant);
     if (serveAt < lastServe_) {
       serveAt = lastServe_;
     }
@@ -74,15 +74,16 @@ void Bank::respond(CoreId c, const MemResponse& r) {
   if (hooks_ != nullptr && hooks_->tracer != nullptr) {
     hooks_->tracer->onRespond(c, engine_.now());
   }
-  auto arrive = [this, c, r] { sink_.deliverResponse(c, r); };
+  auto arrive = [this, c, r] { sys_.deliverResponse(c, r); };
   engine_.scheduleAt(arriveAt, std::move(arrive));
 }
 
-void Bank::sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
+void Bank::sendSuccessorUpdate(CoreId target, CoreId successor, Addr /*a*/,
                                bool successorIsMwait) {
+  // The Qnode needs only the successor; the address stays behind.
   const sim::Cycle arriveAt = net_.routeResponse(link_, target, engine_.now());
-  auto arrive = [this, target, successor, a, successorIsMwait] {
-    sink_.deliverSuccessorUpdate(target, successor, a, successorIsMwait);
+  auto arrive = [this, target, successor, successorIsMwait] {
+    sys_.deliverSuccessorUpdate(target, successor, successorIsMwait);
   };
   engine_.scheduleAt(arriveAt, std::move(arrive));
 }

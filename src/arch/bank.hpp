@@ -1,9 +1,10 @@
 // Memory bank: single-ported access + the atomic adapter.
 //
 // One Bank models one SPM bank. Requests arriving from the network are
-// serialized through the bank port (bankPortsPerCycle per cycle, FIFO) and
+// serialized through the single-ported bank (one per cycle, FIFO) and
 // then handed to the adapter. The Bank implements BankContext so the
-// adapter can read/write storage and emit responses/protocol messages.
+// adapter can read/write storage and emit responses/protocol messages,
+// which it delivers to the System's cores and Qnodes.
 // The words themselves live in the System's address-indexed SPM array;
 // the bank only checks that an address is its own and in range. Its
 // network link state (placement and FIFO clamps) lives here too. The
@@ -28,14 +29,7 @@ struct SimHooks;
 
 namespace colibri::arch {
 
-/// Delivery interface back to the core side (implemented by System).
-class CoreSink {
- public:
-  virtual ~CoreSink() = default;
-  virtual void deliverResponse(CoreId c, const MemResponse& r) = 0;
-  virtual void deliverSuccessorUpdate(CoreId c, CoreId successor, Addr a,
-                                      bool successorIsMwait) = 0;
-};
+class System;
 
 struct BankStats {
   std::uint64_t requests = 0;  ///< requests that cleared the port
@@ -47,8 +41,10 @@ class Bank final : public atomics::BankContext {
   /// `spm` is the System's SPM, indexed by address: cfg.numWords() words
   /// that must outlive the bank. `fault` is the fault plan (null =
   /// injection off) and `hooks` the observability bundle (null = off);
-  /// both must outlive the bank too.
-  Bank(sim::Engine& engine, Network& net, CoreSink& sink,
+  /// both must outlive the bank too. Transient service stalls from the
+  /// fault plan add cycles between the port grant and the adapter handling
+  /// the request; in-order service is preserved by a monotone clamp.
+  Bank(sim::Engine& engine, Network& net, System& sys,
        const SystemConfig& cfg, BankId id, Word* spm,
        fault::FaultPlan* fault, const obs::SimHooks* hooks);
 
@@ -72,13 +68,6 @@ class Bank final : public atomics::BankContext {
     return port_.peek(now) - now;
   }
 
-  /// Transient service stalls from the fault plan add cycles between the
-  /// port grant and the adapter handling the request; in-order service is
-  /// preserved by a monotone clamp.
-  [[nodiscard]] fault::FaultPlan* faultPlan() const override {
-    return fault_;
-  }
-
   [[nodiscard]] atomics::AtomicAdapter& adapter() { return *adapter_; }
   [[nodiscard]] const atomics::AtomicAdapter& adapter() const {
     return *adapter_;
@@ -96,14 +85,13 @@ class Bank final : public atomics::BankContext {
 
   sim::Engine& engine_;
   Network& net_;
-  CoreSink& sink_;
+  System& sys_;
   BankLink link_;
   std::uint32_t numCores_;
   AddressMap map_;
   Word* spm_;  ///< the System's storage, indexed by address
-  sim::ThroughputResource port_;
+  sim::ThroughputResource port_;  ///< single port: one request per cycle
   sim::Cycle lastServe_ = 0;  ///< stall clamp: service stays in-order
-  fault::FaultPlan* fault_;
   const obs::SimHooks* hooks_;
   std::unique_ptr<atomics::AtomicAdapter> adapter_;
   BankStats stats_;

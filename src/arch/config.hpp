@@ -46,27 +46,17 @@ struct SystemConfig {
   std::uint32_t latRemoteGroup = 5;
 
   // --- Bandwidth limits --------------------------------------------------
-  std::uint32_t bankPortsPerCycle = 1;  ///< requests a bank accepts per cycle
   /// Requests per cycle on each directed group-to-group link (aggregate of
   /// the per-tile remote ports in MemPool).
   std::uint32_t groupLinkBandwidth = 16;
   /// Requests per cycle through a group's local (intra-group, inter-tile)
   /// interconnect.
   std::uint32_t localGroupBandwidth = 32;
-  /// Remote requests per cycle a tile's ingress crossbar port accepts
-  /// (shared by the tile's 16 banks — a hot bank's backlog starves its
-  /// siblings through this stage).
-  std::uint32_t tileIngressBandwidth = 4;
   /// Backpressure proxy: a request towards a bank whose port is backlogged
   /// holds its router/link/ingress slots for up to this many extra cycles
   /// (finite switch buffering causes head-of-line blocking in the real
   /// fabric — the mechanism behind Fig. 5's worker slowdown). 0 disables it.
   std::uint32_t linkHoldMax = 8;
-
-  // --- Core timing ---------------------------------------------------------
-  /// Minimum cycles between consecutive issues from one core (models the
-  /// single-issue pipeline; loop/branch overhead is added by workloads).
-  std::uint32_t issueInterval = 1;
 
   // --- Adapter ------------------------------------------------------------
   AdapterKind adapter = AdapterKind::kColibri;
@@ -129,10 +119,7 @@ struct SystemConfig {
     // Word addresses fit 32 bits: AddressMap::bankOf is exact below 2^32.
     COLIBRI_CHECK(std::uint64_t{numTiles()} * banksPerTile < kWordLimit &&
                   numWords() < kWordLimit);
-    COLIBRI_CHECK(issueInterval >= 1);
-    COLIBRI_CHECK(bankPortsPerCycle >= 1);
     COLIBRI_CHECK(groupLinkBandwidth >= 1 && localGroupBandwidth >= 1);
-    COLIBRI_CHECK(tileIngressBandwidth >= 1);
     COLIBRI_CHECK(lrscWaitQueueCapacity >= 1);
     COLIBRI_CHECK(colibriQueuesPerController >= 1);
     fault.validate();

@@ -11,6 +11,11 @@ namespace {
 /// exactly what the sparse layout exists to avoid allocating).
 constexpr std::size_t kDenseCheckMaxPairs = std::size_t{4} << 20;
 
+/// Remote requests per cycle a tile's ingress crossbar port accepts
+/// (shared by the tile's banks — a hot bank's backlog starves its siblings
+/// through this stage).
+constexpr std::uint32_t kTileIngressBandwidth = 4;
+
 }  // namespace
 
 Network::Network(const SystemConfig& cfg)
@@ -35,7 +40,7 @@ Network::Network(const SystemConfig& cfg)
   }
   tileIngress_.reserve(cfg.numTiles());
   for (std::uint32_t t = 0; t < cfg.numTiles(); ++t) {
-    tileIngress_.emplace_back(cfg.tileIngressBandwidth);
+    tileIngress_.emplace_back(kTileIngressBandwidth);
   }
 #ifndef NDEBUG
   const std::size_t pairs = static_cast<std::size_t>(numCores_) * numBanks_;

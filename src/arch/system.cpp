@@ -386,9 +386,8 @@ void System::deliverResponse(CoreId c, const MemResponse& r) {
   cores_[c].complete(r);
 }
 
-void System::deliverSuccessorUpdate(CoreId c, CoreId successor, sim::Addr a,
+void System::deliverSuccessorUpdate(CoreId c, CoreId successor,
                                     bool successorIsMwait) {
-  (void)a;
   qnodes_[c].onSuccessorUpdate(successor, successorIsMwait);
 }
 

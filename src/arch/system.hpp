@@ -59,10 +59,10 @@ class SpmStorage {
   std::size_t bytes_;
 };
 
-class System final : public CoreSink, public atomics::WakeUpSink {
+class System final : public atomics::WakeUpSink {
  public:
   explicit System(const SystemConfig& cfg);
-  ~System() override;
+  ~System();
 
   System(const System&) = delete;
   System& operator=(const System&) = delete;
@@ -160,10 +160,12 @@ class System final : public CoreSink, public atomics::WakeUpSink {
   /// hook and exposed for tests.
   [[nodiscard]] std::string blameReport(sim::Cycle now);
 
-  // --- CoreSink ----------------------------------------------------------
-  void deliverResponse(CoreId c, const MemResponse& r) override;
-  void deliverSuccessorUpdate(CoreId c, CoreId successor, sim::Addr a,
-                              bool successorIsMwait) override;
+  // --- Bank -> core delivery ---------------------------------------------
+  /// A response reaches core `c`'s pipeline.
+  void deliverResponse(CoreId c, const MemResponse& r);
+  /// A Colibri SuccessorUpdate reaches core `c`'s Qnode.
+  void deliverSuccessorUpdate(CoreId c, CoreId successor,
+                              bool successorIsMwait);
 
   // --- WakeUpSink --------------------------------------------------------
   void sendWakeUp(CoreId from, CoreId successor, bool successorIsMwait,

@@ -61,10 +61,11 @@ class BankContext {
   [[nodiscard]] virtual std::uint32_t numCores() const = 0;
 
   /// The fault-injection plan, or nullptr when injection is off (the
-  /// default — test mocks and fault-free systems never override this).
-  [[nodiscard]] virtual fault::FaultPlan* faultPlan() const {
-    return nullptr;
-  }
+  /// default — test mocks and fault-free systems never set it).
+  [[nodiscard]] fault::FaultPlan* faultPlan() const { return faultPlan_; }
+
+ protected:
+  fault::FaultPlan* faultPlan_ = nullptr;  ///< set by the Bank
 };
 
 /// Per-adapter event counters (feed the energy model and tests).

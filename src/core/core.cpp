@@ -9,6 +9,14 @@
 
 namespace colibri::arch {
 
+namespace {
+
+/// Minimum cycles between consecutive issues from one core (models the
+/// single-issue pipeline; loop/branch overhead is added by workloads).
+constexpr sim::Cycle kIssueInterval = 1;
+
+}  // namespace
+
 void Core::run(sim::Task task) {
   COLIBRI_CHECK_MSG(!task_.valid(), "core already has a task");
   task_ = std::move(task);
@@ -20,7 +28,7 @@ sim::Cycle Core::nextIssueCycle() const {
   if (!hasIssued_) {
     return now;
   }
-  const Cycle earliest = lastIssue_ + sys_.config().issueInterval;
+  const Cycle earliest = lastIssue_ + kIssueInterval;
   return earliest > now ? earliest : now;
 }
 
@@ -142,8 +150,7 @@ void Core::delayed(Cycle n, Resume k) {
   // Compute occupies the issue pipeline: the next memory op cannot depart
   // before the computation ends.
   const Cycle done = sys_.engine().now() + n;
-  const Cycle interval = sys_.config().issueInterval;
-  const Cycle issueMark = done > interval ? done - interval : 0;
+  const Cycle issueMark = done > kIssueInterval ? done - kIssueInterval : 0;
   if (!hasIssued_ || lastIssue_ < issueMark) {
     hasIssued_ = true;
     lastIssue_ = issueMark;

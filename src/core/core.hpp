@@ -4,8 +4,8 @@
 // kernel written as a C++20 coroutine that issues blocking memory
 // operations (`co_await core.load(a)`), posted stores, and explicit compute
 // delays. At most one memory operation is outstanding (single-issue,
-// blocking pipeline), and consecutive issues are at least
-// `issueInterval` cycles apart.
+// blocking pipeline), and consecutive issues are at least one cycle
+// apart.
 //
 // Sleep accounting: while waiting for an LRwait/Mwait response the core is
 // *asleep* (clock-gated — the polling-free property the paper measures);
@@ -110,8 +110,6 @@ class Core {
   MemAwait amoSwap(sim::Addr a, sim::Word v) {
     return op(OpKind::kAmoSwap, a, v);
   }
-  MemAwait amoOr(sim::Addr a, sim::Word v) { return op(OpKind::kAmoOr, a, v); }
-  MemAwait amoAnd(sim::Addr a, sim::Word v) { return op(OpKind::kAmoAnd, a, v); }
   MemAwait lr(sim::Addr a) { return op(OpKind::kLr, a); }
   MemAwait sc(sim::Addr a, sim::Word v) { return op(OpKind::kSc, a, v); }
   MemAwait lrWait(sim::Addr a) { return op(OpKind::kLrWait, a); }

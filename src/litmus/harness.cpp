@@ -53,10 +53,12 @@ LitmusResult runLitmus(arch::System& sys, const LitmusParams& params) {
   ctx.lockKind = workloads::lockKindFor(cfg.adapter);
   ctx.perCoreEntries.assign(n, 0);
 
-  // Contender -> core: spread across the core space (one per stride) so
-  // contenders sit in different tiles/groups, or pack into tile 0.
+  // Contender -> core: spread across the core space (one per
+  // numCores/contenders stride) so contenders sit in different
+  // tiles/groups — remote placement widens the reorder window the flag
+  // algorithms must survive.
   ctx.coreOf.resize(n);
-  const auto stride = params.spreadCores ? std::max(1u, cfg.numCores / n) : 1u;
+  const auto stride = std::max(1u, cfg.numCores / n);
   for (std::uint32_t i = 0; i < n; ++i) {
     ctx.coreOf[i] = static_cast<sim::CoreId>(i * stride);
   }

@@ -11,6 +11,9 @@ namespace {
 
 using arch::Core;
 
+/// Wait-loop poll pacing, in cycles; also sizes the think-time jitter.
+constexpr std::uint32_t kPollCycles = 4;
+
 /// An ordering-sensitive protocol write: acked (amoSwap) in fenced mode so
 /// it is globally visible before the next load; posted otherwise, which
 /// re-opens the store->load race the flag algorithms assume away.
@@ -62,14 +65,14 @@ sim::Co<bool> dekkerEnter(Core& core, LitmusCtx& ctx, std::uint32_t i) {
         if (t2.value != j) {
           break;
         }
-        co_await core.delay(ctx.params->pollCycles);
+        co_await core.delay(kPollCycles);
       }
       if (ctx.stop) {
         co_return false;
       }
       co_await protocolStore(core, ctx, ctx.flags[i], 1);
     } else {
-      co_await core.delay(ctx.params->pollCycles);
+      co_await core.delay(kPollCycles);
     }
   }
 }
@@ -94,7 +97,7 @@ sim::Co<bool> petersonEnter(Core& core, LitmusCtx& ctx, std::uint32_t i) {
     if (t.value != j) {
       co_return true;
     }
-    co_await core.delay(ctx.params->pollCycles);
+    co_await core.delay(kPollCycles);
   }
   co_await protocolStore(core, ctx, ctx.flags[i], 0);
   co_return false;
@@ -127,7 +130,7 @@ sim::Co<bool> bakeryEnter(Core& core, LitmusCtx& ctx, std::uint32_t i) {
       if (c.value == 0) {
         break;
       }
-      co_await core.delay(ctx.params->pollCycles);
+      co_await core.delay(kPollCycles);
     }
     while (!ctx.stop) {  // wait until (mine, i) has priority over (nk, k)
       const auto nk = co_await core.load(ctx.numbers[k]);
@@ -135,7 +138,7 @@ sim::Co<bool> bakeryEnter(Core& core, LitmusCtx& ctx, std::uint32_t i) {
           (nk.value == mine && k > i)) {
         break;
       }
-      co_await core.delay(ctx.params->pollCycles);
+      co_await core.delay(kPollCycles);
     }
     if (ctx.stop) {
       co_await protocolStore(core, ctx, ctx.numbers[i], 0);
@@ -260,7 +263,7 @@ sim::Task litmusWorker(arch::System& sys, LitmusCtx& ctx, std::uint32_t idx) {
       ++ctx.perCoreEntries[idx];
     }
     // Randomized think time varies the interleavings between iterations.
-    co_await core.delay(1 + rng.below(2 * ctx.params->pollCycles + 1));
+    co_await core.delay(1 + rng.below(2 * kPollCycles + 1));
   }
   ctx.lastDone = std::max(ctx.lastDone, sys.now());
 }

@@ -48,7 +48,7 @@ struct LitmusCtx {
   sync::SpinLockKind lockKind = sync::SpinLockKind::kLrscTas;
   bool casAvailable = true;  ///< false on the AMO-only adapter
 
-  /// Contender index -> core id (identity unless spreadCores).
+  /// Contender index -> core id (strided across the core space).
   std::vector<sim::CoreId> coreOf;
 
   // Watchdog / results (host side).

@@ -73,12 +73,7 @@ struct LitmusParams {
   std::uint32_t iterations = 40;
   /// Acked (amoSwap) protocol writes; false posts them (see header note).
   bool fenced = true;
-  /// Spread contenders across the core space (one per numCores/contenders
-  /// stride) instead of packing them into tile 0 — remote placement widens
-  /// the reorder window the flag algorithms must survive.
-  bool spreadCores = true;
-  std::uint32_t csCycles = 3;    ///< compute inside the critical section
-  std::uint32_t pollCycles = 4;  ///< wait-loop poll pacing
+  std::uint32_t csCycles = 3;  ///< compute inside the critical section
   sync::BackoffPolicy backoff = sync::BackoffPolicy::fixed(32);
   /// Watchdog horizon: the stop flag flips here; contenders that had to
   /// abandon their loop fail the progress invariant.

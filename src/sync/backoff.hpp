@@ -14,14 +14,15 @@
 
 namespace colibri::sync {
 
-enum class BackoffKind : std::uint8_t { kNone, kFixed, kExponential };
+enum class BackoffKind : std::uint8_t { kFixed, kExponential };
 
 struct BackoffPolicy {
   BackoffKind kind = BackoffKind::kFixed;
   std::uint32_t base = 128;  ///< cycles (paper's lock experiments use 128)
   std::uint32_t max = 4096;  ///< cap for exponential growth
 
-  static BackoffPolicy none() { return {BackoffKind::kNone, 0, 0}; }
+  /// No wait: a fixed zero-cycle backoff, which draws no jitter.
+  static BackoffPolicy none() { return fixed(0); }
   static BackoffPolicy fixed(std::uint32_t cycles = 128) {
     return {BackoffKind::kFixed, cycles, cycles};
   }
@@ -38,11 +39,9 @@ class Backoff {
   Backoff(const BackoffPolicy& policy, sim::Xoshiro256& rng)
       : policy_(policy), rng_(rng), current_(policy.base) {}
 
-  /// Cycles to wait before the next retry (0 for BackoffKind::kNone).
+  /// Cycles to wait before the next retry (0 for BackoffPolicy::none()).
   [[nodiscard]] sim::Cycle next() {
     switch (policy_.kind) {
-      case BackoffKind::kNone:
-        return 0;
       case BackoffKind::kFixed:
         return jitter(policy_.base);
       case BackoffKind::kExponential: {

@@ -24,7 +24,7 @@ wgen::KernelSpec histogramKernel(const HistogramParams& p) {
              : p.mode == HistogramMode::kTasLock ? wgen::OpClass::kLock
                                                  : wgen::OpClass::kMcsLock;
   phase.thinkCycles = p.iterDelay;
-  phase.csCycles = p.csDelay;
+  phase.csCycles = 1;  // extra compute inside a lock-protected section
   wgen::KernelSpec spec;
   spec.name = HistogramParams::kName;
   spec.regions = {

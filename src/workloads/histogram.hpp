@@ -40,8 +40,6 @@ struct HistogramParams {
   MeasureWindow window{};
   /// Per-iteration non-atomic work: bin selection, loop overhead.
   std::uint32_t iterDelay = 4;
-  /// Extra compute inside a lock-protected critical section.
-  std::uint32_t csDelay = 1;
   /// Participating cores; empty = all cores of the system.
   std::vector<sim::CoreId> cores;
 };

@@ -147,9 +147,9 @@ QueueResult runQueue(arch::System& sys, const QueueParams& p) {
   QueueCtx ctx;
   ctx.params = p;
   ctx.capacity = p.capacity != 0 ? p.capacity : 2 * win.participants();
-  const std::uint32_t prefillCount =
-      p.prefill != 0 ? p.prefill : ctx.capacity / 2;
-  COLIBRI_CHECK(prefillCount <= ctx.capacity);
+  // Half the queue is pre-filled so balanced enqueue/dequeue pairs never
+  // block on an empty queue at the start.
+  const std::uint32_t prefillCount = ctx.capacity / 2;
   std::vector<sim::Word> prefill;
   prefill.reserve(prefillCount);
   for (std::uint32_t i = 0; i < prefillCount; ++i) {

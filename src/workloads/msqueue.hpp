@@ -33,9 +33,6 @@ struct QueueParams {
   static constexpr const char* kName = "msqueue";  ///< the reported name
   QueueVariant variant = QueueVariant::kLrscWait;
   std::uint32_t capacity = 0;  ///< 0 = 2 * #cores
-  /// Elements pre-filled so balanced enqueue/dequeue pairs never block on
-  /// an empty queue at the start.
-  std::uint32_t prefill = 0;  ///< 0 = capacity / 2
   sync::BackoffPolicy backoff = sync::BackoffPolicy::fixed(128);
   MeasureWindow window{};
   std::uint32_t iterDelay = 4;  ///< per-iteration local work

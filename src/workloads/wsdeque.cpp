@@ -108,10 +108,6 @@ WsDequeResult runWsDeque(arch::System& sys, const WsDequeParams& p) {
                     "adapter has no reservations");
   const auto numCores = sys.numCores();
   COLIBRI_CHECK_MSG(numCores >= 2, "wsdeque needs an owner and a thief");
-  const std::uint32_t thieves =
-      p.thieves != 0 ? p.thieves : numCores - 1;
-  COLIBRI_CHECK_MSG(thieves <= numCores - 1,
-                    "wsdeque: more thieves than spare cores");
 
   DequeCtx ctx;
   ctx.params = &p;
@@ -137,12 +133,10 @@ WsDequeResult runWsDeque(arch::System& sys, const WsDequeParams& p) {
   sys.poke(ctx.bottom, ctx.tasks);
   sys.poke(ctx.remaining, ctx.tasks);
 
-  // Owner on core 0; thieves spread over the remaining cores so steals
-  // cross tiles and groups.
+  // Owner on core 0; every other core is a thief, so steals cross tiles
+  // and groups.
   sys.spawn(0, ownerTask(sys, sys.core(0), ctx));
-  const auto stride = std::max(1u, (numCores - 1) / thieves);
-  for (std::uint32_t i = 0; i < thieves; ++i) {
-    const auto c = static_cast<sim::CoreId>(1 + (i * stride) % (numCores - 1));
+  for (sim::CoreId c = 1; c < numCores; ++c) {
     sys.spawn(c, thiefTask(sys, sys.core(c), ctx));
   }
 
@@ -165,8 +159,7 @@ WsDequeResult runWsDeque(arch::System& sys, const WsDequeParams& p) {
                     "wsdeque: exactly-once violated, executed="
                         << ctx.executed << " duplicates=" << ctx.duplicates
                         << " markSum=" << markSum);
-  res.counters = snapshotCounters(sys, res.duration,
-                                  static_cast<std::uint32_t>(1 + thieves));
+  res.counters = snapshotCounters(sys, res.duration, numCores);
   return res;
 }
 

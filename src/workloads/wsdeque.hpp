@@ -32,8 +32,6 @@ struct WsDequeParams {
   static constexpr const char* kName = "wsdeque";  ///< the reported name
   std::uint32_t tasks = 0;       ///< ring size; 0 = 8 * #cores
   std::uint32_t taskCycles = 12; ///< compute per task
-  /// Stealing cores (owner is core 0 of the system); 0 = all other cores.
-  std::uint32_t thieves = 0;
   /// Exponential by default: every thief CASes the one top word, and on
   /// the single-slot LR/SC adapter a fixed short backoff livelocks (the
   /// competing LRs keep displacing each other's reservation); growth

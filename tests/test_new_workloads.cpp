@@ -117,10 +117,13 @@ TEST(WsDeque, RejectsTheAmoOnlyAdapterAndSingleCoreRuns) {
   arch::System sys(cfg);
   EXPECT_THROW((void)workloads::runWsDeque(sys, {}), sim::InvariantViolation);
 
-  arch::System sys2(arch::SystemConfig::smallTest());
-  workloads::WsDequeParams p;
-  p.thieves = 16;  // only 15 spare cores on smallTest
-  EXPECT_THROW((void)workloads::runWsDeque(sys2, p), sim::InvariantViolation);
+  // One core is an owner with no thief.
+  auto one = arch::SystemConfig::smallTest();
+  one.numCores = 1;
+  one.coresPerTile = 1;
+  one.tilesPerGroup = 1;
+  arch::System sys2(one);
+  EXPECT_THROW((void)workloads::runWsDeque(sys2, {}), sim::InvariantViolation);
 }
 
 TEST(LockFair, HoldsExclusionAndMeasuresTheSpreadOnEveryAdapter) {

@@ -401,6 +401,16 @@ TEST(Backoff, NonePolicyReturnsZero) {
   }
 }
 
+TEST(Backoff, NonePolicyDrawsNoRandomNumbers) {
+  sim::Xoshiro256 rng(1);
+  sim::Xoshiro256 untouched(1);
+  Backoff b(BackoffPolicy::none(), rng);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(b.next(), 0u);
+  }
+  EXPECT_EQ(rng(), untouched());
+}
+
 TEST(Backoff, FixedStaysNearBase) {
   sim::Xoshiro256 rng(1);
   Backoff b(BackoffPolicy::fixed(128), rng);
