@@ -70,6 +70,19 @@ void LrscWaitAdapter::handle(const MemRequest& req) {
   switch (req.kind) {
     case OpKind::kLrWait:
     case OpKind::kMwait: {
+      const bool isMwait = req.kind == OpKind::kMwait;
+      if (isMwait && !hasEarlierForAddr(queue_.size(), req.addr)) {
+        // Checked before the capacity: a waiter whose value has already
+        // changed needs no entry, so a full queue cannot hide the write
+        // from it. (With an entry for the address queued, the Mwait waits
+        // its turn behind it.)
+        const Word cur = ctx_.read(req.addr);
+        if (cur != req.value) {
+          ++stats_.mwaitWakes;
+          ctx_.respond(req.core, MemResponse{cur, true, true});
+          return;
+        }
+      }
       if (queue_.size() >= capacity_) {
         // Full queue: immediate failure, the core retries (Section III-B).
         ++stats_.lrFails;
@@ -79,7 +92,7 @@ void LrscWaitAdapter::handle(const MemRequest& req) {
       Entry e;
       e.core = req.core;
       e.addr = req.addr;
-      e.isMwait = req.kind == OpKind::kMwait;
+      e.isMwait = isMwait;
       e.expected = req.value;
       queue_.push_back(e);
       pump();

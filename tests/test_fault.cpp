@@ -331,18 +331,19 @@ TEST(WatchdogTest, DisabledWatchdogLetsTheHangRunSilently) {
   EXPECT_NO_THROW(runStrandedLr(cfg, 20'000));
 }
 
-// The Colibri MCS-lock histogram with too few queue slots. Colibri checks
-// an Mwait's value before it takes a slot, so at 2 slots per controller a
-// waiter whose flag was already written is notified and the run completes.
-// At 1 slot a core's LRwait is refused "queue full", forever, by a bank
-// whose only slot holds a sleeping Mwait monitor. A refused wait is not a
-// productive retirement, so that livelock trips the watchdog instead of
-// running to a timeout, and the blame shows the monitor holding the slot.
-exp::RunSpec mcsHistogramWithQueues(std::uint32_t queues) {
+// The MCS-lock histogram with too few queue slots per bank. Colibri and
+// LRSCwait_q both check an Mwait's value before they take a slot, so at 2
+// slots a waiter whose flag was already written is notified and the run
+// completes. At 1 slot a core's LRwait is refused "queue full", forever,
+// by a bank whose only slot holds a sleeping Mwait monitor. A refused wait
+// is not a productive retirement, so that livelock trips the watchdog
+// instead of running to a timeout, and the blame shows the monitor
+// holding the slot.
+exp::RunSpec mcsHistogramWithSlots(const char* adapter, std::uint32_t slots) {
   exp::RunSpec spec;
-  spec.config = exp::configFor(*exp::findAdapter("colibri"), 8,
+  spec.config = exp::configFor(*exp::findAdapter(adapter), slots,
                                arch::SystemConfig::smallTest());
-  spec.config.colibriQueuesPerController = queues;
+  spec.config.colibriQueuesPerController = slots;
   workloads::HistogramParams p;
   p.mode = workloads::HistogramMode::kMcsLock;
   spec.params = p;
@@ -352,7 +353,7 @@ exp::RunSpec mcsHistogramWithQueues(std::uint32_t queues) {
 
 TEST(WatchdogTest, CatchesMcsMwaitLivelockWithTooFewQueues) {
   try {
-    (void)exp::runOne(mcsHistogramWithQueues(1));
+    (void)exp::runOne(mcsHistogramWithSlots("colibri", 1));
     FAIL() << "the MCS livelock finished without a watchdog trip";
   } catch (const WatchdogError& e) {
     EXPECT_EQ(e.trippedAt(), 281'250u);
@@ -364,7 +365,13 @@ TEST(WatchdogTest, CatchesMcsMwaitLivelockWithTooFewQueues) {
 }
 
 TEST(WatchdogTest, McsMwaitCompletesWithTwoQueues) {
-  const auto r = exp::runOne(mcsHistogramWithQueues(2));
+  const auto r = exp::runOne(mcsHistogramWithSlots("colibri", 2));
+  EXPECT_TRUE(r.verified);
+  EXPECT_DOUBLE_EQ(r.rate.opsPerCycle, 0.1635);
+}
+
+TEST(WatchdogTest, McsMwaitCompletesOnLrscWaitWithTwoSlots) {
+  const auto r = exp::runOne(mcsHistogramWithSlots("lrscwait", 2));
   EXPECT_TRUE(r.verified);
   EXPECT_DOUBLE_EQ(r.rate.opsPerCycle, 0.1635);
 }

@@ -108,6 +108,26 @@ TEST(LrscWait, MwaitImmediateWhenValueAlreadyDiffers) {
   EXPECT_EQ(a.occupancy(), 0u);  // nothing stays enqueued
 }
 
+TEST(LrscWait, FullQueueStillAnswersAnAlreadyWrittenMwait) {
+  MockBank bank;
+  atomics::LrscWaitAdapter a(bank, 1);
+  a.handle(lrwait(3, 0));  // fills the only entry
+  bank.responses.clear();
+  bank.writeRaw(4, 7);
+  a.handle(mwait(4, /*expected=*/5, 1));  // changed: needs no entry
+  auto r = bank.take();
+  EXPECT_EQ(r.core, 1u);
+  EXPECT_TRUE(r.resp.ok);
+  EXPECT_EQ(r.resp.value, 7u);
+  a.handle(mwait(4, /*expected=*/7, 2));  // unchanged: must queue, refused
+  r = bank.take();
+  EXPECT_EQ(r.core, 2u);
+  EXPECT_FALSE(r.resp.ok);
+  EXPECT_EQ(a.stats().mwaitWakes, 1u);
+  EXPECT_EQ(a.stats().lrFails, 1u);
+  EXPECT_EQ(a.occupancy(), 1u);
+}
+
 TEST(LrscWait, MwaitSleepsUntilWrite) {
   MockBank bank;
   atomics::LrscWaitAdapter a(bank, 8);
