@@ -64,7 +64,7 @@ void writeRep(report::JsonWriter& w, const RunResult& r) {
       .kv("tileAreaKge", r.tileAreaKge)
       .kv("energyPerOpPj", r.energyPerOpPj)
       .kv("averagePowerMw", r.averagePowerMw);
-  if (r.opLatency.count > 0) {  // wgen kernels: per-op latency distribution
+  if (r.opLatency.count > 0) {  // wgen kernels and the histogram
     w.key("opLatency").beginObject();
     w.kv("p50", r.opLatency.p50)
         .kv("p95", r.opLatency.p95)
@@ -117,9 +117,9 @@ void writeJson(std::ostream& os, const std::vector<RunSpec>& specs,
   COLIBRI_CHECK(specs.size() == results.size());
   report::JsonWriter w(os);
   w.beginObject();
-  // v2 = v1 plus the optional per-rep "opLatency" block (wgen kernels),
-  // the per-rep "fault" block (runs with injection on) and the opt-in
-  // "timeseries" extension (JsonOptions).
+  // v2 = v1 plus the optional per-rep "opLatency" block (wgen kernels, the
+  // histogram and lockfair's handoffs), the per-rep "fault" block (runs
+  // with injection on) and the opt-in "timeseries" extension (JsonOptions).
   w.kv("schema", "colibri-exp-v2");
   w.key("runs").beginArray();
   for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -19,6 +19,7 @@ struct Dispatcher {
     const auto r = workloads::runHistogram(sys, p);
     out.rate = r.rate;
     out.verified = r.sumVerified;
+    out.opLatency = r.opLatency;
   }
 
   void operator()(const workloads::QueueParams& p) const {

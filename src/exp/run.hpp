@@ -94,8 +94,8 @@ struct RunResult {
   bool verified = false;
 
   // --- Workload-specific extras ----------------------------------------
-  /// wgen kernels: per-op completion latency over the window (count > 0
-  /// identifies a wgen result; p50/p95/p99 feed the latency columns).
+  /// wgen kernels and the histogram: per-op completion latency over the
+  /// window (p50/p95/p99 feed the wgen tables' latency columns).
   sim::Summary opLatency{};
   /// lockfair: per-core window acquisition-count spread (count > 0
   /// identifies a lockfair result; its handoff latencies reuse opLatency).

@@ -40,7 +40,7 @@ HistogramResult runHistogram(arch::System& sys, const HistogramParams& p) {
   w.window = p.window;
   w.cores = p.cores;
   const auto r = wgen::runKernel(sys, w);
-  return {r.rate, r.totalIncrements, r.sumVerified};
+  return {r.rate, r.totalIncrements, r.sumVerified, r.opLatency};
 }
 
 }  // namespace colibri::workloads

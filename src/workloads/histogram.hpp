@@ -48,6 +48,7 @@ struct HistogramResult {
   RateResult rate;
   std::uint64_t totalUpdates = 0;  ///< all increments, incl. outside window
   bool sumVerified = false;        ///< Σ bins == totalUpdates
+  sim::Summary opLatency;          ///< per-op latency of window ops
 };
 
 /// The wgen kernel a histogram runs: one uniform region of `p.bins` words

@@ -135,6 +135,10 @@ TEST(ExpRunOne, MatchesADirectWorkloadRun) {
   EXPECT_EQ(viaExp.rate.perCoreWindowOps, direct.rate.perCoreWindowOps);
   EXPECT_EQ(viaExp.verified, direct.sumVerified);
   EXPECT_EQ(viaExp.workload, "histogram");
+  // One latency sample per window op, carried through unchanged.
+  EXPECT_EQ(viaExp.opLatency.count, viaExp.rate.opsInWindow);
+  EXPECT_EQ(viaExp.opLatency.p99, direct.opLatency.p99);
+  EXPECT_GT(viaExp.opLatency.p50, 0.0);
 }
 
 TEST(ExpRunOne, WorkloadNameHonorsTheSpecOverride) {
