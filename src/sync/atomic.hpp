@@ -103,6 +103,20 @@ class [[nodiscard]] CompareAndSwap : public RmwLoop {
   CasResult await_resume() const noexcept { return {value(), ok()}; }
 };
 
+/// fetchAdd (`cas` false: add `operand`) or compareAndSwap (`cas` true:
+/// `expected` -> `operand`), picked at run time. One awaiter type, so a
+/// coroutine that issues both through one co_await keeps one awaiter in
+/// its frame. `observed` is the old or observed value and `swapped` says
+/// whether the add was performed or the swap happened.
+class [[nodiscard]] FetchAddOrCas : public RmwLoop {
+ public:
+  FetchAddOrCas(Core& core, RmwFlavor flavor, bool cas, Addr a,
+                Word expected, Word operand, Backoff& backoff,
+                const bool* abandon)
+      : RmwLoop(core, flavor, cas, a, expected, operand, backoff, abandon) {}
+  CasResult await_resume() const noexcept { return {value(), ok()}; }
+};
+
 /// Atomically add `delta` to *a and return the previous value.
 /// If `abandon` is non-null and becomes true, the loop may give up at a
 /// retry point *before* holding a grant (never between LRwait and SCwait,

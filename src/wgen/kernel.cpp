@@ -83,20 +83,20 @@ sim::Task wgenWorker(arch::System& sys, arch::Core& core, WgenCtx& ctx,
           performed = true;
           break;
         }
-        case OpClass::kRmw: {
-          const auto r = co_await sync::fetchAdd(core, ctx.rmwFlavor, a, 1,
-                                                 backoff, win.stopFlag());
-          performed = modified = r.performed;
-          break;
-        }
+        case OpClass::kRmw:
         case OpClass::kCas: {
-          auto expected = (co_await core.load(a)).value;
+          // One co_await for both, so the frame holds one RMW awaiter.
+          const bool cas = phase.op == OpClass::kCas;
+          sim::Word expected = 0;
+          if (cas) {
+            expected = (co_await core.load(a)).value;
+          }
           while (true) {
-            const auto r = co_await sync::compareAndSwap(
-                core, ctx.casFlavor, a, expected, expected + 1, backoff,
-                win.stopFlag());
-            if (r.swapped) {
-              performed = modified = true;
+            const auto r = co_await sync::FetchAddOrCas(
+                core, cas ? ctx.casFlavor : ctx.rmwFlavor, cas, a, expected,
+                cas ? expected + 1 : 1, backoff, win.stopFlag());
+            if (r.swapped || !cas) {
+              performed = modified = r.swapped;
               break;
             }
             expected = r.observed;
