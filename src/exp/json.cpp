@@ -64,7 +64,7 @@ void writeRep(report::JsonWriter& w, const RunResult& r) {
       .kv("tileAreaKge", r.tileAreaKge)
       .kv("energyPerOpPj", r.energyPerOpPj)
       .kv("averagePowerMw", r.averagePowerMw);
-  if (r.opLatency.count > 0) {  // wgen kernels and the histogram
+  if (r.opLatency.count > 0) {  // wgen, histogram, lockfair handoffs
     w.key("opLatency").beginObject();
     w.kv("p50", r.opLatency.p50)
         .kv("p95", r.opLatency.p95)

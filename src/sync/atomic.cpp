@@ -172,6 +172,8 @@ void RmwLoop::await_suspend(std::coroutine_handle<> caller) {
   caller_ = caller;
   switch (flavor_) {
     case RmwFlavor::kAmo:
+      COLIBRI_CHECK_MSG(!cas_, "CAS needs a reservation pair (LR/SC or "
+                               "LRwait/SCwait)");
       RmwSteps::issue(*this, OpKind::kAmoAdd, operand_, &RmwSteps::amoDone);
       return;
     case RmwFlavor::kLrsc:
@@ -181,14 +183,6 @@ void RmwLoop::await_suspend(std::coroutine_handle<> caller) {
       break;
   }
   RmwSteps::lrWait(*this);
-}
-
-CompareAndSwap::CompareAndSwap(Core& core, RmwFlavor flavor, Addr a,
-                               Word expected, Word desired, Backoff& backoff,
-                               const bool* abandon)
-    : RmwLoop(core, flavor, true, a, expected, desired, backoff, abandon) {
-  COLIBRI_CHECK_MSG(flavor != RmwFlavor::kAmo,
-                    "CAS needs a reservation pair (LR/SC or LRwait/SCwait)");
 }
 
 }  // namespace colibri::sync

@@ -99,7 +99,8 @@ class [[nodiscard]] FetchAdd : public RmwLoop {
 class [[nodiscard]] CompareAndSwap : public RmwLoop {
  public:
   CompareAndSwap(Core& core, RmwFlavor flavor, Addr a, Word expected,
-                 Word desired, Backoff& backoff, const bool* abandon);
+                 Word desired, Backoff& backoff, const bool* abandon)
+      : RmwLoop(core, flavor, true, a, expected, desired, backoff, abandon) {}
   CasResult await_resume() const noexcept { return {value(), ok()}; }
 };
 

@@ -91,6 +91,20 @@ TEST_P(CasFlavors, ContendedCasExactlyOneWinnerPerValue) {
   EXPECT_NE(sys.peek(a), 0u);
 }
 
+TEST(Cas, AmoFlavorIsRejected) {
+  System sys(withAdapter(AdapterKind::kAmoOnly));
+  const auto a = sys.allocator().allocGlobal(1);
+  CasResult r;
+  EXPECT_THROW(
+      {
+        sys.spawn(0, casOnce(sys, sys.core(0), a, 0, 1, RmwFlavor::kAmo, &r));
+        sys.run();
+        sys.rethrowFailures();
+      },
+      sim::InvariantViolation);
+  EXPECT_EQ(sys.peek(a), 0u);  // no AMO add went out in its place
+}
+
 INSTANTIATE_TEST_SUITE_P(Flavors, CasFlavors,
                          ::testing::Values(RmwFlavor::kLrsc,
                                            RmwFlavor::kLrscWait),
