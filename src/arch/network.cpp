@@ -24,24 +24,23 @@ Network::Network(const SystemConfig& cfg)
       numBanks_(cfg.numBanks()),
       numGroups_(cfg.numGroups()),
       latency_{cfg.latLocalTile, cfg.latSameGroup, cfg.latRemoteGroup} {
+  const std::uint32_t numTiles = cfg.numTiles();
+  const std::uint32_t coresPerTile = cfg.coresPerTile;
   corePlace_.reserve(numCores_);
-  for (CoreId c = 0; c < numCores_; ++c) {
-    corePlace_.push_back({topo_.tileOfCore(c), topo_.groupOfCore(c)});
+  for (TileId t = 0; t < numTiles; ++t) {
+    const Placement p{t, t / cfg.tilesPerGroup};
+    for (std::uint32_t i = 0; i < coresPerTile; ++i) {
+      corePlace_.push_back(p);
+    }
   }
-  localRouters_.reserve(numGroups_);
-  groupEgress_.reserve(numGroups_);
-  for (GroupId g = 0; g < numGroups_; ++g) {
-    localRouters_.emplace_back(cfg.localGroupBandwidth);
-    groupEgress_.emplace_back(cfg.localGroupBandwidth);
-  }
-  groupLinks_.reserve(static_cast<std::size_t>(numGroups_) * numGroups_);
-  for (std::uint32_t i = 0; i < numGroups_ * numGroups_; ++i) {
-    groupLinks_.emplace_back(cfg.groupLinkBandwidth);
-  }
-  tileIngress_.reserve(cfg.numTiles());
-  for (std::uint32_t t = 0; t < cfg.numTiles(); ++t) {
-    tileIngress_.emplace_back(kTileIngressBandwidth);
-  }
+  localRouters_.assign(numGroups_,
+                       sim::ThroughputResource(cfg.localGroupBandwidth));
+  groupEgress_.assign(numGroups_,
+                      sim::ThroughputResource(cfg.localGroupBandwidth));
+  groupLinks_.assign(static_cast<std::size_t>(numGroups_) * numGroups_,
+                     sim::ThroughputResource(cfg.groupLinkBandwidth));
+  tileIngress_.assign(numTiles,
+                      sim::ThroughputResource(kTileIngressBandwidth));
 #ifndef NDEBUG
   const std::size_t pairs = static_cast<std::size_t>(numCores_) * numBanks_;
   if (pairs <= kDenseCheckMaxPairs) {

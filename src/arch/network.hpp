@@ -160,8 +160,10 @@ class Network {
   std::uint32_t numBanks_;
   std::uint32_t numGroups_;
   // Placement of every core and the latency of every distance class,
-  // precomputed from topo_ so routing a message is table lookups: no
-  // Topology division on the hot path (a bank's placement is in its link).
+  // precomputed so routing a message is table lookups: no Topology
+  // division on the hot path (a bank's placement is in its link). A
+  // tile's cores are contiguous, so the table is filled per tile: one
+  // placement computed per tile, repeated for each of its cores.
   std::vector<Placement> corePlace_;
   std::array<Cycle, 3> latency_;
   // Shared stages, each owned by exactly one distance class (see header
