@@ -9,13 +9,10 @@
 
 namespace colibri::arch {
 
-Bank::Bank(sim::Engine& engine, Network& net, System& sys,
-           const SystemConfig& cfg, BankId id, Word* spm,
+Bank::Bank(System& sys, const SystemConfig& cfg, BankId id, Word* spm,
            fault::FaultPlan* fault, const obs::SimHooks* hooks)
-    : engine_(engine),
-      net_(net),
-      sys_(sys),
-      link_(net.bankLink(id)),
+    : sys_(sys),
+      link_(sys.network().bankLink(id)),
       numCores_(cfg.numCores),
       map_(cfg),
       spm_(spm),
@@ -30,8 +27,10 @@ void Bank::checkOwned(Addr a) const {
   COLIBRI_CHECK(a < map_.numWords());
 }
 
+sim::Cycle Bank::now() const { return sys_.now(); }
+
 void Bank::receive(const MemRequest& req) {
-  const sim::Cycle at = engine_.now();
+  const sim::Cycle at = sys_.now();
   const sim::Cycle grant = port_.acquire(at);
   sim::Cycle serveAt = grant;
   if (faultPlan_ != nullptr) {
@@ -54,7 +53,7 @@ void Bank::receive(const MemRequest& req) {
     ++stats_.requests;
     adapter_->handle(req);
   };
-  engine_.scheduleAt(serveAt, std::move(serve));
+  sys_.engine().scheduleAt(serveAt, std::move(serve));
 }
 
 Word Bank::read(Addr a) const {
@@ -70,22 +69,23 @@ void Bank::writeRaw(Addr a, Word v) {
 void Bank::respond(CoreId c, const MemResponse& r) {
   // Responses ride dedicated return paths (no shared stages), so the
   // arrival cycle is fully determined at send time.
-  const sim::Cycle arriveAt = net_.routeResponse(link_, c, engine_.now());
+  const sim::Cycle at = sys_.now();
+  const sim::Cycle arriveAt = sys_.network().routeResponse(link_, c, at);
   if (hooks_ != nullptr && hooks_->tracer != nullptr) {
-    hooks_->tracer->onRespond(c, engine_.now());
+    hooks_->tracer->onRespond(c, at);
   }
   auto arrive = [this, c, r] { sys_.deliverResponse(c, r); };
-  engine_.scheduleAt(arriveAt, std::move(arrive));
+  sys_.engine().scheduleAt(arriveAt, std::move(arrive));
 }
 
-void Bank::sendSuccessorUpdate(CoreId target, CoreId successor, Addr /*a*/,
+void Bank::sendSuccessorUpdate(CoreId target, CoreId successor,
                                bool successorIsMwait) {
-  // The Qnode needs only the successor; the address stays behind.
-  const sim::Cycle arriveAt = net_.routeResponse(link_, target, engine_.now());
+  const sim::Cycle arriveAt =
+      sys_.network().routeResponse(link_, target, sys_.now());
   auto arrive = [this, target, successor, successorIsMwait] {
     sys_.deliverSuccessorUpdate(target, successor, successorIsMwait);
   };
-  engine_.scheduleAt(arriveAt, std::move(arrive));
+  sys_.engine().scheduleAt(arriveAt, std::move(arrive));
 }
 
 void Bank::resetStats() {

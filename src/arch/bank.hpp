@@ -20,7 +20,6 @@
 #include "arch/memop.hpp"
 #include "arch/network.hpp"
 #include "atomics/adapter.hpp"
-#include "sim/engine.hpp"
 #include "sim/resource.hpp"
 
 namespace colibri::obs {
@@ -44,8 +43,7 @@ class Bank final : public atomics::BankContext {
   /// both must outlive the bank too. Transient service stalls from the
   /// fault plan add cycles between the port grant and the adapter handling
   /// the request; in-order service is preserved by a monotone clamp.
-  Bank(sim::Engine& engine, Network& net, System& sys,
-       const SystemConfig& cfg, BankId id, Word* spm,
+  Bank(System& sys, const SystemConfig& cfg, BankId id, Word* spm,
        fault::FaultPlan* fault, const obs::SimHooks* hooks);
 
   /// Entry point from the network: arbitrate the port, then run the adapter.
@@ -55,16 +53,15 @@ class Bank final : public atomics::BankContext {
   [[nodiscard]] Word read(Addr a) const override;
   void writeRaw(Addr a, Word v) override;
   void respond(CoreId c, const MemResponse& r) override;
-  void sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
+  void sendSuccessorUpdate(CoreId target, CoreId successor,
                            bool successorIsMwait) override;
-  [[nodiscard]] sim::Cycle now() const override { return engine_.now(); }
+  [[nodiscard]] sim::Cycle now() const override;
   [[nodiscard]] BankId bankId() const override { return link_.bank(); }
   [[nodiscard]] std::uint32_t numCores() const override { return numCores_; }
 
-  /// Cycles a request arriving now would wait for the bank port — the
+  /// Cycles a request arriving at `now` would wait for the bank port — the
   /// congestion signal the network's backpressure proxy uses.
-  [[nodiscard]] sim::Cycle backlog() const {
-    const auto now = engine_.now();
+  [[nodiscard]] sim::Cycle backlog(sim::Cycle now) const {
     return port_.peek(now) - now;
   }
 
@@ -83,9 +80,7 @@ class Bank final : public atomics::BankContext {
   /// Check that `a` maps to this bank and lies inside the SPM.
   void checkOwned(Addr a) const;
 
-  sim::Engine& engine_;
-  Network& net_;
-  System& sys_;
+  System& sys_;  ///< owns the engine and network this bank schedules on
   BankLink link_;
   std::uint32_t numCores_;
   AddressMap map_;

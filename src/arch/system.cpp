@@ -134,14 +134,14 @@ void System::attachObservability() {
   reg.gauge("bank.backlogMax", [this] {
     sim::Cycle mx = 0;
     for (const auto& b : built_) {
-      mx = std::max(mx, b->backlog());
+      mx = std::max(mx, b->backlog(engine_.now()));
     }
     return static_cast<double>(mx);
   });
   reg.gauge("bank.backlogMean", [this] {
     double sum = 0;
     for (const auto& b : built_) {
-      sum += static_cast<double>(b->backlog());
+      sum += static_cast<double>(b->backlog(engine_.now()));
     }
     return sum / static_cast<double>(numBanks());
   });
@@ -229,9 +229,8 @@ void System::spawn(CoreId c, sim::Task task) {
 }
 
 Bank& System::buildBank(BankId b) {
-  built_.push_back(std::make_unique<Bank>(engine_, net_, *this, cfg_, b,
-                                         spm_.data(), faultPlan_.get(),
-                                         obsHooks_.get()));
+  built_.push_back(std::make_unique<Bank>(*this, cfg_, b, spm_.data(),
+                                         faultPlan_.get(), obsHooks_.get()));
   banks_[b] = built_.back().get();
   return *banks_[b];
 }
@@ -283,7 +282,7 @@ void System::injectRequest(CoreId from, const MemRequest& req) {
   // network stages longer (finite switch buffers; see config.hpp).
   std::uint32_t hold = 1;
   if (cfg_.linkHoldMax > 0) {
-    const sim::Cycle backlog = target->backlog();
+    const sim::Cycle backlog = target->backlog(engine_.now());
     hold += static_cast<std::uint32_t>(
         backlog > cfg_.linkHoldMax ? cfg_.linkHoldMax : backlog);
   }

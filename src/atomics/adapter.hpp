@@ -53,7 +53,7 @@ class BankContext {
   /// tells the Qnode what kind of wait the successor queued (the bit is
   /// relayed in the eventual WakeUpRequest so the controller can serve the
   /// new head without per-waiter storage).
-  virtual void sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
+  virtual void sendSuccessorUpdate(CoreId target, CoreId successor,
                                    bool successorIsMwait) = 0;
 
   [[nodiscard]] virtual Cycle now() const = 0;

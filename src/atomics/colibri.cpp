@@ -56,7 +56,7 @@ void ColibriAdapter::handleWait(const MemRequest& req) {
     const CoreId prevTail = s->tail;
     s->tail = req.core;
     ++stats_.successorUpdates;
-    ctx_.sendSuccessorUpdate(prevTail, req.core, req.addr, isMwait);
+    ctx_.sendSuccessorUpdate(prevTail, req.core, isMwait);
     return;
   }
   if (isMwait) {

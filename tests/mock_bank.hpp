@@ -29,7 +29,6 @@ class MockBank final : public BankContext {
   struct SuccUpdate {
     CoreId target;
     CoreId successor;
-    Addr addr;
     bool successorIsMwait;
   };
 
@@ -41,9 +40,9 @@ class MockBank final : public BankContext {
   void respond(CoreId c, const MemResponse& r) override {
     responses.push_back({c, r});
   }
-  void sendSuccessorUpdate(CoreId target, CoreId successor, Addr a,
+  void sendSuccessorUpdate(CoreId target, CoreId successor,
                            bool isMwait) override {
-    updates.push_back({target, successor, a, isMwait});
+    updates.push_back({target, successor, isMwait});
   }
   [[nodiscard]] sim::Cycle now() const override { return now_; }
   [[nodiscard]] sim::BankId bankId() const override { return 0; }

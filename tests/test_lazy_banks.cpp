@@ -185,7 +185,7 @@ TEST_P(LazyBanks, OneRequestBuildsOneBank) {
 
   // The accessor builds an untouched bank, idle and zeroed.
   EXPECT_EQ(sys.bank(38).stats().requests, 0u);
-  EXPECT_EQ(sys.bank(38).backlog(), 0u);
+  EXPECT_EQ(sys.bank(38).backlog(sys.now()), 0u);
   EXPECT_EQ(sys.builtBanks().size(), 2u);
 }
 
