@@ -22,7 +22,6 @@ class LrscSingleAdapter final : public AtomicAdapter {
   void describeState(std::ostream& os) const override;
 
   /// Owner of the reservation slot, if valid (for tests).
-  [[nodiscard]] bool slotValid() const { return valid_; }
   [[nodiscard]] CoreId slotOwner() const { return core_; }
 
  private:

@@ -135,7 +135,6 @@ class Core {
   void complete(const MemResponse& r);
   /// Propagate an exception that escaped the task, if any.
   void rethrowIfFailed() const { task_.rethrowIfFailed(); }
-  [[nodiscard]] bool taskDone() const { return task_.done(); }
   [[nodiscard]] bool hasOutstandingOp() const {
     return pending_.fn != nullptr;
   }

@@ -118,7 +118,6 @@ class Engine {
   /// Attach (or detach, with nullptr) a progress probe. Must be set before
   /// the run starts (see ProgressProbe).
   void setProgressProbe(ProgressProbe* probe) { probe_ = probe; }
-  [[nodiscard]] ProgressProbe* progressProbe() const { return probe_; }
 
  private:
   /// Bookkeeping just before an event runs.

@@ -27,9 +27,6 @@ class CentralBarrier {
   /// round by this call).
   sim::Co<void> wait(Core& core, sim::Word& localSense, Backoff& backoff);
 
-  [[nodiscard]] Addr counterAddr() const { return counter_; }
-  [[nodiscard]] Addr senseAddr() const { return sense_; }
-
  private:
   Addr counter_;
   Addr sense_;

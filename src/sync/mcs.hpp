@@ -49,8 +49,6 @@ class McsLock {
   sim::Co<void> acquire(Core& core, Backoff& backoff);
   sim::Co<void> release(Core& core, Backoff& backoff);
 
-  [[nodiscard]] Addr tailAddr() const { return tail_; }
-
  private:
   sim::Co<void> waitForWrite(Core& core, Addr a, sim::Word sleepValue,
                              Backoff& backoff);

@@ -55,14 +55,6 @@ struct SystemCounters {
   std::array<std::uint64_t, 3> netMessages{};  ///< by Distance
   Cycle windowCycles = 0;
   std::uint32_t activeCores = 0;
-
-  /// Busy core-cycles = window * cores - sleep (a sleeping core burns
-  /// almost nothing; everything else is pipeline-active or stalled).
-  [[nodiscard]] std::uint64_t busyCoreCycles() const {
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(windowCycles) * activeCores;
-    return total > sleepCycles ? total - sleepCycles : 0;
-  }
 };
 
 /// Snapshot the window counters from a system whose stats were reset at

@@ -39,14 +39,6 @@ class TicketQueue {
                              sim::Word* ticketOut = nullptr);
 
   [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
-  [[nodiscard]] sim::Addr tailAddr() const { return tail_; }
-  [[nodiscard]] sim::Addr headAddr() const { return head_; }
-  [[nodiscard]] sim::Addr seqAddr(std::uint32_t slot) const {
-    return seq_[slot];
-  }
-  [[nodiscard]] sim::Addr valAddr(std::uint32_t slot) const {
-    return val_[slot];
-  }
 
   /// Wait until *a == want (polling or Mwait). Shared helper, also used by
   /// other slot-handoff patterns.
