@@ -10,13 +10,12 @@
 namespace colibri::arch {
 
 Bank::Bank(System& sys, const SystemConfig& cfg, BankId id, Word* spm,
-           fault::FaultPlan* fault, const obs::SimHooks* hooks)
+           fault::FaultPlan* fault)
     : sys_(sys),
       link_(sys.network().bankLink(id)),
       numCores_(cfg.numCores),
       map_(cfg),
-      spm_(spm),
-      hooks_(hooks) {
+      spm_(spm) {
   faultPlan_ = fault;
   adapter_ = atomics::makeAdapter(cfg, *this);
 }
@@ -45,9 +44,10 @@ void Bank::receive(const MemRequest& req) {
     }
     lastServe_ = serveAt;
   }
-  if (hooks_ != nullptr && hooks_->tracer != nullptr &&
+  const obs::SimHooks* hooks = sys_.obsHooks();
+  if (hooks != nullptr && hooks->tracer != nullptr &&
       expectsResponse(req.kind)) {
-    hooks_->tracer->onBankArrive(req.core, bankId(), at, serveAt);
+    hooks->tracer->onBankArrive(req.core, bankId(), at, serveAt);
   }
   auto serve = [this, req] {
     ++stats_.requests;
@@ -71,8 +71,9 @@ void Bank::respond(CoreId c, const MemResponse& r) {
   // arrival cycle is fully determined at send time.
   const sim::Cycle at = sys_.now();
   const sim::Cycle arriveAt = sys_.network().routeResponse(link_, c, at);
-  if (hooks_ != nullptr && hooks_->tracer != nullptr) {
-    hooks_->tracer->onRespond(c, at);
+  const obs::SimHooks* hooks = sys_.obsHooks();
+  if (hooks != nullptr && hooks->tracer != nullptr) {
+    hooks->tracer->onRespond(c, at);
   }
   auto arrive = [this, c, r] { sys_.deliverResponse(c, r); };
   sys_.engine().scheduleAt(arriveAt, std::move(arrive));
@@ -90,7 +91,6 @@ void Bank::sendSuccessorUpdate(CoreId target, CoreId successor,
 
 void Bank::resetStats() {
   stats_.reset();
-  port_.resetStats();
   adapter_->mutableStats().reset();
 }
 

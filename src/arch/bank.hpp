@@ -22,10 +22,6 @@
 #include "atomics/adapter.hpp"
 #include "sim/resource.hpp"
 
-namespace colibri::obs {
-struct SimHooks;
-}
-
 namespace colibri::arch {
 
 class System;
@@ -39,12 +35,12 @@ class Bank final : public atomics::BankContext {
  public:
   /// `spm` is the System's SPM, indexed by address: cfg.numWords() words
   /// that must outlive the bank. `fault` is the fault plan (null =
-  /// injection off) and `hooks` the observability bundle (null = off);
-  /// both must outlive the bank too. Transient service stalls from the
+  /// injection off), which must outlive the bank too; the observability
+  /// bundle is read through `sys`. Transient service stalls from the
   /// fault plan add cycles between the port grant and the adapter handling
   /// the request; in-order service is preserved by a monotone clamp.
   Bank(System& sys, const SystemConfig& cfg, BankId id, Word* spm,
-       fault::FaultPlan* fault, const obs::SimHooks* hooks);
+       fault::FaultPlan* fault);
 
   /// Entry point from the network: arbitrate the port, then run the adapter.
   void receive(const MemRequest& req);
@@ -80,14 +76,13 @@ class Bank final : public atomics::BankContext {
   /// Check that `a` maps to this bank and lies inside the SPM.
   void checkOwned(Addr a) const;
 
-  System& sys_;  ///< owns the engine and network this bank schedules on
+  System& sys_;  ///< owns the engine, network and obs hooks this bank uses
   BankLink link_;
   std::uint32_t numCores_;
   AddressMap map_;
   Word* spm_;  ///< the System's storage, indexed by address
   sim::ThroughputResource port_;  ///< single port: one request per cycle
   sim::Cycle lastServe_ = 0;  ///< stall clamp: service stays in-order
-  const obs::SimHooks* hooks_;
   std::unique_ptr<atomics::AtomicAdapter> adapter_;
   BankStats stats_;
 };

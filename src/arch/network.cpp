@@ -186,37 +186,4 @@ Cycle Network::routeResponse(BankLink& srcLink, CoreId c, Cycle at) {
   return arrive;
 }
 
-void Network::resetStats() {
-  stats_.reset();
-  for (auto& r : localRouters_) {
-    r.resetStats();
-  }
-  for (auto& r : groupEgress_) {
-    r.resetStats();
-  }
-  for (auto& r : groupLinks_) {
-    r.resetStats();
-  }
-  for (auto& r : tileIngress_) {
-    r.resetStats();
-  }
-}
-
-std::uint64_t Network::linkQueueingDelay() const {
-  std::uint64_t total = 0;
-  for (const auto& r : localRouters_) {
-    total += r.totalQueueingDelay();
-  }
-  for (const auto& r : groupEgress_) {
-    total += r.totalQueueingDelay();
-  }
-  for (const auto& r : groupLinks_) {
-    total += r.totalQueueingDelay();
-  }
-  for (const auto& r : tileIngress_) {
-    total += r.totalQueueingDelay();
-  }
-  return total;
-}
-
 }  // namespace colibri::arch

@@ -120,7 +120,7 @@ class Network {
 
   /// Aggregated traffic counters.
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
-  void resetStats();
+  void resetStats() { stats_.reset(); }
 
   /// Attach the fault plan (null = injection off). With net-delay faults
   /// active the per-(bank, class) FIFO invariant is enforced as a true
@@ -130,10 +130,6 @@ class Network {
   void setFaultPlan(fault::FaultPlan* plan) { fault_ = plan; }
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
-
-  /// Total queueing delay currently accumulated on group links (congestion
-  /// indicator used by interference analyses).
-  [[nodiscard]] std::uint64_t linkQueueingDelay() const;
 
   /// Bytes the retired dense per-pair clamp layout would need for `cfg`:
   /// two numCores * numBanks arrays of Cycle. Kept as a static formula so

@@ -42,16 +42,8 @@ System::System(const SystemConfig& cfg)
       alloc_(cfg_),
       spm_(cfg_.numWords()),
       banks_(std::make_unique<Bank*[]>(cfg_.numBanks())),
-      qnodes_(cfg_.numCores,
-              [this](std::size_t c) {
-                const bool colibri = cfg_.adapter == AdapterKind::kColibri;
-                return atomics::Qnode(static_cast<CoreId>(c),
-                                      colibri ? this : nullptr);
-              }),
       cores_(cfg_.numCores, [this](std::size_t c) {
-        const bool colibri = cfg_.adapter == AdapterKind::kColibri;
-        return Core(*this, static_cast<CoreId>(c),
-                    colibri ? &qnodes_[c] : nullptr);
+        return Core(*this, static_cast<CoreId>(c));
       }) {
   if (cfg_.fault.enabled()) {
     fault::FaultConfig fc = cfg_.fault;
@@ -209,9 +201,6 @@ void System::attachObservability() {
       faultPlan_->setTracer(tr);
     }
   }
-  for (Core& c : cores_) {
-    c.hooks_ = obsHooks_.get();
-  }
 }
 
 System::~System() {
@@ -229,8 +218,8 @@ void System::spawn(CoreId c, sim::Task task) {
 }
 
 Bank& System::buildBank(BankId b) {
-  built_.push_back(std::make_unique<Bank>(*this, cfg_, b, spm_.data(),
-                                         faultPlan_.get(), obsHooks_.get()));
+  built_.push_back(
+      std::make_unique<Bank>(*this, cfg_, b, spm_.data(), faultPlan_.get()));
   banks_[b] = built_.back().get();
   return *banks_[b];
 }
@@ -347,7 +336,7 @@ std::string System::blameReport(sim::Cycle now) {
     }
     os << ", last productive retirement at " << core.lastProductive_;
     if (cfg_.adapter == AdapterKind::kColibri) {
-      const atomics::Qnode& q = qnodes_[c];
+      const atomics::Qnode& q = core.queueNode_;
       os << ", qnode ";
       switch (q.state()) {
         case atomics::Qnode::State::kIdle:
@@ -387,18 +376,7 @@ void System::deliverResponse(CoreId c, const MemResponse& r) {
 
 void System::deliverSuccessorUpdate(CoreId c, CoreId successor,
                                     bool successorIsMwait) {
-  qnodes_[c].onSuccessorUpdate(successor, successorIsMwait);
-}
-
-void System::sendWakeUp(CoreId from, CoreId successor, bool successorIsMwait,
-                        sim::Addr addr) {
-  MemRequest wake;
-  wake.kind = OpKind::kWakeUp;
-  wake.addr = addr;
-  wake.value = static_cast<sim::Word>(successor);
-  wake.core = from;
-  wake.successorIsMwait = successorIsMwait;
-  injectRequest(from, wake);
+  cores_[c].onSuccessorUpdate(successor, successorIsMwait);
 }
 
 }  // namespace colibri::arch

@@ -1,16 +1,16 @@
 // System: the whole modeled manycore — engine, network, banks (with their
-// atomic adapters and link state), cores (with their Qnodes), and the SPM
+// atomic adapters and link state), cores (each with its Qnode), and the SPM
 // allocator.
 //
 // Construction wires everything except the banks, in a constant number of
-// heap blocks: one record per core, one Qnode per core and one pointer per
-// bank, each kind in one array. A bank, its adapter and its network link
-// state are built the first time a request, a bank() call or a blame
-// report reaches it, so construction and teardown cost grows with the
-// banks a workload touches, not with the geometry. Workloads are attached
-// per core as coroutines and the simulation is driven with
-// run()/runUntil(). Teardown clears the event queue before destroying
-// coroutine frames so no stale event can touch a dead frame.
+// heap blocks: one record per core and one pointer per bank, each kind in
+// one array. A bank, its adapter and its network link state are built the
+// first time a request, a bank() call or a blame report reaches it, so
+// construction and teardown cost grows with the banks a workload touches,
+// not with the geometry. Workloads are attached per core as coroutines and
+// the simulation is driven with run()/runUntil(). Teardown clears the event
+// queue before destroying coroutine frames so no stale event can touch a
+// dead frame.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,6 @@
 #include "arch/bank.hpp"
 #include "arch/config.hpp"
 #include "arch/network.hpp"
-#include "atomics/qnode.hpp"
 #include "core/core.hpp"
 #include "fault/fault.hpp"
 #include "fault/watchdog.hpp"
@@ -59,7 +58,7 @@ class SpmStorage {
   std::size_t bytes_;
 };
 
-class System final : public atomics::WakeUpSink {
+class System {
  public:
   explicit System(const SystemConfig& cfg);
   ~System();
@@ -88,10 +87,6 @@ class System final : public atomics::WakeUpSink {
   /// zero. The span is valid until the next bank is built.
   [[nodiscard]] std::span<const std::unique_ptr<Bank>> builtBanks() const {
     return built_;
-  }
-  [[nodiscard]] atomics::Qnode& qnode(CoreId c) {
-    COLIBRI_CHECK_MSG(c < numCores(), "qnode " << c << " of " << numCores());
-    return qnodes_[c];
   }
   [[nodiscard]] std::uint32_t numCores() const { return cfg_.numCores; }
   [[nodiscard]] std::uint32_t numBanks() const {
@@ -127,7 +122,7 @@ class System final : public atomics::WakeUpSink {
   void drain(const char* who);
 
   /// Inject a request from a core into the network towards the owning bank.
-  /// Used by Core::issue and by Qnodes dispatching WakeUpRequests.
+  /// Used by Core for its operations and its Qnode's WakeUpRequests.
   void injectRequest(CoreId from, const MemRequest& req);
 
   /// Reset all measurement counters (cores, banks, network) — typically at
@@ -163,16 +158,13 @@ class System final : public atomics::WakeUpSink {
   // --- Bank -> core delivery ---------------------------------------------
   /// A response reaches core `c`'s pipeline.
   void deliverResponse(CoreId c, const MemResponse& r);
-  /// A Colibri SuccessorUpdate reaches core `c`'s Qnode.
+  /// A Colibri SuccessorUpdate reaches core `c`'s Qnode; throws
+  /// sim::InvariantViolation under any other adapter.
   void deliverSuccessorUpdate(CoreId c, CoreId successor,
                               bool successorIsMwait);
 
-  // --- WakeUpSink --------------------------------------------------------
-  void sendWakeUp(CoreId from, CoreId successor, bool successorIsMwait,
-                  sim::Addr addr) override;
-
  private:
-  /// Register metrics/probes and distribute hook pointers (recorder set).
+  /// Register metrics/probes and build the hook bundle (recorder set).
   void attachObservability();
   /// bank(b) without the range check, for ids from AddressMap::bankOf.
   Bank& bankUnchecked(BankId b) {
@@ -191,11 +183,9 @@ class System final : public atomics::WakeUpSink {
   SpmStorage spm_;  // declared before banks_: it must outlive them
   std::unique_ptr<Bank*[]> banks_;  // by id; null until first use
   std::vector<std::unique_ptr<Bank>> built_;  // owns them, in build order
-  sim::FixedArray<atomics::Qnode> qnodes_;  // wired only under Colibri
-  sim::FixedArray<Core> cores_;             // built in place, one block
-  // Hook bundle handed to cores/banks/sync; owned here so those raw
-  // pointers stay valid for the System's whole lifetime. Banks built
-  // later receive it (and the fault plan) at construction.
+  sim::FixedArray<Core> cores_;  // built in place, one block
+  // Hook bundle that cores, banks and the sync primitives read through
+  // obsHooks(); null without a recorder.
   std::unique_ptr<obs::SimHooks> obsHooks_;
   // Fault-injection plan (null when disabled) and the hang watchdog (null
   // when watchdogCycles == 0). Banks and the network hold raw pointers to

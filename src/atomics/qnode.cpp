@@ -1,11 +1,13 @@
 #include "atomics/qnode.hpp"
 
+#include "sim/check.hpp"
+
 namespace colibri::atomics {
 
 void Qnode::onWaitIssued(sim::Addr addr, bool isMwait) {
   COLIBRI_CHECK_MSG(state_ == State::kIdle,
-                    "core " << core_ << " issued a wait with one outstanding"
-                            << " (deadlock-freedom constraint, Sec. III)");
+                    "wait issued with one outstanding"
+                        << " (deadlock-freedom constraint, Sec. III)");
   state_ = State::kQueued;
   addr_ = addr;
   isMwait_ = isMwait;
@@ -23,18 +25,17 @@ void Qnode::onLrWaitResponse(bool admitted) {
   // On a grant the Qnode stays kQueued until the SCwait passes.
 }
 
-void Qnode::onScWaitIssued() {
+WakeUp Qnode::onScWaitIssued() {
   COLIBRI_CHECK_MSG(state_ == State::kQueued && !isMwait_,
-                    "SCwait without matching LRwait at Qnode " << core_);
+                    "SCwait without matching LRwait at its Qnode");
   if (hasSuccessor()) {
     // "Immediately after an SCwait passes the Qnode, it sends a
     // WakeUpRequest containing its successor" (Section IV). It follows the
     // SCwait on the same core->bank path, so FIFO keeps them ordered.
-    dispatchWakeUp();
-    state_ = State::kIdle;
-  } else {
-    state_ = State::kOwesWakeup;
+    return dispatchWakeUp();
   }
+  state_ = State::kOwesWakeup;
+  return {};
 }
 
 void Qnode::onScWaitResponse(bool lastInQueue) {
@@ -51,41 +52,40 @@ void Qnode::onScWaitResponse(bool lastInQueue) {
   // Otherwise a SuccessorUpdate is in flight and will bounce as a WakeUp.
 }
 
-void Qnode::onMwaitResponse(bool admitted, bool lastInQueue) {
+WakeUp Qnode::onMwaitResponse(bool admitted, bool lastInQueue) {
   COLIBRI_CHECK(state_ == State::kQueued && isMwait_);
   if (!admitted || lastInQueue) {
     state_ = State::kIdle;
-    return;
+    return {};
   }
   // Wake the successor: this is how a write drains the whole Mwait queue
   // "without any interference from the cores" (Section IV-B).
   if (hasSuccessor()) {
-    dispatchWakeUp();
-    state_ = State::kIdle;
-  } else {
-    state_ = State::kOwesWakeup;
+    return dispatchWakeUp();
   }
+  state_ = State::kOwesWakeup;
+  return {};
 }
 
-void Qnode::onSuccessorUpdate(CoreId successor, bool successorIsMwait) {
-  COLIBRI_CHECK_MSG(state_ != State::kIdle,
-                    "SuccessorUpdate to idle Qnode " << core_);
+WakeUp Qnode::onSuccessorUpdate(CoreId successor, bool successorIsMwait) {
+  COLIBRI_CHECK_MSG(state_ != State::kIdle, "SuccessorUpdate to idle Qnode");
   successor_ = successor;
   successorIsMwait_ = successorIsMwait;
   if (state_ == State::kOwesWakeup) {
     // The local dequeue already happened: bounce back as a WakeUpRequest
     // (Section IV-A.1).
-    dispatchWakeUp();
-    state_ = State::kIdle;
+    return dispatchWakeUp();
   }
+  return {};
 }
 
-void Qnode::dispatchWakeUp() {
+WakeUp Qnode::dispatchWakeUp() {
   COLIBRI_CHECK(hasSuccessor());
-  COLIBRI_CHECK_MSG(sink_ != nullptr, "Qnode not wired");
-  sink_->sendWakeUp(core_, successor_, successorIsMwait_, addr_);
+  const WakeUp w{addr_, successor_, successorIsMwait_};
   successor_ = sim::kNoCore;
   successorIsMwait_ = false;
+  state_ = State::kIdle;
+  return w;
 }
 
 }  // namespace colibri::atomics

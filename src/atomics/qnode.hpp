@@ -2,9 +2,10 @@
 // reservation queue (paper Section IV).
 //
 // Each core owns exactly one Qnode, which is sufficient because a core can
-// have at most one outstanding LRwait/Mwait. The Qnode:
-//   - records this core's position metadata (which bank/address it queued
-//     on, and whether the wait is an Mwait),
+// have at most one outstanding LRwait/Mwait; it lives in the core's own
+// record (arch::Core). The Qnode:
+//   - records this core's position metadata (which address it queued on,
+//     and whether the wait is an Mwait),
 //   - accepts SuccessorUpdates from memory controllers — even while the
 //     core sleeps — storing the successor core id and its operation type,
 //   - dispatches a WakeUpRequest to the memory controller when the local
@@ -12,32 +13,29 @@
 //     arrives), or *bounces* a late SuccessorUpdate straight back as a
 //     WakeUpRequest if the SCwait already went past (Section IV-A.1).
 //
-// The Qnode emits WakeUpRequests through one call into its WakeUpSink (the
-// System), which injects them on the core's network request path, so
-// protocol messages contend for the same links and bank ports as ordinary
-// traffic.
+// The Qnode is a pure state machine: it knows neither its core nor the
+// network. A handler that dispatches returns the WakeUp to send, and the
+// core injects it on its own network request path, so protocol messages
+// contend for the same links and bank ports as ordinary traffic.
 #pragma once
 
 #include <cstdint>
 
-#include "arch/memop.hpp"
-#include "sim/check.hpp"
 #include "sim/types.hpp"
 
 namespace colibri::atomics {
 
 using sim::CoreId;
 
-/// Where Qnodes send their WakeUpRequests.
-class WakeUpSink {
- public:
-  /// Inject a kWakeUp request from core `from` naming `successor` towards
-  /// the bank owning `addr`.
-  virtual void sendWakeUp(CoreId from, CoreId successor,
-                          bool successorIsMwait, sim::Addr addr) = 0;
+/// A WakeUpRequest a Qnode handler dispatches: wake `successor` (a wait of
+/// the given kind) in the queue of the bank owning `addr`. Converts to
+/// false when there is nothing to send.
+struct WakeUp {
+  sim::Addr addr = 0;
+  CoreId successor = sim::kNoCore;
+  bool successorIsMwait = false;
 
- protected:
-  ~WakeUpSink() = default;
+  explicit operator bool() const { return successor != sim::kNoCore; }
 };
 
 class Qnode {
@@ -49,20 +47,16 @@ class Qnode {
                   ///< controller as soon as the successor becomes known
   };
 
-  /// `sink` receives this Qnode's WakeUpRequests; a Qnode without one
-  /// (any adapter but Colibri) must never dispatch.
-  Qnode(CoreId core, WakeUpSink* sink)
-      : sink_(sink), core_(core) {}
-
   // --- Local core events -------------------------------------------------
   void onWaitIssued(sim::Addr addr, bool isMwait);
   void onLrWaitResponse(bool admitted);
-  void onScWaitIssued();
+  [[nodiscard]] WakeUp onScWaitIssued();
   void onScWaitResponse(bool lastInQueue);
-  void onMwaitResponse(bool admitted, bool lastInQueue);
+  [[nodiscard]] WakeUp onMwaitResponse(bool admitted, bool lastInQueue);
 
   // --- Network events ----------------------------------------------------
-  void onSuccessorUpdate(CoreId successor, bool successorIsMwait);
+  [[nodiscard]] WakeUp onSuccessorUpdate(CoreId successor,
+                                         bool successorIsMwait);
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] bool hasSuccessor() const {
@@ -71,11 +65,10 @@ class Qnode {
   [[nodiscard]] CoreId successor() const { return successor_; }
 
  private:
-  void dispatchWakeUp();
+  /// Hand the known successor on as a WakeUp and return to idle.
+  [[nodiscard]] WakeUp dispatchWakeUp();
 
-  WakeUpSink* sink_;
   sim::Addr addr_ = 0;
-  CoreId core_;
   CoreId successor_ = sim::kNoCore;
   State state_ = State::kIdle;
   bool isMwait_ = false;

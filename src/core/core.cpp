@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "arch/system.hpp"
-#include "atomics/qnode.hpp"
 #include "obs/hooks.hpp"
 #include "sim/check.hpp"
 
@@ -21,6 +20,12 @@ void Core::run(sim::Task task) {
   COLIBRI_CHECK_MSG(!task_.valid(), "core already has a task");
   task_ = std::move(task);
   task_.start();
+}
+
+const obs::SimHooks* Core::obsHooks() const { return sys_.obsHooks(); }
+
+bool Core::colibri() const {
+  return sys_.config().adapter == AdapterKind::kColibri;
 }
 
 sim::Cycle Core::nextIssueCycle() const {
@@ -44,11 +49,12 @@ sim::Cycle Core::claimIssueSlot(const MemRequest& req) {
   // Tracing happens here, at issue time, never inside the departure
   // closures of post and issue — they must stay within the inline event
   // buffer.
-  if (hooks_ != nullptr && hooks_->tracer != nullptr) {
+  const obs::SimHooks* hooks = sys_.obsHooks();
+  if (hooks != nullptr && hooks->tracer != nullptr) {
     if (req.kind == OpKind::kStore) {
-      hooks_->tracer->onPosted(id_, toString(req.kind), depart);
+      hooks->tracer->onPosted(id_, toString(req.kind), depart);
     } else {
-      hooks_->tracer->onIssue(id_, toString(req.kind), depart);
+      hooks->tracer->onIssue(id_, toString(req.kind), depart);
     }
   }
   return depart;
@@ -78,13 +84,13 @@ void Core::issue(const MemRequest& req, Resume k, MemResponse* out) {
     // Wait registration happens before injection; the SCwait hook runs
     // *after* injection because it may dispatch a WakeUpRequest that must
     // follow the SCwait on the same core->bank FIFO path.
-    if (qnode_ != nullptr &&
-        (req.kind == OpKind::kLrWait || req.kind == OpKind::kMwait)) {
-      qnode_->onWaitIssued(req.addr, req.kind == OpKind::kMwait);
+    if ((req.kind == OpKind::kLrWait || req.kind == OpKind::kMwait) &&
+        colibri()) {
+      queueNode_.onWaitIssued(req.addr, req.kind == OpKind::kMwait);
     }
     sys_.injectRequest(id_, req);
-    if (qnode_ != nullptr && req.kind == OpKind::kScWait) {
-      qnode_->onScWaitIssued();
+    if (req.kind == OpKind::kScWait && colibri()) {
+      sendWakeUp(queueNode_.onScWaitIssued());
     }
   };
   sys_.engine().scheduleAt(depart, std::move(depart_ev));
@@ -100,23 +106,23 @@ void Core::complete(const MemResponse& r) {
   } else {
     stats_.stallCycles += waited;
   }
-  if (hooks_ != nullptr) {
-    hooks_->record(hooks_->opLatency, waited);
-    if (hooks_->tracer != nullptr) {
-      hooks_->tracer->onComplete(id_, sys_.engine().now());
+  if (const obs::SimHooks* hooks = sys_.obsHooks()) {
+    hooks->record(hooks->opLatency, waited);
+    if (hooks->tracer != nullptr) {
+      hooks->tracer->onComplete(id_, sys_.engine().now());
     }
   }
 
-  if (qnode_ != nullptr) {
+  if (colibri()) {
     switch (pendingKind_) {
       case OpKind::kLrWait:
-        qnode_->onLrWaitResponse(r.ok);
+        queueNode_.onLrWaitResponse(r.ok);
         break;
       case OpKind::kScWait:
-        qnode_->onScWaitResponse(r.lastInQueue);
+        queueNode_.onScWaitResponse(r.lastInQueue);
         break;
       case OpKind::kMwait:
-        qnode_->onMwaitResponse(r.ok, r.lastInQueue);
+        sendWakeUp(queueNode_.onMwaitResponse(r.ok, r.lastInQueue));
         break;
       default:
         break;
@@ -143,6 +149,23 @@ void Core::complete(const MemResponse& r) {
   pendingOut_ = nullptr;
   k();
   task_.rethrowIfFailed();
+}
+
+void Core::onSuccessorUpdate(CoreId successor, bool successorIsMwait) {
+  COLIBRI_CHECK_MSG(colibri(), "SuccessorUpdate to core "
+                                   << id_ << " under adapter "
+                                   << toString(sys_.config().adapter)
+                                   << ": Qnode not wired (Colibri only)");
+  sendWakeUp(queueNode_.onSuccessorUpdate(successor, successorIsMwait));
+}
+
+void Core::sendWakeUp(const atomics::WakeUp& w) {
+  if (!w) {
+    return;
+  }
+  const MemRequest wake{w.addr, static_cast<sim::Word>(w.successor), id_,
+                        OpKind::kWakeUp, w.successorIsMwait};
+  sys_.injectRequest(id_, wake);
 }
 
 void Core::delayed(Cycle n, Resume k) {

@@ -12,8 +12,10 @@
 // while waiting for loads/AMOs/SCs it is busy-stalled. The split feeds the
 // energy model (Table II).
 //
-// The Qnode hooks fire when an operation physically passes the core's
-// Qnode (at request departure), matching the Colibri protocol ordering.
+// The core's record holds its Colibri Qnode (driven only under the Colibri
+// adapter). The Qnode events fire when an operation physically passes it
+// (at request departure), matching the Colibri protocol ordering, and the
+// core injects the WakeUpRequests the Qnode dispatches.
 //
 // The core's one pending continuation is a `Resume` — a plain function and
 // its context — so a multi-step primitive (sync::fetchAdd) can chain its
@@ -25,12 +27,9 @@
 #include <cstdint>
 
 #include "arch/memop.hpp"
+#include "atomics/qnode.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
-
-namespace colibri::atomics {
-class Qnode;
-}
 
 namespace colibri::obs {
 struct SimHooks;
@@ -63,13 +62,11 @@ struct CoreStats {
   void reset() { *this = CoreStats{}; }
 };
 
-/// One core's whole record (identity, pipeline state, stats): System keeps
-/// all of them in one array, and a core is nothing more.
+/// One core's whole record (identity, pipeline state, Qnode, stats):
+/// System keeps all of them in one array, and a core is nothing more.
 class Core {
  public:
-  /// `qnode` is the core's Colibri Qnode, or null under other adapters.
-  Core(System& sys, CoreId id, atomics::Qnode* qnode)
-      : sys_(sys), qnode_(qnode), id_(id) {}
+  Core(System& sys, CoreId id) : sys_(sys), id_(id) {}
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
 
@@ -133,6 +130,10 @@ class Core {
   void run(sim::Task task);
   /// Response delivery (called by System when the network delivers).
   void complete(const MemResponse& r);
+  /// A Colibri SuccessorUpdate reaches this core's Qnode (called by System
+  /// when the network delivers); throws sim::InvariantViolation under any
+  /// other adapter, whose cores have no Qnode in use.
+  void onSuccessorUpdate(CoreId successor, bool successorIsMwait);
   /// Propagate an exception that escaped the task, if any.
   void rethrowIfFailed() const { task_.rethrowIfFailed(); }
   [[nodiscard]] bool hasOutstandingOp() const {
@@ -141,10 +142,12 @@ class Core {
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
   void resetStats() { stats_.reset(); }
+  /// The core's Colibri Qnode (idle forever under other adapters).
+  [[nodiscard]] const atomics::Qnode& qnode() const { return queueNode_; }
 
-  /// Observability hook bundle (null = off); used by the sync primitives
-  /// to count retries against the issuing core's execution context.
-  [[nodiscard]] const obs::SimHooks* obsHooks() const { return hooks_; }
+  /// The System's observability hook bundle (null = off); used by the sync
+  /// primitives to count retries against the issuing core.
+  [[nodiscard]] const obs::SimHooks* obsHooks() const;
 
  private:
   /// Issue the posted store `req`; `h` resumes right after the issue slot.
@@ -154,10 +157,13 @@ class Core {
   /// Take the issue slot for `req`: returns the cycle it departs.
   [[nodiscard]] Cycle claimIssueSlot(const MemRequest& req);
   [[nodiscard]] Cycle nextIssueCycle() const;
+  /// True iff the System runs the Colibri adapter, the only one whose
+  /// protocol drives the Qnode.
+  [[nodiscard]] bool colibri() const;
+  /// Inject the WakeUpRequest `w` on this core's request path, if any.
+  void sendWakeUp(const atomics::WakeUp& w);
 
   System& sys_;
-  atomics::Qnode* qnode_;                 // null unless Colibri is active
-  const obs::SimHooks* hooks_ = nullptr;  // set by System with a recorder
   sim::Task task_;
 
   // Pipeline state of the one outstanding operation; System reads it for
@@ -174,6 +180,7 @@ class Core {
   /// livelock/deadlock from slow progress.
   Cycle lastProductive_ = 0;
   CoreStats stats_;
+  atomics::Qnode queueNode_;
   CoreId id_;
   OpKind pendingKind_ = OpKind::kLoad;
   bool hasIssued_ = false;

@@ -37,14 +37,12 @@ class ThroughputResource {
       used_ = 0;
     }
     ++used_;
-    ++totalGrants_;
-    totalQueueingDelay_ += cursor_ - at;
     return cursor_;
   }
 
   /// Claim `n` consecutive slots, the first at or after `at`, each
   /// subsequent one at or after its predecessor; returns the cycle of the
-  /// last slot. Exactly equivalent (state, stats and return value) to
+  /// last slot. Exactly equivalent (state and return value) to
   /// `g = acquire(at); repeat n-1 times: g = acquire(g);` — the pattern
   /// backpressured messages use to hold a stage for several slots — but in
   /// closed form instead of a loop.
@@ -55,20 +53,16 @@ class ThroughputResource {
     if (rest == 0) {
       return granted;
     }
-    totalGrants_ += rest;
     const std::uint32_t freeNow = slotsPerCycle_ - used_;
     if (rest <= freeNow) {
       used_ += rest;
       return cursor_;
     }
-    // Fill the current cycle, then spill over whole cycles. Each spilled
-    // cycle corresponds to one scalar acquire arriving one cycle early,
-    // i.e. one unit of queueing delay.
+    // Fill the current cycle, then spill over whole cycles.
     const std::uint32_t spill = rest - freeNow;
     const Cycle extraCycles = (spill + slotsPerCycle_ - 1) / slotsPerCycle_;
     cursor_ += extraCycles;
     used_ = spill - static_cast<std::uint32_t>(extraCycles - 1) * slotsPerCycle_;
-    totalQueueingDelay_ += extraCycles;
     return cursor_;
   }
 
@@ -80,24 +74,11 @@ class ThroughputResource {
     return used_ >= slotsPerCycle_ ? cursor_ + 1 : cursor_;
   }
 
-  [[nodiscard]] std::uint32_t slotsPerCycle() const { return slotsPerCycle_; }
-  [[nodiscard]] std::uint64_t totalGrants() const { return totalGrants_; }
-  /// Sum over grants of (grant cycle − request cycle): a congestion metric.
-  [[nodiscard]] std::uint64_t totalQueueingDelay() const {
-    return totalQueueingDelay_;
-  }
-
-  void resetStats() {
-    totalGrants_ = 0;
-    totalQueueingDelay_ = 0;
-  }
-
  private:
-  std::uint32_t slotsPerCycle_;
+  // 16 B: the network keeps one per shared stage (1,312 at 4096 cores).
   Cycle cursor_ = 0;        // cycle currently being filled
+  std::uint32_t slotsPerCycle_;
   std::uint32_t used_ = 0;  // slots consumed in `cursor_`
-  std::uint64_t totalGrants_ = 0;
-  std::uint64_t totalQueueingDelay_ = 0;
 };
 
 }  // namespace colibri::sim

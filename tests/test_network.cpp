@@ -83,7 +83,7 @@ TEST(Network, GroupLinkLimitsThroughput) {
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i] - arrivals[i - 1], 1u);
   }
-  EXPECT_GT(n.linkQueueingDelay(), 0u);
+  EXPECT_GT(n.stats().totalQueueingDelay, 0u);
 }
 
 TEST(Network, LocalTileBypassesSharedLinks) {

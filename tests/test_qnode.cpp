@@ -1,36 +1,17 @@
 // Qnode state-machine tests, including the SuccessorUpdate-after-SCwait
-// bounce race of Section IV-A.1.
+// bounce race of Section IV-A.1. The handlers that may dispatch return the
+// WakeUp to send; the tests check it where a core would inject it.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "atomics/qnode.hpp"
+#include "sim/check.hpp"
 
 namespace colibri::atomics {
 namespace {
 
-struct SentWakeUp {
-  CoreId from;
-  CoreId successor;
-  bool isMwait;
-  sim::Addr addr;
-};
-
-// Records the WakeUpRequests a Qnode dispatches instead of injecting them.
-struct FakeSink final : WakeUpSink {
-  void sendWakeUp(CoreId from, CoreId successor, bool successorIsMwait,
-                  sim::Addr addr) override {
-    sent.push_back({from, successor, successorIsMwait, addr});
-  }
-  std::vector<SentWakeUp> sent;
-};
-
 class QnodeTest : public ::testing::Test {
  protected:
-  QnodeTest() : q(/*core=*/0, &sink) {}
-  FakeSink sink;
   Qnode q;
-  std::vector<SentWakeUp>& sent = sink.sent;
 };
 
 TEST_F(QnodeTest, StartsIdle) {
@@ -40,12 +21,13 @@ TEST_F(QnodeTest, StartsIdle) {
 
 TEST_F(QnodeTest, ScwaitWithKnownSuccessorDispatchesImmediately) {
   q.onWaitIssued(5, false);
-  q.onSuccessorUpdate(3, false);
-  q.onScWaitIssued();
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].from, 0u);
-  EXPECT_EQ(sent[0].successor, 3u);
-  EXPECT_EQ(sent[0].addr, 5u);
+  EXPECT_FALSE(q.onSuccessorUpdate(3, false));  // no bounce while queued
+  const WakeUp w = q.onScWaitIssued();
+  ASSERT_TRUE(w);
+  EXPECT_EQ(w.successor, 3u);
+  EXPECT_FALSE(w.successorIsMwait);
+  EXPECT_EQ(w.addr, 5u);
+  EXPECT_FALSE(q.hasSuccessor());
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
   // The late SCwait response (successor pending) is a no-op.
   q.onScWaitResponse(/*lastInQueue=*/false);
@@ -54,36 +36,37 @@ TEST_F(QnodeTest, ScwaitWithKnownSuccessorDispatchesImmediately) {
 
 TEST_F(QnodeTest, ScwaitWithoutSuccessorOwesWakeup) {
   q.onWaitIssued(5, false);
-  q.onScWaitIssued();
+  EXPECT_FALSE(q.onScWaitIssued());
   EXPECT_EQ(q.state(), Qnode::State::kOwesWakeup);
-  EXPECT_TRUE(sent.empty());
 }
 
 TEST_F(QnodeTest, LateSuccessorUpdateBouncesAsWakeUp) {
   q.onWaitIssued(5, false);
-  q.onScWaitIssued();
-  q.onSuccessorUpdate(7, true);  // arrives after the SCwait passed
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].successor, 7u);
-  EXPECT_TRUE(sent[0].isMwait);
+  EXPECT_FALSE(q.onScWaitIssued());
+  // Arrives after the SCwait passed: bounced straight back.
+  const WakeUp w = q.onSuccessorUpdate(7, true);
+  ASSERT_TRUE(w);
+  EXPECT_EQ(w.successor, 7u);
+  EXPECT_TRUE(w.successorIsMwait);
+  EXPECT_EQ(w.addr, 5u);
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
 }
 
 TEST_F(QnodeTest, LastInQueueResponseResets) {
   q.onWaitIssued(5, false);
-  q.onScWaitIssued();
+  EXPECT_FALSE(q.onScWaitIssued());
   q.onScWaitResponse(/*lastInQueue=*/true);
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
-  EXPECT_TRUE(sent.empty());
 }
 
 TEST_F(QnodeTest, PendingResponseKeepsOwingUntilUpdate) {
   q.onWaitIssued(5, false);
-  q.onScWaitIssued();
+  EXPECT_FALSE(q.onScWaitIssued());
   q.onScWaitResponse(/*lastInQueue=*/false);
   EXPECT_EQ(q.state(), Qnode::State::kOwesWakeup);
-  q.onSuccessorUpdate(2, false);
-  EXPECT_EQ(sent.size(), 1u);
+  const WakeUp w = q.onSuccessorUpdate(2, false);
+  ASSERT_TRUE(w);
+  EXPECT_EQ(w.successor, 2u);
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
 }
 
@@ -101,31 +84,34 @@ TEST_F(QnodeTest, GrantedLrwaitStaysQueued) {
 
 TEST_F(QnodeTest, MwaitLastResponseResetsSilently) {
   q.onWaitIssued(5, true);
-  q.onMwaitResponse(/*admitted=*/true, /*lastInQueue=*/true);
+  EXPECT_FALSE(q.onMwaitResponse(/*admitted=*/true, /*lastInQueue=*/true));
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
-  EXPECT_TRUE(sent.empty());
 }
 
 TEST_F(QnodeTest, MwaitResponseWithSuccessorCascades) {
   q.onWaitIssued(5, true);
-  q.onSuccessorUpdate(4, true);
-  q.onMwaitResponse(true, /*lastInQueue=*/false);
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].successor, 4u);
+  EXPECT_FALSE(q.onSuccessorUpdate(4, true));
+  const WakeUp w = q.onMwaitResponse(true, /*lastInQueue=*/false);
+  ASSERT_TRUE(w);
+  EXPECT_EQ(w.successor, 4u);
+  EXPECT_TRUE(w.successorIsMwait);
+  EXPECT_EQ(w.addr, 5u);
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
 }
 
 TEST_F(QnodeTest, MwaitResponseWithoutSuccessorOwesWakeup) {
   q.onWaitIssued(5, true);
-  q.onMwaitResponse(true, /*lastInQueue=*/false);
+  EXPECT_FALSE(q.onMwaitResponse(true, /*lastInQueue=*/false));
   EXPECT_EQ(q.state(), Qnode::State::kOwesWakeup);
-  q.onSuccessorUpdate(4, false);
-  EXPECT_EQ(sent.size(), 1u);
+  const WakeUp w = q.onSuccessorUpdate(4, false);
+  ASSERT_TRUE(w);
+  EXPECT_EQ(w.successor, 4u);
+  EXPECT_FALSE(w.successorIsMwait);
 }
 
 TEST_F(QnodeTest, MwaitAdmissionFailureResets) {
   q.onWaitIssued(5, true);
-  q.onMwaitResponse(/*admitted=*/false, false);
+  EXPECT_FALSE(q.onMwaitResponse(/*admitted=*/false, false));
   EXPECT_EQ(q.state(), Qnode::State::kIdle);
 }
 
@@ -135,29 +121,21 @@ TEST_F(QnodeTest, DoubleWaitTripsInvariant) {
 }
 
 TEST_F(QnodeTest, SuccessorUpdateToIdleTripsInvariant) {
-  EXPECT_THROW(q.onSuccessorUpdate(1, false), sim::InvariantViolation);
+  EXPECT_THROW((void)q.onSuccessorUpdate(1, false), sim::InvariantViolation);
 }
 
 TEST_F(QnodeTest, ScwaitWithoutWaitTripsInvariant) {
-  EXPECT_THROW(q.onScWaitIssued(), sim::InvariantViolation);
-}
-
-TEST(Qnode, DispatchWithoutSinkTripsInvariant) {
-  Qnode q(/*core=*/2, /*sink=*/nullptr);
-  q.onWaitIssued(5, false);
-  q.onSuccessorUpdate(3, false);
-  EXPECT_THROW(q.onScWaitIssued(), sim::InvariantViolation);
+  EXPECT_THROW((void)q.onScWaitIssued(), sim::InvariantViolation);
 }
 
 TEST_F(QnodeTest, ReusableAcrossEpisodes) {
   for (int i = 0; i < 3; ++i) {
     q.onWaitIssued(5, false);
     q.onLrWaitResponse(true);
-    q.onScWaitIssued();
+    EXPECT_FALSE(q.onScWaitIssued());
     q.onScWaitResponse(true);
     EXPECT_EQ(q.state(), Qnode::State::kIdle);
   }
-  EXPECT_TRUE(sent.empty());
 }
 
 }  // namespace

@@ -127,12 +127,11 @@ TEST(System, AccessorsRejectOutOfRangeIds) {
   EXPECT_THROW((void)sys.bank(cfg.numBanks()), sim::InvariantViolation);
   EXPECT_THROW((void)sys.bank(~BankId{0}), sim::InvariantViolation);
   EXPECT_THROW((void)sys.core(cfg.numCores), sim::InvariantViolation);
-  EXPECT_THROW((void)sys.qnode(cfg.numCores), sim::InvariantViolation);
   EXPECT_THROW(sys.spawn(cfg.numCores, sim::Task{}), sim::InvariantViolation);
   EXPECT_EQ(sys.builtBanks().size(), 0u);
   EXPECT_EQ(sys.bank(cfg.numBanks() - 1).bankId(), cfg.numBanks() - 1);
   EXPECT_EQ(sys.core(cfg.numCores - 1).id(), cfg.numCores - 1);
-  EXPECT_EQ(sys.qnode(cfg.numCores - 1).state(),
+  EXPECT_EQ(sys.core(cfg.numCores - 1).qnode().state(),
             atomics::Qnode::State::kIdle);
 }
 
@@ -285,6 +284,24 @@ TEST(System, BlameReportDescribesLrscWaitQueue) {
             "last productive retirement at 0\n"
             "  bank 0: 2 of 8 queue entries used; grants: core 0 on addr "
             "0\n");
+}
+
+// Only Colibri drives the Qnodes. A SuccessorUpdate reaching a core under
+// any other adapter is a protocol fault and must be reported as one, not
+// taken for a late message to an idle Qnode; it sends no WakeUpRequest.
+TEST(System, SuccessorUpdateOutsideColibriIsRejected) {
+  System sys(withAdapter(AdapterKind::kLrscWait));
+  try {
+    sys.deliverSuccessorUpdate(0, 1, false);
+    FAIL() << "SuccessorUpdate accepted under lrscwait";
+  } catch (const sim::InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("Qnode not wired"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sys.core(0).qnode().state(), atomics::Qnode::State::kIdle);
+  EXPECT_EQ(sys.engine().pendingEvents(), 0u);
+  EXPECT_EQ(sys.builtBanks().size(), 0u);
 }
 
 TEST(System, PostedStoreDoesNotBlockTheCore) {
